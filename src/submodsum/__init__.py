@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    DegenerateError,
     FormatError,
     NumericError,
     SizeError,
@@ -91,7 +90,7 @@ from .bench import (
 
 __all__ = [
     "__version__",
-    "SubmodsumError", "ConfigError", "DegenerateError", "FormatError",
+    "SubmodsumError", "ConfigError", "FormatError",
     "NumericError", "SizeError", "UnsupportedError",
     "ItemRecord", "GroundSet", "AuxiliarySet", "ConceptUniverse",
     "SimilarityKernel", "Collection", "build_kernel", "cross_only_kernel",

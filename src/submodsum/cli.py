@@ -34,7 +34,7 @@ from .bench import (
     vrouge,
     write_plot_csv,
 )
-from .data import AuxiliarySet, ItemRecord, load_collection
+from .data import AuxiliarySet, ItemRecord, load_collection, read_json
 from .errors import NumericError, SubmodsumError, ConfigError
 from .functions import (
     EvalContext,
@@ -258,7 +258,7 @@ def cmd_learn(args) -> int:
 
 
 def _load_summary_ids(path) -> list[str]:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if isinstance(doc, dict) and "items" in doc:
         return [str(i) for i in doc["items"]]
     if isinstance(doc, list):
@@ -272,7 +272,7 @@ def cmd_eval(args) -> int:
     summary_ids = _load_summary_ids(args.summary)
     Y = _ground_indices(coll, summary_ids)
     if args.references is not None:
-        doc = json.loads(Path(args.references).read_text())
+        doc = read_json(args.references)
         refs_ids = [[str(i) for i in ref] for ref in doc]
     else:
         refs_ids = [list(r) for r in coll.references]

@@ -46,8 +46,10 @@ class ItemRecord:
         if self.features is None and not self.concepts and not self.coverage:
             raise FormatError(f"item {self.id!r}: needs features or concepts")
         for name, cnt in self.concepts.items():
-            if int(cnt) != cnt or cnt < 0:
+            whole = isinstance(cnt, (int, float, np.integer, np.floating)) and float(cnt).is_integer()
+            if not whole or cnt < 0:
                 raise FormatError(f"item {self.id!r}: concept {name!r} count must be a nonnegative integer")
+        self.concepts = {name: int(cnt) for name, cnt in self.concepts.items()}
         for name, p in self.coverage.items():
             if not (0.0 <= float(p) <= 1.0):
                 raise FormatError(f"item {self.id!r}: coverage {name!r} must lie in [0, 1]")
@@ -218,13 +220,6 @@ class SimilarityKernel:
                 "increase the jitter or check the features"
             ) from exc
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", *self.ids])
-            for item_id, row in zip(self.ids, self.matrix):
-                w.writerow([item_id, *[repr(v) for v in row]])
-
 
 def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> np.ndarray:
     if metric == "dot":
@@ -272,6 +267,8 @@ def build_kernel(
     else:
         uni = universe or ConceptUniverse.from_items(*all_sets)
         feats = np.concatenate([count_matrix(s, uni).astype(float) for s in all_sets], axis=0)
+    if not np.all(np.isfinite(feats)):
+        raise FormatError("feature values must be finite")
     mat = _pairwise(metric, feats, sigma) if len(ids) else np.zeros((0, 0))
     mat = (mat + mat.T) / 2.0
     kern = SimilarityKernel(mat, tuple(ids), metric, jitter, ground_count=len(ground))
@@ -279,27 +276,45 @@ def build_kernel(
     return kern
 
 
-def cross_only_kernel(kernel: SimilarityKernel) -> SimilarityKernel:
-    """Replace both diagonal blocks with identity, keeping only V<->V' similarity.
+def cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
+    """Copy of a square matrix with both diagonal blocks replaced by identity,
+    keeping only V<->V' entries.  Idempotent."""
+    out = matrix.copy()
+    out[:n_ground, :n_ground] = 0.0
+    out[n_ground:, n_ground:] = 0.0
+    np.fill_diagonal(out, 1.0)
+    return out
 
-    Idempotent: applying it twice returns the same matrix.
-    """
+
+def cross_only_kernel(kernel: SimilarityKernel) -> SimilarityKernel:
+    """The kernel with only its V<->V' similarities kept (see cross_only)."""
     n = kernel.ground_count
-    mat = kernel.matrix.copy()
-    mat[:n, :n] = np.eye(n)
-    mat[n:, n:] = np.eye(len(kernel.ids) - n)
-    return SimilarityKernel(mat, kernel.ids, kernel.metric_tag, kernel.psd_jitter, ground_count=n)
+    return SimilarityKernel(cross_only(kernel.matrix, n), kernel.ids, kernel.metric_tag,
+                            kernel.psd_jitter, ground_count=n)
+
+
+def read_json(path):
+    """Parsed JSON document; an unreadable or malformed file raises FormatError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _record_from_json(obj: dict) -> ItemRecord:
     if not isinstance(obj, dict) or "id" not in obj:
         raise FormatError(f"item record must be an object with an 'id': {obj!r}")
-    return ItemRecord(
-        id=str(obj["id"]),
-        features=None if obj.get("features") is None else np.asarray(obj["features"], dtype=float),
-        concepts={str(k): int(v) for k, v in (obj.get("concepts") or {}).items()},
-        coverage={str(k): float(v) for k, v in (obj.get("coverage") or {}).items()},
-    )
+    try:
+        return ItemRecord(
+            id=str(obj["id"]),
+            features=None if obj.get("features") is None else np.asarray(obj["features"], dtype=float),
+            concepts={str(k): v for k, v in (obj.get("concepts") or {}).items()},
+            coverage={str(k): float(v) for k, v in (obj.get("coverage") or {}).items()},
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"item {obj['id']!r}: {exc}") from None
 
 
 def load_items(path, fmt: str | None = None) -> GroundSet:
@@ -310,7 +325,7 @@ def load_items(path, fmt: str | None = None) -> GroundSet:
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
     if fmt == "json":
-        doc = json.loads(path.read_text())
+        doc = read_json(path)
         records = doc["items"] if isinstance(doc, dict) else doc
         return GroundSet([_record_from_json(r) for r in records])
     if fmt == "csv":
@@ -357,7 +372,7 @@ def load_collection(path) -> Collection:
     Top-level keys: items (required), queries, privates, references,
     concept_universe {concepts: [...], weights: [...]}.
     """
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict) or "items" not in doc:
         raise FormatError("collection must be a JSON object with an 'items' array")
     ground = GroundSet([_record_from_json(r) for r in doc["items"]])
@@ -372,7 +387,13 @@ def load_collection(path) -> Collection:
     universe = None
     if "concept_universe" in doc:
         cu = doc["concept_universe"]
-        universe = ConceptUniverse(list(cu["concepts"]), cu.get("weights"))
+        if not isinstance(cu, dict) or not isinstance(cu.get("concepts"), list):
+            raise FormatError("concept_universe must be an object with a 'concepts' list")
+        universe = ConceptUniverse([str(c) for c in cu["concepts"]], cu.get("weights"))
+        for it in (*ground, *queries, *privates):
+            unknown = sorted((set(it.concepts) | set(it.coverage)) - set(universe.index))
+            if unknown:
+                raise FormatError(f"item {it.id!r}: concepts {unknown} not in concept_universe")
     return Collection(ground, queries, privates, refs, universe)
 
 

@@ -27,7 +27,3 @@ class UnsupportedError(SubmodsumError):
 
 class SizeError(SubmodsumError):
     """Problem instance exceeds an enumeration guard."""
-
-
-class DegenerateError(SubmodsumError):
-    """Degenerate geometry (kept for API completeness; zero vectors are mapped, not raised)."""

@@ -1,7 +1,6 @@
 """Submodular measure families and their information / conditional forms."""
 
 from .api import (
-    PARAM_KEYS,
     REGISTRY,
     cg,
     csmi,
@@ -24,7 +23,6 @@ __all__ = [
     "Family",
     "FunctionSpec",
     "MeasureMode",
-    "PARAM_KEYS",
     "REGISTRY",
     "cg",
     "conditioned_smi",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from .spec import MeasureMode
 
 # -- set handling ------------------------------------------------------------
 
@@ -26,6 +27,8 @@ def check_universe(S: np.ndarray, ctx, label: str) -> None:
 
 
 def check_disjoint(a: np.ndarray, b: np.ndarray, la: str, lb: str) -> None:
+    if not (a.size and b.size):
+        return
     inter = np.intersect1d(a, b)
     if inter.size:
         raise ConfigError(f"{la} and {lb} must be disjoint, share {inter.tolist()}")
@@ -98,6 +101,34 @@ PSI = {
     "log1p": np.log1p,
     "identity": lambda x: x,
 }
+
+
+# -- family protocol -----------------------------------------------------------
+
+
+class FamilyOps:
+    """One measure family: closed forms base/smi/cg/csmi for the modes in
+    MODES, an incremental state(), and gradients for PARAM_KEYS.
+
+    PARAM_MAX bounds a parameter from above where the measure stops being
+    well defined; every parameter is bounded below by zero.  The defaults
+    below fit a family whose value carries no kernel weighting, has no
+    continuous parameters and no max/min switches.
+    """
+
+    MODES: frozenset = frozenset(MeasureMode)
+    PARAM_KEYS: tuple[str, ...] = ()
+    PARAM_MAX: dict[str, float] = {}
+
+    def oracle_view(self, ctx, spec, mode, Q, P):
+        """Context on which the bare definitions reproduce the closed forms."""
+        return ctx
+
+    def partials(self, ctx, spec, mode, A, Q, P) -> dict:
+        return {}
+
+    def near_kink(self, ctx, spec, mode, A, Q, P, tol) -> bool:
+        return False
 
 
 # -- marginal state protocol ---------------------------------------------------

@@ -2,14 +2,15 @@
 
 All set arguments are integer index sets into an EvalContext universe
 (0..n_ground-1 is the ground set, the rest the auxiliary shadow). The
-wrappers normalize sets, enforce disjointness, and short-circuit the
+wrappers normalize sets, enforce disjointness, ignore a set the mode does
+not read (Q outside smi/csmi, P outside cg/csmi), and collapse the
 degenerate cases every family shares:
 
     I(A; {})   = 0          f(A | {}) = f(A)        I(A; Q | {}) = I(A; Q)
     I(A; {} | P) = 0
 
 so family code never sees an empty conditioning set where it would have
-to invert an empty block.
+to invert an empty block, nor an empty A.
 """
 
 from __future__ import annotations
@@ -38,31 +39,22 @@ REGISTRY = {
     Family.DISPARITY_MIN: DisparityMinOps(),
 }
 
-MODES_SUPPORTED = {
-    Family.GRAPH_CUT: frozenset({MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG}),
-    Family.FACILITY_LOCATION_2: frozenset({MeasureMode.BASE, MeasureMode.SMI}),
-    Family.DISPARITY_SUM: frozenset({MeasureMode.BASE}),
-    Family.DISPARITY_MIN: frozenset({MeasureMode.BASE}),
-}
-_ALL_MODES = frozenset(MeasureMode)
-
-# Continuous parameters that can carry gradient for each family.
-PARAM_KEYS = {
-    Family.GRAPH_CUT: ("lam", "nu"),
-    Family.FACILITY_LOCATION_1: ("eta", "nu"),
-    Family.FACILITY_LOCATION_2: ("eta",),
-    Family.LOG_DET: ("eta", "nu"),
-    Family.CONCAVE_OVER_MODULAR: ("eta",),
-}
+_USES_Q = (MeasureMode.SMI, MeasureMode.CSMI)
+_USES_P = (MeasureMode.CG, MeasureMode.CSMI)
 
 
 def modes_supported(family: Family) -> frozenset:
-    return MODES_SUPPORTED.get(family, _ALL_MODES)
+    return REGISTRY[family].MODES
 
 
-def _check_mode(spec: FunctionSpec, mode: MeasureMode) -> None:
+def _check_mode(spec: FunctionSpec, mode) -> MeasureMode:
+    try:
+        mode = MeasureMode(mode)
+    except ValueError:
+        raise ConfigError(f"unknown mode {mode!r}") from None
     if mode not in modes_supported(spec.family):
         raise UnsupportedError(f"{spec.family.value} does not define mode {mode.value}")
+    return mode
 
 
 def _norm(ctx, S, label, ground=False):
@@ -73,6 +65,21 @@ def _norm(ctx, S, label, ground=False):
     return S
 
 
+def _reduce(spec: FunctionSpec, mode, ctx, A, Q, P):
+    """(effective mode, A, Q, P) with the sets normalized and the degenerate
+    conditioning collapsed; the mode is None where the measure is
+    identically zero.  A set the mode does not read comes back empty."""
+    mode = _check_mode(spec, mode)
+    A = _norm(ctx, A, "A", ground=True)
+    Q = _norm(ctx, Q if mode in _USES_Q else None, "Q")
+    P = _norm(ctx, P if mode in _USES_P else None, "P")
+    if mode in _USES_Q and not Q.size:
+        return None, A, Q, P
+    if mode in _USES_P and not P.size:
+        mode = MeasureMode.SMI if mode == MeasureMode.CSMI else MeasureMode.BASE
+    return mode, A, Q, P
+
+
 def eval_base(spec: FunctionSpec, S, ctx) -> float:
     S = _norm(ctx, S, "S")
     if not S.size:
@@ -81,53 +88,35 @@ def eval_base(spec: FunctionSpec, S, ctx) -> float:
 
 
 def smi(spec: FunctionSpec, A, Q, ctx) -> float:
-    _check_mode(spec, MeasureMode.SMI)
-    A = _norm(ctx, A, "A", ground=True)
-    Q = _norm(ctx, Q, "Q")
-    check_disjoint(A, Q, "A", "Q")
-    if not Q.size or not A.size:
-        return 0.0
-    return float(REGISTRY[spec.family].smi(ctx, spec, A, Q))
+    return evaluate(spec, MeasureMode.SMI, ctx, A, Q=Q)
 
 
 def cg(spec: FunctionSpec, A, P, ctx) -> float:
-    _check_mode(spec, MeasureMode.CG)
-    A = _norm(ctx, A, "A", ground=True)
-    P = _norm(ctx, P, "P")
-    check_disjoint(A, P, "A", "P")
-    if not P.size:
-        return eval_base(spec, A, ctx)
-    if not A.size:
-        return 0.0
-    return float(REGISTRY[spec.family].cg(ctx, spec, A, P))
+    return evaluate(spec, MeasureMode.CG, ctx, A, P=P)
 
 
 def csmi(spec: FunctionSpec, A, Q, P, ctx) -> float:
-    _check_mode(spec, MeasureMode.CSMI)
-    A = _norm(ctx, A, "A", ground=True)
-    Q = _norm(ctx, Q, "Q")
-    P = _norm(ctx, P, "P")
-    check_disjoint(A, Q, "A", "Q")
-    check_disjoint(A, P, "A", "P")
-    check_disjoint(Q, P, "Q", "P")
-    if not P.size:
-        return smi(spec, A, Q, ctx)
-    if not Q.size or not A.size:
-        return 0.0
-    return float(REGISTRY[spec.family].csmi(ctx, spec, A, Q, P))
+    return evaluate(spec, MeasureMode.CSMI, ctx, A, Q=Q, P=P)
 
 
 def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> float:
     """Mode-polymorphic entry point used by the optimizer and learner."""
     if mode == MeasureMode.BASE:
         return eval_base(spec, A, ctx)
+    mode, A, Q, P = _reduce(spec, mode, ctx, A, Q, P)
+    check_disjoint(A, Q, "A", "Q")
+    check_disjoint(A, P, "A", "P")
+    check_disjoint(Q, P, "Q", "P")
+    if mode is None or not A.size:
+        return 0.0
+    ops = REGISTRY[spec.family]
+    if mode == MeasureMode.BASE:
+        return float(ops.base(ctx, spec, A))
     if mode == MeasureMode.SMI:
-        return smi(spec, A, Q, ctx)
+        return float(ops.smi(ctx, spec, A, Q))
     if mode == MeasureMode.CG:
-        return cg(spec, A, P, ctx)
-    if mode == MeasureMode.CSMI:
-        return csmi(spec, A, Q, P, ctx)
-    raise ConfigError(f"unknown mode {mode!r}")
+        return float(ops.cg(ctx, spec, A, P))
+    return float(ops.csmi(ctx, spec, A, Q, P))
 
 
 class _ZeroState(MarginalState):
@@ -143,27 +132,15 @@ def make_state(spec: FunctionSpec, mode: MeasureMode, ctx, Q=None, P=None) -> Ma
 
     Degenerate conditioning collapses exactly like the closed forms do.
     """
-    _check_mode(spec, mode)
-    Q = _norm(ctx, Q, "Q")
-    P = _norm(ctx, P, "P")
-    if mode == MeasureMode.SMI and not Q.size:
-        state = _ZeroState()
-    elif mode == MeasureMode.CSMI and not Q.size:
-        state = _ZeroState()
-    elif mode == MeasureMode.CSMI and not P.size:
-        state = REGISTRY[spec.family].state(ctx, spec, MeasureMode.SMI, Q, P)
-    elif mode == MeasureMode.CG and not P.size:
-        state = REGISTRY[spec.family].state(ctx, spec, MeasureMode.BASE, Q, P)
-    else:
-        state = REGISTRY[spec.family].state(ctx, spec, mode, Q, P)
-    state.family = spec.family
-    state.mode = mode
+    eff, _, Q, P = _reduce(spec, mode, ctx, (), Q, P)
+    state = _ZeroState() if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
+    state.measure = (spec.family, MeasureMode(mode))
     return state
 
 
 def marginal(spec: FunctionSpec, mode: MeasureMode, state: MarginalState, j: int) -> float:
     """Pure gain of candidate j under the given state; add with state.add(j)."""
-    if getattr(state, "family", spec.family) != spec.family or getattr(state, "mode", mode) != mode:
+    if getattr(state, "measure", (spec.family, mode)) != (spec.family, mode):
         raise ConfigError("marginal state was built for a different spec or mode")
     return float(state.gain(int(j)))
 
@@ -173,19 +150,8 @@ def partials(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> d
 
     Missing keys mean zero gradient; degenerate conditioning gives {}.
     """
-    _check_mode(spec, mode)
-    A = _norm(ctx, A, "A", ground=True)
-    Q = _norm(ctx, Q, "Q")
-    P = _norm(ctx, P, "P")
-    if mode == MeasureMode.SMI and (not Q.size or not A.size):
-        return {}
-    if mode == MeasureMode.CSMI and (not Q.size or not A.size):
-        return {}
-    if mode == MeasureMode.CSMI and not P.size:
-        return partials(spec, MeasureMode.SMI, ctx, A, Q, None)
-    if mode == MeasureMode.CG and not P.size:
-        mode = MeasureMode.BASE
-    if mode == MeasureMode.CG and not A.size:
+    mode, A, Q, P = _reduce(spec, mode, ctx, A, Q, P)
+    if mode is None or not A.size:
         return {}
     out = REGISTRY[spec.family].partials(ctx, spec, mode, A, Q, P)
     return {k: float(v) for k, v in out.items()}
@@ -194,16 +160,7 @@ def partials(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> d
 def near_kink(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None, tol: float = 1e-5) -> bool:
     """True when a max/min switch sits within tol, making the parameter
     gradient one-sided at this point."""
-    _check_mode(spec, mode)
-    A = _norm(ctx, A, "A", ground=True)
-    Q = _norm(ctx, Q, "Q")
-    P = _norm(ctx, P, "P")
-    if not A.size:
+    mode, A, Q, P = _reduce(spec, mode, ctx, A, Q, P)
+    if mode is None or not A.size:
         return False
-    if mode in (MeasureMode.SMI, MeasureMode.CSMI) and not Q.size:
-        return False
-    if mode == MeasureMode.CSMI and not P.size:
-        mode = MeasureMode.SMI
-    if mode == MeasureMode.CG and not P.size:
-        mode = MeasureMode.BASE
     return bool(REGISTRY[spec.family].near_kink(ctx, spec, mode, A, Q, P, tol))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import PSI, MarginalState, require_aux
+from ._common import PSI, FamilyOps, MarginalState, require_aux
 from .spec import MeasureMode
 
 
@@ -34,7 +34,9 @@ def _sums(X, rows, cols):
     return X[np.ix_(rows, cols)].sum(axis=1)
 
 
-class ConcaveOverModularOps:
+class ConcaveOverModularOps(FamilyOps):
+    PARAM_KEYS = ("eta",)
+
     def base(self, ctx, spec, S):
         X = ctx.cross_nonneg
         psi = PSI[spec.psi]
@@ -65,7 +67,7 @@ class ConcaveOverModularOps:
         g = np.sqrt(ctx.n_ground)
         rest = np.setdiff1d(np.arange(ctx.n_ground, ctx.size), P)
         q_term = psi(_sums(X, rest, A)).sum()
-        a_term = (psi(g) - psi(_sums(X, A, P))).sum() if A.size else 0.0
+        a_term = (psi(g) - psi(_sums(X, A, P))).sum()
         return float(dq * q_term + da * a_term)
 
     def csmi(self, ctx, spec, A, Q, P):
@@ -80,9 +82,6 @@ class ConcaveOverModularOps:
 
     def state(self, ctx, spec, mode, Q, P):
         return _ComState(ctx, spec, mode, Q, P)
-
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx  # deltas live in the base function itself
 
     def partials(self, ctx, spec, mode, A, Q, P):
         if spec.com_weights is not None:
@@ -99,13 +98,10 @@ class ConcaveOverModularOps:
         if mode == MeasureMode.SMI:
             return {"eta": float(psi(_sums(X, A, Q)).sum())}
         if mode == MeasureMode.CG:
-            return {"eta": float((psi(g) - psi(_sums(X, A, P))).sum()) if A.size else 0.0}
+            return {"eta": float((psi(g) - psi(_sums(X, A, P))).sum())}
         qs = _sums(X, A, Q)
         ps = _sums(X, A, P)
-        return {"eta": float((psi(qs + ps) - psi(ps)).sum()) if A.size else 0.0}
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False  # value is linear in the deltas
+        return {"eta": float((psi(qs + ps) - psi(ps)).sum())}
 
 
 class _ComState(MarginalState):

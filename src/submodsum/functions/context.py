@@ -3,17 +3,21 @@
 Items are indexed 0..n-1 for the ground set V and n..N-1 for auxiliary
 items (V').  Families read the view they need:
 
-* raw kernel               graph-cut, disparity
-* nonneg kernel            facility-location (cosine gets the (s+1)/2 shift)
+* raw kernel               graph-cut
+* nonneg kernel            facility-location, disparity (cosine gets the (s+1)/2 shift)
 * cross-only nonneg kernel second facility-location variant, concave-over-modular
 * jittered kernel          log-determinant (raw + jitter * I)
 * counts / cover_prob      set-cover, probabilistic set-cover, rouge
 
-The copy_with hook swaps individual views; the definitional oracle uses it
+The three derived N x N views are built on first use and then cached on
+the context, so a solve holds only the views its family reads.  The
+copy_with hook swaps individual views; the definitional oracle uses it
 to evaluate base functions on transformed kernels.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -21,26 +25,14 @@ from ..data import (
     AuxiliarySet,
     ConceptUniverse,
     GroundSet,
-    SimilarityKernel,
     build_kernel,
     count_matrix,
     coverage_matrix,
+    cross_only,
 )
 from ..errors import ConfigError
 
-
-def _shift_nonneg(matrix: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "cosine":
-        return (matrix + 1.0) / 2.0
-    return matrix
-
-
-def _cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
-    out = matrix.copy()
-    n = n_ground
-    out[:n, :n] = np.eye(n)
-    out[n:, n:] = np.eye(matrix.shape[0] - n)
-    return out
+_VIEWS = ("nonneg", "cross_nonneg", "logdet")
 
 
 class EvalContext:
@@ -55,9 +47,6 @@ class EvalContext:
         cover_prob: np.ndarray | None = None,
         concept_weights: np.ndarray | None = None,
         role_indices: dict[str, tuple[int, ...]] | None = None,
-        nonneg: np.ndarray | None = None,
-        cross_nonneg: np.ndarray | None = None,
-        logdet: np.ndarray | None = None,
     ):
         self.kernel = np.asarray(kernel, dtype=float)
         self.size = self.kernel.shape[0]
@@ -80,14 +69,30 @@ class EvalContext:
         else:
             self.concept_weights = None
         self.role_indices = dict(role_indices or {})
-        self.nonneg = _shift_nonneg(self.kernel, metric) if nonneg is None else np.asarray(nonneg, dtype=float)
-        self.cross_nonneg = (
-            _cross_only(self.nonneg, n_ground) if cross_nonneg is None else np.asarray(cross_nonneg, dtype=float)
-        )
-        self.logdet = (
-            self.kernel + self.jitter * np.eye(self.size) if logdet is None else np.asarray(logdet, dtype=float)
-        )
         self._index = {i: k for k, i in enumerate(self.ids)}
+
+    # -- views built on first use -------------------------------------------
+
+    @cached_property
+    def nonneg(self) -> np.ndarray:
+        """Kernel mapped into [0, 1]: (s + 1) / 2 for cosine, unchanged otherwise."""
+        if self.metric != "cosine":
+            return self.kernel
+        out = self.kernel + 1.0
+        out /= 2.0
+        return out
+
+    @cached_property
+    def cross_nonneg(self) -> np.ndarray:
+        """nonneg with identity diagonal blocks: only V <-> V' similarity."""
+        return cross_only(self.nonneg, self.n_ground)
+
+    @cached_property
+    def logdet(self) -> np.ndarray:
+        """kernel + jitter * I."""
+        out = self.kernel.copy()
+        out[np.diag_indices_from(out)] += self.jitter
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -129,23 +134,13 @@ class EvalContext:
             role_indices=roles,
         )
 
-    @classmethod
-    def from_kernel(cls, kernel: SimilarityKernel, **kw) -> "EvalContext":
-        return cls(
-            kernel.matrix,
-            kernel.ground_count,
-            ids=kernel.ids,
-            metric=kernel.metric_tag,
-            jitter=kernel.psd_jitter,
-            **kw,
-        )
-
     def copy_with(self, **kw) -> "EvalContext":
-        """Shallow copy with selected views replaced.
+        """Copy with selected fields or views replaced.
 
-        Replacing 'kernel' recomputes the derived views unless they are
-        passed explicitly as well.
+        A view passed here is fixed on the copy; every other view is built
+        again from the copy's own kernel on first use.
         """
+        views = {name: np.asarray(kw.pop(name), dtype=float) for name in _VIEWS if name in kw}
         base = dict(
             kernel=self.kernel,
             n_ground=self.n_ground,
@@ -156,15 +151,11 @@ class EvalContext:
             cover_prob=self.cover_prob,
             concept_weights=self.concept_weights,
             role_indices=self.role_indices,
-            nonneg=self.nonneg,
-            cross_nonneg=self.cross_nonneg,
-            logdet=self.logdet,
         )
-        if "kernel" in kw:
-            for derived in ("nonneg", "cross_nonneg", "logdet"):
-                base[derived] = None
         base.update(kw)
-        return EvalContext(**base)
+        out = EvalContext(**base)
+        out.__dict__.update(views)
+        return out
 
     # -- index helpers -----------------------------------------------------
 

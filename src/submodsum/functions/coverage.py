@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import MarginalState
+from ._common import FamilyOps, MarginalState
 from .spec import MeasureMode
 
 
@@ -28,7 +28,7 @@ def _covered(gamma: np.ndarray, S: np.ndarray) -> np.ndarray:
     return gamma[S].any(axis=0)
 
 
-class SetCoverOps:
+class SetCoverOps(FamilyOps):
     def base(self, ctx, spec, S):
         g = _gamma(ctx)
         return float(ctx.concept_weights @ _covered(g, S))
@@ -53,15 +53,6 @@ class SetCoverOps:
         if mode in (MeasureMode.CG, MeasureMode.CSMI):
             active &= ~_covered(g, P)
         return _CoverState(g, ctx.concept_weights, active)
-
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx
-
-    def partials(self, ctx, spec, mode, A, Q, P):
-        return {}
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False
 
 
 class _CoverState(MarginalState):
@@ -92,7 +83,7 @@ def _miss(prob: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.prod(1.0 - prob[S], axis=0)
 
 
-class ProbSetCoverOps:
+class ProbSetCoverOps(FamilyOps):
     def base(self, ctx, spec, S):
         p = _probs(ctx)
         return float(ctx.concept_weights @ (1.0 - _miss(p, S)))
@@ -117,15 +108,6 @@ class ProbSetCoverOps:
         if mode in (MeasureMode.CG, MeasureMode.CSMI):
             mult *= _miss(p, P)
         return _ProbCoverState(p, ctx.concept_weights, mult)
-
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx
-
-    def partials(self, ctx, spec, mode, A, Q, P):
-        return {}
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False
 
 
 class _ProbCoverState(MarginalState):

@@ -8,42 +8,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UnsupportedError
-from ._common import MarginalState
-
-_MSG = "disparity measures support base mode only"
+from ._common import FamilyOps, MarginalState
+from .spec import MeasureMode
 
 
-class DisparitySumOps:
+class DisparitySumOps(FamilyOps):
+    MODES = frozenset({MeasureMode.BASE})
+
     def base(self, ctx, spec, S):
         if S.size < 2:
             return 0.0
         D = 1.0 - ctx.nonneg[np.ix_(S, S)]
         return float(np.triu(D, k=1).sum())
 
-    def smi(self, ctx, spec, A, Q):
-        raise UnsupportedError(_MSG)
-
-    def cg(self, ctx, spec, A, P):
-        raise UnsupportedError(_MSG)
-
-    def csmi(self, ctx, spec, A, Q, P):
-        raise UnsupportedError(_MSG)
-
     def state(self, ctx, spec, mode, Q, P):
         return _DispSumState(ctx)
 
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx
 
-    def partials(self, ctx, spec, mode, A, Q, P):
-        return {}
+class DisparityMinOps(FamilyOps):
+    MODES = frozenset({MeasureMode.BASE})
 
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False
-
-
-class DisparityMinOps:
     def base(self, ctx, spec, S):
         if S.size < 2:
             return 0.0
@@ -51,21 +35,8 @@ class DisparityMinOps:
         iu = np.triu_indices(S.size, k=1)
         return float(D[iu].min())
 
-    smi = DisparitySumOps.smi
-    cg = DisparitySumOps.cg
-    csmi = DisparitySumOps.csmi
-
     def state(self, ctx, spec, mode, Q, P):
         return _DispMinState(ctx)
-
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx
-
-    def partials(self, ctx, spec, mode, A, Q, P):
-        return {}
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False
 
 
 class _DispSumState(MarginalState):

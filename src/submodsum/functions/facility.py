@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UnsupportedError
-from ._common import MarginalState, column_scale, require_aux, scaled_kernel_matrix
+from ._common import FamilyOps, MarginalState, column_scale, require_aux, scaled_kernel_matrix
 from .spec import MeasureMode
 
 
@@ -34,7 +33,9 @@ def _colmax(F: np.ndarray, rows: np.ndarray, cols: np.ndarray, scale: np.ndarray
     return block.max(axis=1)
 
 
-class FacilityLocation1Ops:
+class FacilityLocation1Ops(FamilyOps):
+    PARAM_KEYS = ("eta", "nu")
+
     def base(self, ctx, spec, S):
         rows = np.arange(ctx.n_ground)
         return float(_colmax(ctx.nonneg, rows, S).sum())
@@ -146,7 +147,10 @@ class _FL1State(MarginalState):
         self.amax = np.maximum(self.amax, self.F[:, j])
 
 
-class FacilityLocation2Ops:
+class FacilityLocation2Ops(FamilyOps):
+    MODES = frozenset({MeasureMode.BASE, MeasureMode.SMI})
+    PARAM_KEYS = ("eta",)
+
     def base(self, ctx, spec, S):
         X = ctx.cross_nonneg
         shadow = np.arange(ctx.n_ground, ctx.size)
@@ -157,33 +161,17 @@ class FacilityLocation2Ops:
         require_aux(Q, ctx, "Q")
         X = ctx.cross_nonneg
         qside = np.minimum(_colmax(X, Q, A), 1.0).sum() if Q.size else 0.0
-        aside = np.minimum(_colmax(X, A, Q), 1.0).sum() if A.size else 0.0
+        aside = np.minimum(_colmax(X, A, Q), 1.0).sum()
         return float(qside + spec.eta * aside)
 
-    def cg(self, ctx, spec, A, P):
-        raise UnsupportedError("conditional forms use facility-location variant 1")
-
-    def csmi(self, ctx, spec, A, Q, P):
-        raise UnsupportedError("conditional forms use facility-location variant 1")
-
     def state(self, ctx, spec, mode, Q, P):
-        if mode in (MeasureMode.CG, MeasureMode.CSMI):
-            raise UnsupportedError("conditional forms use facility-location variant 1")
         return _FL2State(ctx, spec, mode, Q)
-
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx
 
     def partials(self, ctx, spec, mode, A, Q, P):
         X = ctx.cross_nonneg
         if mode == MeasureMode.SMI:
-            return {"eta": float(np.minimum(_colmax(X, A, Q), 1.0).sum()) if A.size else 0.0}
-        if mode == MeasureMode.BASE:
-            return {"eta": float(_colmax(X, np.arange(ctx.n_ground), A).sum())}
-        return {}
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False  # eta enters linearly
+            return {"eta": float(np.minimum(_colmax(X, A, Q), 1.0).sum())}
+        return {"eta": float(_colmax(X, np.arange(ctx.n_ground), A).sum())}
 
 
 class _FL2State(MarginalState):

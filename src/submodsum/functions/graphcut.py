@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UnsupportedError
-from ._common import MarginalState, column_scale
+from ._common import FamilyOps, MarginalState, column_scale, scaled_kernel_matrix
 from .spec import MeasureMode
 
 
@@ -22,7 +21,10 @@ def _cross_sum(K, ctx, A, other, t):
     return float((K[np.ix_(A, other)] * scale).sum())
 
 
-class GraphCutOps:
+class GraphCutOps(FamilyOps):
+    MODES = frozenset({MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG})
+    PARAM_KEYS = ("lam", "nu")
+
     def base(self, ctx, spec, S):
         if not S.size:
             return 0.0
@@ -37,18 +39,11 @@ class GraphCutOps:
     def cg(self, ctx, spec, A, P):
         return self.base(ctx, spec, A) - 2.0 * spec.lam * _cross_sum(ctx.kernel, ctx, A, P, spec.nu)
 
-    def csmi(self, ctx, spec, A, Q, P):
-        raise UnsupportedError("graph-cut has no conditional mutual-information form")
-
     def state(self, ctx, spec, mode, Q, P):
-        if mode == MeasureMode.CSMI:
-            raise UnsupportedError("graph-cut has no conditional mutual-information form")
         return _GraphCutState(ctx, spec, mode, Q, P)
 
     def oracle_view(self, ctx, spec, mode, Q, P):
         if mode == MeasureMode.CG:
-            from ._common import scaled_kernel_matrix
-
             return ctx.copy_with(kernel=scaled_kernel_matrix(ctx.kernel, ctx, (), 1.0, P, spec.nu))
         return ctx
 
@@ -59,15 +54,10 @@ class GraphCutOps:
             return {"lam": -red}
         if mode == MeasureMode.SMI:
             return {"lam": 2.0 * _cross_sum(K, ctx, A, Q, 1.0)}
-        if mode == MeasureMode.CG:
-            scaled = _cross_sum(K, ctx, A, P, spec.nu)
-            aux_cols = P[P >= ctx.n_ground]
-            aux_part = _cross_sum(K, ctx, A, aux_cols, 1.0)
-            return {"lam": -red - 2.0 * scaled, "nu": -2.0 * spec.lam * aux_part}
-        raise UnsupportedError("graph-cut has no conditional mutual-information form")
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False  # value is polynomial in (lam, nu)
+        scaled = _cross_sum(K, ctx, A, P, spec.nu)
+        aux_cols = P[P >= ctx.n_ground]
+        aux_part = _cross_sum(K, ctx, A, aux_cols, 1.0)
+        return {"lam": -red - 2.0 * scaled, "nu": -2.0 * spec.lam * aux_part}
 
 
 class _GraphCutState(MarginalState):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError
-from ._common import MarginalState, pair_membership_mask, pair_scaled_block, scaled_kernel_matrix
+from ._common import FamilyOps, MarginalState, pair_membership_mask, pair_scaled_block, scaled_kernel_matrix
 from .spec import MeasureMode
 
 _ADVICE = "matrix not positive definite; increase the kernel jitter or reduce eta/nu toward [0, 1]"
@@ -79,7 +79,10 @@ class GrowingCholesky:
         self.idx.append(int(j))
 
 
-class LogDetOps:
+class LogDetOps(FamilyOps):
+    PARAM_KEYS = ("eta", "nu")
+    PARAM_MAX = {"eta": 1.0, "nu": 1.0}  # past 1 the scaled kernel can lose definiteness
+
     def _blocks(self, ctx, spec, mode, Q, P):
         """(M, N) over V with value(A) = logdet M_A - logdet N_A (N may be None)."""
         D = ctx.logdet
@@ -132,7 +135,7 @@ class LogDetOps:
         return ctx.copy_with(logdet=scaled_kernel_matrix(ctx.logdet, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
 
     def partials(self, ctx, spec, mode, A, Q, P):
-        if mode == MeasureMode.BASE or not A.size:
+        if mode == MeasureMode.BASE:
             return {}
         D = ctx.logdet
         n = ctx.n_ground
@@ -190,9 +193,6 @@ class LogDetOps:
             val = np.trace(_solve_psd(MA, dM)) - np.trace(_solve_psd(HA, dH))
             out[name] = float(val)
         return out
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False  # smooth wherever the matrices stay definite
 
 
 class _LogDetState(MarginalState):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import MarginalState
+from ._common import FamilyOps, MarginalState
 from .spec import MeasureMode
 
 
@@ -33,7 +33,7 @@ def _f(w, u, v):
     return float(w @ np.maximum(u, v))
 
 
-class RougeOps:
+class RougeOps(FamilyOps):
     def base(self, ctx, spec, S):
         ctx.require_concepts("count overlap")
         u, v = _side_counts(ctx, S)
@@ -68,15 +68,6 @@ class RougeOps:
 
     def state(self, ctx, spec, mode, Q, P):
         return _RougeState(ctx, mode, Q, P)
-
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        return ctx  # no kernel parameters enter this family
-
-    def partials(self, ctx, spec, mode, A, Q, P):
-        return {}
-
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        return False
 
 
 class _RougeState(MarginalState):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,9 +66,9 @@ PSI_FUNCTIONS = ("sqrt", "log1p", "identity")
 class FunctionSpec:
     """One measure family with its continuous parameters.
 
-    lam: graph-cut redundancy penalty (lambda >= 0).
-    eta: query-relevance weighting (>= 0).
-    nu: privacy-hardness weighting on cross similarities (>= 0).
+    lam: graph-cut redundancy penalty (finite, >= 0).
+    eta: query-relevance weighting (finite, >= 0).
+    nu: privacy-hardness weighting on cross similarities (finite, >= 0).
     psi: concave transform for concave-over-modular ('sqrt', 'log1p', 'identity').
     com_weights: optional (data_side, query_side) pair; when None the single
         eta maps to (eta, 1).
@@ -85,14 +86,14 @@ class FunctionSpec:
             self.family = parse_family(self.family)
         for name in ("lam", "eta", "nu"):
             v = getattr(self, name)
-            if not (v >= 0):
-                raise ConfigError(f"{name} must be nonnegative, got {v!r}")
+            if not (v >= 0 and math.isfinite(v)):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {v!r}")
         if self.psi not in PSI_FUNCTIONS:
             raise ConfigError(f"psi must be one of {PSI_FUNCTIONS}, got {self.psi!r}")
         if self.com_weights is not None:
             d1, d2 = self.com_weights
-            if not (d1 >= 0 and d2 >= 0):
-                raise ConfigError("com_weights must be nonnegative")
+            if not (d1 >= 0 and d2 >= 0 and math.isfinite(d1) and math.isfinite(d2)):
+                raise ConfigError("com_weights must be finite and nonnegative")
             self.com_weights = (float(d1), float(d2))
 
     def com_deltas(self) -> tuple[float, float]:

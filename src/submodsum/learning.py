@@ -5,7 +5,8 @@ generalized hinge  L_n = max_Y [F(Y) + l_n(Y)] - F(Y_n), the max taken by
 greedy loss-augmented inference.  Weight gradients are exact differences of
 component values; internal parameters (lambda, eta, nu) get analytic
 partials, checked against central finite differences.  Training is
-full-batch Nesterov descent projected onto the nonnegative orthant.
+full-batch Nesterov descent projected onto the box each family declares
+(nonnegative, and at most PARAM_MAX where a family sets one).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 from .bench import vrouge
 from .errors import ConfigError, NumericError
 from .functions import (
+    REGISTRY,
     Family,
     FunctionSpec,
     MeasureMode,
-    PARAM_KEYS,
     evaluate,
     modes_supported,
     near_kink,
@@ -211,24 +212,15 @@ def mixture_eval(model: MixtureModel, Y, ex: TrainingExample,
     mode, q_used, cond = _task_sets(ex, task)
     total = 0.0
     for w, spec in zip(model.weights, model.components):
-        m = effective_mode(spec.family, mode)
-        total += w * evaluate(spec, m, ex.ctx, Y,
-                              q_used if m in (MeasureMode.SMI, MeasureMode.CSMI) else (),
-                              cond if m in (MeasureMode.CG, MeasureMode.CSMI) else ())
+        total += w * evaluate(spec, effective_mode(spec.family, mode), ex.ctx, Y, q_used, cond)
     return float(total)
 
 
 def mixture_objective(model: MixtureModel, ex: TrainingExample, task: Flavor,
                       margin_fn=None) -> CompositeObjective:
     mode, q_used, cond = _task_sets(ex, task)
-    parts = []
-    for w, spec in zip(model.weights, model.components):
-        m = effective_mode(spec.family, mode)
-        parts.append((w, MeasureObjective(
-            spec, m, ex.ctx,
-            Q=q_used if m in (MeasureMode.SMI, MeasureMode.CSMI) else (),
-            P=cond if m in (MeasureMode.CG, MeasureMode.CSMI) else (),
-        )))
+    parts = [(w, MeasureObjective(spec, effective_mode(spec.family, mode), ex.ctx, Q=q_used, P=cond))
+             for w, spec in zip(model.weights, model.components)]
     if margin_fn is not None:
         parts.append((1.0, FunctionObjective(margin_fn, _candidates(ex, q_used, cond))))
     return CompositeObjective(parts)
@@ -283,9 +275,18 @@ def example_hinge(model: MixtureModel, ex: TrainingExample, cfg: TrainConfig) ->
 def theta_slots(model: MixtureModel) -> list[tuple]:
     slots: list[tuple] = [("w", i) for i in range(len(model.components))]
     for i, spec in enumerate(model.components):
-        for key in PARAM_KEYS.get(spec.family, ()):
+        for key in REGISTRY[spec.family].PARAM_KEYS:
             slots.append((i, key))
     return slots
+
+
+def _theta_upper(model: MixtureModel) -> np.ndarray:
+    """Upper end of the feasible box per slot: the family's PARAM_MAX, else inf."""
+    return np.asarray([
+        np.inf if slot[0] == "w"
+        else REGISTRY[model.components[slot[0]].family].PARAM_MAX.get(slot[1], np.inf)
+        for slot in theta_slots(model)
+    ])
 
 
 def pack_theta(model: MixtureModel) -> np.ndarray:
@@ -324,24 +325,16 @@ def gradients(model: MixtureModel, ex: TrainingExample, reference,
     if yhat is None:
         sel = loss_augmented_inference(model, ex, make_margin(ex, margin, ref), task)
         yhat = tuple(sel.indices)
-    mode, q_used, cond = _task_sets(ex, task)
+    mode, q, p = _task_sets(ex, task)
     grad = np.zeros(len(theta_slots(model)))
-    pos = 0
-    m_comp = []
-    for spec in model.components:
-        m = effective_mode(spec.family, mode)
-        m_comp.append((m,
-                       q_used if m in (MeasureMode.SMI, MeasureMode.CSMI) else (),
-                       cond if m in (MeasureMode.CG, MeasureMode.CSMI) else ()))
-    for i, spec in enumerate(model.components):
-        m, q, p = m_comp[i]
-        grad[pos] = evaluate(spec, m, ex.ctx, yhat, q, p) - evaluate(spec, m, ex.ctx, ref, q, p)
-        pos += 1
-    for i, spec in enumerate(model.components):
-        keys = PARAM_KEYS.get(spec.family, ())
+    modes = [effective_mode(spec.family, mode) for spec in model.components]
+    for i, (spec, m) in enumerate(zip(model.components, modes)):
+        grad[i] = evaluate(spec, m, ex.ctx, yhat, q, p) - evaluate(spec, m, ex.ctx, ref, q, p)
+    pos = len(modes)
+    for i, (spec, m) in enumerate(zip(model.components, modes)):
+        keys = REGISTRY[spec.family].PARAM_KEYS
         if not keys:
             continue
-        m, q, p = m_comp[i]
         p_hat = partials(spec, m, ex.ctx, yhat, q, p)
         p_ref = partials(spec, m, ex.ctx, ref, q, p)
         for key in keys:
@@ -377,9 +370,8 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
         if slot[0] != "w":
             spec = model.components[slot[0]]
             m = effective_mode(spec.family, mode)
-            q = q_used if m in (MeasureMode.SMI, MeasureMode.CSMI) else ()
-            p = cond if m in (MeasureMode.CG, MeasureMode.CSMI) else ()
-            if near_kink(spec, m, ex.ctx, yhat, q, p) or near_kink(spec, m, ex.ctx, ref, q, p):
+            if (near_kink(spec, m, ex.ctx, yhat, q_used, cond)
+                    or near_kink(spec, m, ex.ctx, ref, q_used, cond)):
                 continue
         step = np.zeros_like(theta)
         step[k] = h
@@ -395,16 +387,17 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
 def train(dataset: list[TrainingExample], model0: MixtureModel,
           cfg: TrainConfig) -> MixtureModel:
     """Full-batch Nesterov descent of the averaged hinge plus l2, with Theta
-    projected onto the nonnegative orthant after every step."""
+    projected onto [0, PARAM_MAX] (see _theta_upper) after every step."""
     if not dataset:
         raise ConfigError("training needs at least one example")
-    theta = np.maximum(pack_theta(model0), 0.0)
+    upper = _theta_upper(model0)
+    theta = np.clip(pack_theta(model0), 0.0, upper)
     velocity = np.zeros_like(theta)
     trace: list[dict] = []
     last_finite = theta.copy()
 
     for epoch in range(1, cfg.epochs + 1):
-        lookahead = np.maximum(theta + cfg.momentum * velocity, 0.0)
+        lookahead = np.clip(theta + cfg.momentum * velocity, 0.0, upper)
         look_model = unpack_theta(model0, lookahead)
         grads = []
         losses = []
@@ -423,7 +416,7 @@ def train(dataset: list[TrainingExample], model0: MixtureModel,
             err.last_model = unpack_theta(model0, last_finite)
             raise err
         velocity = cfg.momentum * velocity - cfg.lr * grad
-        theta = np.maximum(theta + velocity, 0.0)
+        theta = np.clip(theta + velocity, 0.0, upper)
         last_finite = theta.copy()
         model_now = unpack_theta(model0, theta)
         trace.append({

@@ -10,8 +10,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -204,23 +202,6 @@ class _CallableState:
         return g
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SUBMOD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SUBMOD_THREADS must be an integer, got {raw!r}") from None
-
-
-def _pick_best(pairs):
-    """Deterministic argmax: highest gain, lowest index on ties."""
-    best = None
-    for gain, idx in pairs:
-        if best is None or gain > best[0] or (gain == best[0] and idx < best[1]):
-            best = (gain, idx)
-    return best
-
-
 def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = False,
                     candidates=None, flavor: str | None = None) -> Selection:
     """Budget-k greedy. The lazy variant keeps stale upper bounds in a heap
@@ -255,25 +236,18 @@ def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = 
             gains.append(g)
             fresh.clear()
     else:
-        remaining = list(int(j) for j in cand)
-        threads = _thread_count()
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            while remaining and len(picked) < k:
-                if pool is not None:  # gain() is a pure read, safe to share
-                    gvals = list(pool.map(state.gain, remaining))
-                else:
-                    gvals = [state.gain(j) for j in remaining]
-                g, j = _pick_best(zip(gvals, remaining))
-                if stop_on_nonpositive and g <= 0:
-                    break
-                state.add(j)
-                picked.append(j)
-                gains.append(g)
-                remaining.remove(j)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        remaining = [int(j) for j in cand]  # ascending
+        while remaining and len(picked) < k:
+            gvals = [state.gain(j) for j in remaining]
+            # max keeps the first of equal gains: lowest index wins ties
+            best = max(range(len(remaining)), key=gvals.__getitem__)
+            g = gvals[best]
+            if stop_on_nonpositive and g <= 0:
+                break
+            j = remaining.pop(best)
+            state.add(j)
+            picked.append(j)
+            gains.append(g)
     return Selection(
         ids=obj.item_ids(picked),
         indices=picked,

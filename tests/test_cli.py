@@ -136,6 +136,35 @@ def test_summarize_rejects_bad_config(coll_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", ["missing_file", "malformed_json", "universe_without_concepts",
+                                  "concept_outside_universe", "fractional_count", "nan_feature",
+                                  "infinite_lam"])
+def test_summarize_rejects_bad_input(case, tmp_path, capsys):
+    path = tmp_path / "coll.json"
+    doc = _collection_doc()
+    fn = "gc"
+    if case == "malformed_json":
+        path.write_text('{"items": [')
+    elif case == "universe_without_concepts":
+        doc["concept_universe"] = {"weights": [1.0]}
+    elif case == "concept_outside_universe":
+        doc["concept_universe"] = {"concepts": ["c0", "c1"]}  # items also carry "bg"
+    elif case == "fractional_count":
+        doc["items"][0]["concepts"]["c0"] = 1.7
+    elif case == "nan_feature":
+        doc["items"][0]["features"][0] = float("nan")
+    elif case == "infinite_lam":
+        fn = "gc:lam=inf"
+    if case not in ("missing_file", "malformed_json"):
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main(["summarize", "--collection", str(path), "--flavor", "generic",
+               "--budget", "2", "--fn", fn, "--out", str(out)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not (out / "selection.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # learn
 

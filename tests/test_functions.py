@@ -20,6 +20,7 @@ from submodsum.functions import (
 )
 from submodsum.functions.api import eval_base, near_kink
 from submodsum.functions.oracle import conditioned_smi, smi_conditional_gain
+from submodsum.optimize import Flavor, master_solve
 
 ALL_SMI = [Family.SET_COVER, Family.PROB_SET_COVER, Family.GRAPH_CUT,
            Family.FACILITY_LOCATION_1, Family.FACILITY_LOCATION_2, Family.LOG_DET,
@@ -87,14 +88,19 @@ def test_degenerate_conditioning(family, rng):
     A = (0, 2)
     assert evaluate(spec, MeasureMode.SMI, ctx, A, ()) == 0.0
     assert evaluate(spec, MeasureMode.SMI, ctx, (), Q) == 0.0
+    assert make_state(spec, MeasureMode.SMI, ctx, Q=()).gain(0) == 0.0
     if MeasureMode.CG in modes_supported(family):
         assert evaluate(spec, MeasureMode.CG, ctx, A, P=()) == pytest.approx(
             eval_base(spec, A, ctx))
         assert evaluate(spec, MeasureMode.CG, ctx, (), P=P) == 0.0
+        assert make_state(spec, MeasureMode.CG, ctx, P=()).gain(0) == pytest.approx(
+            eval_base(spec, (0,), ctx))
     if MeasureMode.CSMI in modes_supported(family):
         assert evaluate(spec, MeasureMode.CSMI, ctx, A, Q, ()) == pytest.approx(
             evaluate(spec, MeasureMode.SMI, ctx, A, Q))
         assert evaluate(spec, MeasureMode.CSMI, ctx, A, (), P) == 0.0
+        assert make_state(spec, MeasureMode.CSMI, ctx, Q=Q, P=()).gain(0) == pytest.approx(
+            evaluate(spec, MeasureMode.SMI, ctx, (0,), Q))
 
 
 def test_unsupported_modes_raise(rng):
@@ -111,6 +117,45 @@ def test_overlapping_sets_rejected(rng):
     ctx, Q, P = random_instance(rng)
     with pytest.raises(ConfigError):
         evaluate(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, (0, 1), (1,))
+
+
+# ---------------------------------------------------------------------------
+# context views
+
+
+_VIEWS = {"nonneg", "cross_nonneg", "logdet"}
+
+
+@pytest.mark.parametrize("alias, built", [
+    ("sc", set()), ("rouge", set()), ("gc", set()), ("fl1", {"nonneg"}),
+    ("fl2", {"nonneg", "cross_nonneg"}), ("logdet", {"logdet"}),
+])
+def test_solve_builds_only_the_views_it_reads(alias, built):
+    ctx = concept_ctx()
+    master_solve(Flavor.QUERY, FunctionSpec(parse_family(alias)), ctx, 1,
+                 Q=ctx.role_indices["query"])
+    assert _VIEWS & set(vars(ctx)) == built
+
+
+def test_copy_with_kernel_drops_cached_views(rng):
+    ctx, Q, P = random_instance(rng)
+    ctx.logdet  # random_instance already built nonneg and cross_nonneg
+    moved = ctx.copy_with(kernel=ctx.kernel * 0.5)
+    assert not _VIEWS & set(vars(moved))
+    np.testing.assert_array_equal(moved.nonneg, ctx.kernel * 0.5)  # rbf: nonneg is the kernel
+
+
+@pytest.mark.parametrize("family, view", [
+    (Family.FACILITY_LOCATION_1, "nonneg"), (Family.LOG_DET, "logdet"),
+])
+def test_copy_with_view_is_what_the_oracle_sees(family, view, rng):
+    ctx, Q, P = random_instance(rng)
+    swapped = ctx.copy_with(**{view: 0.5 * getattr(ctx, view) + 0.1 * np.eye(ctx.size)})
+    spec = FunctionSpec(family, eta=0.6, nu=0.4)
+    A = (0, 1)
+    got = evaluate(spec, MeasureMode.CSMI, swapped, A, Q, P)
+    assert got != pytest.approx(evaluate(spec, MeasureMode.CSMI, ctx, A, Q, P))
+    assert relerr(got, definitional_oracle(spec, MeasureMode.CSMI, swapped, A, Q, P)) < 1e-8
 
 
 def test_parse_family_aliases():

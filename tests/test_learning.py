@@ -151,6 +151,16 @@ def test_train_runs_and_projects(example):
     assert {"epoch", "mean_hinge", "mean_vrouge"} <= set(trace[0])
 
 
+def test_train_keeps_logdet_parameters_in_unit_box():
+    # eta/nu start at 1.0, the edge of the range where log-det's scaled kernel
+    # stays definite; a projection onto >= 0 alone let one step leave it
+    ctx, refs, Q = make_collection(3)
+    ex = TrainingExample(ctx, refs, 4, Q=Q)
+    trained = train([ex], init_mixture(["logdet"], seed=3), TrainConfig(epochs=4, lr=0.5))
+    spec = trained.components[0]
+    assert 0.0 <= spec.eta <= 1.0 and 0.0 <= spec.nu <= 1.0
+
+
 def test_zero_learning_rate_freezes_theta(example):
     model0 = init_mixture(["sc", "gc"], seed=1)
     trained = train([example], model0, TrainConfig(epochs=2, lr=0.0))

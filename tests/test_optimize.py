@@ -173,18 +173,6 @@ def test_empty_query_yields_zero_gain_fill(rng):
     assert sel.value == 0.0
 
 
-def test_thread_env(rng, monkeypatch):
-    ctx, Q, P = random_instance(rng, n_range=(8, 10))
-    obj = MeasureObjective(FunctionSpec(Family.FACILITY_LOCATION_1), MeasureMode.SMI, ctx, Q=Q)
-    base = greedy_maximize(obj, 3, lazy=False)
-    monkeypatch.setenv("SUBMOD_THREADS", "4")
-    threaded = greedy_maximize(obj, 3, lazy=False)
-    assert threaded.indices == base.indices
-    monkeypatch.setenv("SUBMOD_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        greedy_maximize(obj, 3, lazy=False)
-
-
 def test_composite_objective_matches_weighted_sum(rng):
     ctx, Q, P = random_instance(rng)
     parts = [
