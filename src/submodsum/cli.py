@@ -15,7 +15,6 @@ the same seed and config give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +33,7 @@ from .bench import (
     vrouge,
     write_plot_csv,
 )
-from .data import AuxiliarySet, ItemRecord, load_collection, read_json
+from .data import AuxiliarySet, ItemRecord, load_collection, read_json, write_json
 from .errors import NumericError, SubmodsumError, ConfigError
 from .functions import (
     EvalContext,
@@ -76,22 +75,25 @@ def parse_fn_spec(text: str) -> FunctionSpec:
         if not eq:
             raise ConfigError(f"malformed function parameter {part!r}; expected key=value")
         if key in ("lam", "eta", "nu"):
-            updates[key] = float(val)
+            updates[key] = _number(key, val)
         elif key == "psi":
             updates[key] = val.strip()
         elif key == "com_weights":
-            updates[key] = tuple(float(v) for v in val.split("|"))
+            updates[key] = tuple(_number(key, v) for v in val.split("|"))
         else:
             raise ConfigError(f"unknown function parameter {key!r}")
     return replace(spec, **updates)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"function parameter {key!r} needs a number, got {text!r}") from None
 
 
 def _manifest(outdir: Path, command: str, config: dict) -> None:
-    _write_json(outdir / "manifest.json", {
+    write_json(outdir / "manifest.json", {
         "command": command,
         "config": config,
         "version": __version__,
@@ -183,7 +185,7 @@ def cmd_summarize(args) -> int:
     sel = master_solve(flavor, spec, ctx, args.budget, Q=Q, P=P, previous=prev,
                        stop_on_nonpositive=args.stop_on_nonpositive)
     out = _outdir(args)
-    _write_json(out / "selection.json", sel.to_json())
+    write_json(out / "selection.json", sel.to_json())
     _manifest(out, "summarize", {
         "collection": str(args.collection),
         "flavor": flavor.value,
@@ -286,7 +288,7 @@ def cmd_eval(args) -> int:
         "per_reference": per_ref,
     }
     out = _outdir(args)
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     _manifest(out, "eval", {
         "collection": str(args.collection),
         "summary": str(args.summary),
@@ -344,8 +346,8 @@ def cmd_synth(args) -> int:
         if param is not None:
             entry[param] = value
         runs.append(entry)
-    _write_json(out / "report.json", {"study": args.study, "flavor": flavor.value,
-                                      "fn": args.fn or default_fn, "runs": runs})
+    write_json(out / "report.json", {"study": args.study, "flavor": flavor.value,
+                                     "fn": args.fn or default_fn, "runs": runs})
     _manifest(out, "synth", {
         "seed": args.seed,
         "study": args.study,

@@ -251,6 +251,10 @@ def build_kernel(
     universe: ConceptUniverse | None = None,
 ) -> SimilarityKernel:
     """Build the similarity kernel over ground items followed by auxiliary items."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
+    if not np.isfinite(jitter):
+        raise ConfigError(f"jitter must be finite, got {jitter}")
     aux_sets = [] if aux is None else ([aux] if isinstance(aux, GroundSet) else list(aux))
     ids = list(ground.ids)
     for s in aux_sets:
@@ -301,6 +305,16 @@ def read_json(path):
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+
+
+def write_json(path, payload) -> None:
+    """Write payload as strict JSON: a NaN or infinity raises NumericError
+    and leaves no file behind, since no JSON reader has to accept them."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"refusing to write a non-finite number to {path}") from exc
+    Path(path).write_text(text + "\n")
 
 
 def _record_from_json(obj: dict) -> ItemRecord:

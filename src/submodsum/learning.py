@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import vrouge
+from .data import write_json
 from .errors import ConfigError, NumericError
 from .functions import (
     REGISTRY,
@@ -31,7 +32,7 @@ from .functions import (
     parse_family,
     partials,
 )
-from .functions._common import as_indices
+from .functions._common import MarginalState, as_indices
 from .optimize import (
     CompositeObjective,
     Flavor,
@@ -70,10 +71,10 @@ class MixtureModel:
             raise ConfigError(
                 f"got {self.weights.size} weights for {len(self.components)} components"
             )
-        if np.any(self.weights < 0):
-            raise ConfigError("mixture weights must be nonnegative")
-        if self.reg_strength < 0:
-            raise ConfigError("reg_strength must be nonnegative")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise ConfigError("mixture weights must be finite and nonnegative")
+        if not 0 <= self.reg_strength < np.inf:
+            raise ConfigError("reg_strength must be finite and nonnegative")
 
     def to_json(self) -> dict:
         comps = []
@@ -111,7 +112,7 @@ class MixtureModel:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "MixtureModel":
@@ -175,8 +176,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.lr < 0:
-            raise ConfigError("learning rate must be nonnegative")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError("learning rate must be finite and nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.margin not in MARGINS:
@@ -222,8 +223,63 @@ def mixture_objective(model: MixtureModel, ex: TrainingExample, task: Flavor,
     parts = [(w, MeasureObjective(spec, effective_mode(spec.family, mode), ex.ctx, Q=q_used, P=cond))
              for w, spec in zip(model.weights, model.components)]
     if margin_fn is not None:
-        parts.append((1.0, FunctionObjective(margin_fn, _candidates(ex, q_used, cond))))
+        if not isinstance(margin_fn, FunctionObjective):
+            margin_fn = FunctionObjective(margin_fn, _candidates(ex, q_used, cond))
+        parts.append((1.0, margin_fn))
     return CompositeObjective(parts)
+
+
+class VRougeMargin(FunctionObjective):
+    """l(Y) = 1 - V-ROUGE(Y, {R}), callable on any summary like every margin,
+    with a marginal state that tracks the running concept counts c_Y, so a
+    gain is a read instead of a from-scratch V-ROUGE:
+
+        l(Y + j) - l(Y) = -w . (min(c_Y + c_j, c_R) - min(c_Y, c_R)) / (w . c_R)
+    """
+
+    def __init__(self, ctx, reference):
+        super().__init__(self, np.arange(ctx.n_ground), ids=ctx.ids)
+        self.ctx = ctx
+        self.ref = as_indices(reference)
+
+    def __call__(self, Y) -> float:
+        return 1.0 - vrouge(Y, [self.ref], self.ctx)
+
+    def fresh_state(self):
+        return _VRougeMarginState(self.ctx, self.ref)
+
+
+class _VRougeMarginState(MarginalState):
+    def __init__(self, ctx, ref):
+        super().__init__()
+        if ctx.counts is None:
+            raise ConfigError("the one_minus_vrouge margin needs concept counts, "
+                              "none present in the context")
+        counts = ctx.counts[:ctx.n_ground]
+        c_ref = counts[ref].sum(axis=0)
+        w = ctx.concept_weights
+        mass = float(w @ c_ref)
+        if not mass > 0.0:
+            raise ConfigError("reference has zero weighted concept mass")
+        cols = np.flatnonzero(w * c_ref)  # other concepts never move the overlap
+        self.counts = counts[:, cols]
+        self.c_ref = c_ref[cols]
+        self.w = w[cols]
+        self.mass = mass
+        self.c_sel = np.zeros(cols.size)
+        self.value = 1.0  # l(empty set)
+        self._refresh()
+
+    def _refresh(self):
+        have = np.minimum(self.c_sel, self.c_ref)
+        self.gains = -((np.minimum(self.c_sel + self.counts, self.c_ref) - have) @ self.w) / self.mass
+
+    def gain(self, j):
+        return float(self.gains[j])
+
+    def _push(self, j):
+        self.c_sel += self.counts[j]
+        self._refresh()
 
 
 def make_margin(ex: TrainingExample, name: str, reference):
@@ -233,7 +289,7 @@ def make_margin(ex: TrainingExample, name: str, reference):
         ref_set = frozenset(int(i) for i in ref)
         return lambda Y: 0.0 if frozenset(int(i) for i in as_indices(Y)) == ref_set else 1.0
     if name == "one_minus_vrouge":
-        return lambda Y: 1.0 - vrouge(Y, [ref], ex.ctx)
+        return VRougeMargin(ex.ctx, ref)
     raise ConfigError(f"unknown margin {name!r}")
 
 
@@ -399,22 +455,12 @@ def train(dataset: list[TrainingExample], model0: MixtureModel,
     for epoch in range(1, cfg.epochs + 1):
         lookahead = np.clip(theta + cfg.momentum * velocity, 0.0, upper)
         look_model = unpack_theta(model0, lookahead)
-        grads = []
-        losses = []
-        for ex in dataset:
-            for ref in ex.references:
-                margin_fn = make_margin(ex, cfg.margin, ref)
-                sel = loss_augmented_inference(look_model, ex, margin_fn, cfg.task)
-                yhat = tuple(sel.indices)
-                losses.append(mixture_eval(look_model, yhat, ex, cfg.task) + margin_fn(yhat)
-                              - mixture_eval(look_model, ref, ex, cfg.task))
-                grads.append(gradients(look_model, ex, ref, cfg.task, cfg.margin, yhat=yhat))
-        mean_loss = float(np.mean(losses))
-        grad = np.mean(grads, axis=0)
-        if not np.isfinite(mean_loss) or not np.all(np.isfinite(grad)):
-            err = NumericError(f"training diverged at epoch {epoch}")
+        try:
+            mean_loss, grad = _mean_hinge_and_gradient(look_model, dataset, cfg)
+        except NumericError as exc:
+            err = NumericError(f"training diverged at epoch {epoch}: {exc}")
             err.last_model = unpack_theta(model0, last_finite)
-            raise err
+            raise err from exc
         velocity = cfg.momentum * velocity - cfg.lr * grad
         theta = np.clip(theta + velocity, 0.0, upper)
         last_finite = theta.copy()
@@ -433,6 +479,25 @@ def train(dataset: list[TrainingExample], model0: MixtureModel,
         "loss_trace": trace,
     })
     return final
+
+
+def _mean_hinge_and_gradient(model: MixtureModel, dataset, cfg: TrainConfig):
+    """Hinge and gradient averaged over every (example, reference) pair."""
+    grads = []
+    losses = []
+    for ex in dataset:
+        for ref in ex.references:
+            margin_fn = make_margin(ex, cfg.margin, ref)
+            sel = loss_augmented_inference(model, ex, margin_fn, cfg.task)
+            yhat = tuple(sel.indices)
+            losses.append(mixture_eval(model, yhat, ex, cfg.task) + margin_fn(yhat)
+                          - mixture_eval(model, ref, ex, cfg.task))
+            grads.append(gradients(model, ex, ref, cfg.task, cfg.margin, yhat=yhat))
+    mean_loss = float(np.mean(losses))
+    grad = np.mean(grads, axis=0)
+    if not np.isfinite(mean_loss) or not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite hinge or gradient")
+    return mean_loss, grad
 
 
 def _mean_vrouge(model: MixtureModel, dataset, cfg: TrainConfig) -> float | None:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, SizeError, UnsupportedError
+from .errors import ConfigError, NumericError, SizeError, UnsupportedError
 from .functions import Family, FunctionSpec, MeasureMode, evaluate, make_state, modes_supported
 from .functions._common import as_indices
 
@@ -202,12 +202,21 @@ class _CallableState:
         return g
 
 
+def _require_finite(gains, cands) -> None:
+    """Post-condition on every gain the solver reads: a NaN would silently
+    corrupt the heap order or the max, and an infinity every later sum."""
+    if not all(map(math.isfinite, gains)):
+        g, j = next((g, j) for g, j in zip(gains, cands) if not math.isfinite(g))
+        raise NumericError(f"non-finite marginal gain {g} for candidate {j}")
+
+
 def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = False,
                     candidates=None, flavor: str | None = None) -> Selection:
     """Budget-k greedy. The lazy variant keeps stale upper bounds in a heap
     and refreshes the top until it is current; with submodular gains the
     result matches the plain variant pick for pick, including ties.
-    Objectives that declare lazy_safe=False always get the plain scan."""
+    Objectives that declare lazy_safe=False always get the plain scan.
+    Every gain read must be finite, else NumericError."""
     cand = as_indices(candidates) if candidates is not None else obj.candidates()
     k = int(k)
     if k < 0:
@@ -226,6 +235,7 @@ def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = 
             negb, j = heapq.heappop(heap)
             if j not in fresh:
                 g = state.gain(j)
+                _require_finite((g,), (j,))
                 fresh.add(j)
                 heapq.heappush(heap, (-g, j))
                 continue
@@ -239,6 +249,7 @@ def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = 
         remaining = [int(j) for j in cand]  # ascending
         while remaining and len(picked) < k:
             gvals = [state.gain(j) for j in remaining]
+            _require_finite(gvals, remaining)
             # max keeps the first of equal gains: lowest index wins ties
             best = max(range(len(remaining)), key=gvals.__getitem__)
             g = gvals[best]

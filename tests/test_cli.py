@@ -30,6 +30,10 @@ def test_parse_fn_spec_rejects_garbage():
         parse_fn_spec("sc:eta")
     with pytest.raises(ConfigError):
         parse_fn_spec("not_a_family")
+    with pytest.raises(ConfigError):
+        parse_fn_spec("gc:lam=x")
+    with pytest.raises(ConfigError):
+        parse_fn_spec("com:com_weights=1|two")
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +142,13 @@ def test_summarize_rejects_bad_config(coll_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["missing_file", "malformed_json", "universe_without_concepts",
                                   "concept_outside_universe", "fractional_count", "nan_feature",
-                                  "infinite_lam"])
+                                  "infinite_lam", "nan_jitter", "zero_sigma", "infinite_sigma"])
 def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     path = tmp_path / "coll.json"
     doc = _collection_doc()
     fn = "gc"
+    kernel = {"nan_jitter": ["--jitter", "nan"], "zero_sigma": ["--metric", "rbf", "--sigma", "0"],
+              "infinite_sigma": ["--metric", "rbf", "--sigma", "inf"]}.get(case, [])
     if case == "malformed_json":
         path.write_text('{"items": [')
     elif case == "universe_without_concepts":
@@ -159,9 +165,20 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
         path.write_text(json.dumps(doc))
     out = tmp_path / "o"
     rc = main(["summarize", "--collection", str(path), "--flavor", "generic",
-               "--budget", "2", "--fn", fn, "--out", str(out)])
+               "--budget", "2", "--fn", fn, "--out", str(out)] + kernel)
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    assert not (out / "selection.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_summarize_non_finite_gains_exit_3(coll_path, tmp_path, capsys):
+    # a finite but huge lam overflows the cut gains to infinity
+    out = tmp_path / "o"
+    rc = main(["summarize", "--collection", str(coll_path), "--flavor", "generic",
+               "--budget", "2", "--fn", "gc:lam=1e308", "--out", str(out)])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not (out / "selection.json").exists()
 
 

@@ -16,8 +16,9 @@ from submodsum.data import (
     embed_query,
     load_collection,
     load_items,
+    write_json,
 )
-from submodsum.errors import FormatError
+from submodsum.errors import FormatError, NumericError
 
 
 def test_ground_set_basic():
@@ -145,3 +146,14 @@ def test_collection_rejects_unknown_reference(tmp_path):
                                 "references": [["nope"]]}))
     with pytest.raises(FormatError):
         load_collection(path)
+
+
+def test_write_json_is_strict(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"value": 1.5, "gains": [0.5, 1.0]})
+    assert json.loads(path.read_text()) == {"gains": [0.5, 1.0], "value": 1.5}
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        path.unlink(missing_ok=True)
+        with pytest.raises(NumericError):
+            write_json(path, {"gains": [0.5, bad]})
+        assert not path.exists()

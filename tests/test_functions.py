@@ -5,7 +5,7 @@ import pytest
 
 from conftest import concept_ctx, pair_ctx, psd_ctx, relerr, seed_from
 from submodsum.bench import random_instance
-from submodsum.errors import ConfigError, UnsupportedError
+from submodsum.errors import ConfigError, NumericError, UnsupportedError
 from submodsum.functions import (
     Family,
     FunctionSpec,
@@ -19,6 +19,7 @@ from submodsum.functions import (
     partials,
 )
 from submodsum.functions.api import eval_base, near_kink
+from submodsum.functions.logdet import GrowingCholesky
 from submodsum.functions.oracle import conditioned_smi, smi_conditional_gain
 from submodsum.optimize import Flavor, master_solve
 
@@ -291,18 +292,39 @@ def test_state_spec_mismatch_rejected(rng):
 
 
 def test_logdet_incremental_matches_from_scratch(rng):
-    ctx = psd_ctx(rng, 8)
-    spec = FunctionSpec(Family.LOG_DET)
-    state = make_state(spec, MeasureMode.BASE, ctx)
-    picked = []
-    for j in (3, 0, 6, 1):
-        gain = state.add(j)
-        picked.append(j)
-        block = ctx.logdet[np.ix_(sorted(picked), sorted(picked))]
-        scratch = np.linalg.slogdet(block)[1]
-        prev = picked[:-1]
-        prev_val = np.linalg.slogdet(ctx.logdet[np.ix_(sorted(prev), sorted(prev))])[1] if prev else 0.0
-        assert gain == pytest.approx(scratch - prev_val, abs=1e-8)
+    """Every candidate's state gain equals the closed-form difference at every
+    step, over 10 picks, in all four modes (eta/nu scale the cross pairs)."""
+    n = 14
+    ctx = psd_ctx(rng, n + 6, n_ground=n)
+    Q, P = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
+    spec = FunctionSpec(Family.LOG_DET, eta=0.7, nu=0.6)
+    for mode in (MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG, MeasureMode.CSMI):
+        state = make_state(spec, mode, ctx, Q=Q, P=P)
+        picked: list[int] = []
+        before = 0.0
+        for step in range(10):
+            rest = [j for j in range(n) if j not in picked]
+            for j in rest:
+                want = evaluate(spec, mode, ctx, picked + [j], Q, P) - before
+                assert state.gain(j) == pytest.approx(want, abs=1e-8), (mode, step, j)
+            j = rest[(5 * step) % len(rest)]
+            state.add(j)
+            picked.append(j)
+            before = evaluate(spec, mode, ctx, picked, Q, P)
+            assert state.value == pytest.approx(before, abs=1e-8)
+
+
+def test_logdet_add_rejects_nonpositive_schur_complement():
+    ctx = pair_ctx(2.0, n_ground=2)  # [[1, 2], [2, 1]] is indefinite
+    state = make_state(FunctionSpec(Family.LOG_DET), MeasureMode.BASE, ctx)
+    state.add(0)
+    with pytest.raises(NumericError):
+        state.add(1)
+    chol = GrowingCholesky(ctx.logdet)
+    chol.push(0)
+    assert chol.quad(1) < 0
+    with pytest.raises(NumericError):
+        chol.push(1)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,23 @@ def test_model_validation():
         MixtureModel([FunctionSpec(Family.SET_COVER)], np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_non_finite_parameters(bad):
+    with pytest.raises(ConfigError):
+        MixtureModel([FunctionSpec(Family.SET_COVER)], np.array([bad]))
+    with pytest.raises(ConfigError):
+        MixtureModel([FunctionSpec(Family.SET_COVER)], np.array([1.0]), reg_strength=bad)
+
+
+def test_model_save_refuses_non_finite_numbers(tmp_path):
+    model = MixtureModel([FunctionSpec(Family.SET_COVER)], np.array([1.0]),
+                         metadata={"loss_trace": [{"epoch": 1, "mean_hinge": float("nan")}]})
+    path = tmp_path / "model.json"
+    with pytest.raises(NumericError):
+        model.save(path)
+    assert not path.exists()
+
+
 def test_model_json_round_trip(tmp_path):
     model = MixtureModel(
         [FunctionSpec(Family.FACILITY_LOCATION_1, eta=0.3, nu=1.7),
@@ -122,6 +139,55 @@ def test_zero_margin_matches_plain_greedy(example):
     plain = summarize_with_mixture(model, example, Flavor.QUERY)
     augmented = loss_augmented_inference(model, example, lambda Y: 0.0)
     assert augmented.indices == plain.indices
+
+
+def test_vrouge_margin_state_gains_match_margin(example):
+    """At every step, every candidate's state gain is l(Y + j) - l(Y)."""
+    ref = example.references[0]
+    margin = make_margin(example, "one_minus_vrouge", ref)
+    state = margin.fresh_state()
+    picked: list[int] = []
+    for step in range(example.budget + 2):
+        before = margin(picked)
+        assert state.value == pytest.approx(before, abs=1e-12)
+        rest = [j for j in range(example.ctx.n_ground) if j not in picked]
+        for j in rest:
+            assert state.gain(j) == pytest.approx(margin(picked + [j]) - before, abs=1e-12)
+        # alternate the most-overlapping pick (drives the counts into the
+        # min with c_R) with an arbitrary one
+        j = min(rest, key=state.gain) if step % 2 == 0 else rest[7 * step % len(rest)]
+        state.add(j)
+        picked.append(j)
+
+
+def test_vrouge_margin_state_needs_concepts_and_reference_mass():
+    no_concepts = TrainingExample(EvalContext(np.eye(4), 4, metric="dot"), [(0, 1)], 2)
+    with pytest.raises(ConfigError, match="concept counts"):
+        make_margin(no_concepts, "one_minus_vrouge", (0, 1)).fresh_state()
+    with pytest.raises(ConfigError, match="concept counts"):
+        hinge_loss(init_mixture(["gc"], seed=0), no_concepts, (0, 1))
+    ctx, refs, Q = make_collection(102)
+    empty = EvalContext(ctx.kernel, ctx.n_ground, counts=np.zeros_like(ctx.counts))
+    with pytest.raises(ConfigError, match="zero weighted concept mass"):
+        make_margin(TrainingExample(empty, refs, 4), "one_minus_vrouge", refs[0]).fresh_state()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vrouge_margin_picks_match_from_scratch_margin(example, seed):
+    """Loss-augmented inference picks the same items with the incremental
+    margin state as with the margin re-scored from scratch per candidate."""
+    model = init_mixture(["sc", "gc", "fl1", "fl2", "logdet", "com"], seed=seed)
+    zero = MixtureModel(model.components, np.zeros(len(model.components)))  # margin ties only
+    other = make_collection(103 + seed)
+    other = TrainingExample(other[0], other[1], 4, Q=other[2])
+    for m in (model, zero):
+        for ex in (example, other):
+            for ref in ex.references:
+                margin = make_margin(ex, "one_minus_vrouge", ref)
+                fast = loss_augmented_inference(m, ex, margin)
+                slow = loss_augmented_inference(m, ex, lambda Y, margin=margin: margin(Y))
+                assert fast.indices == slow.indices
+                assert fast.gains == pytest.approx(slow.gains, abs=1e-12)
 
 
 def test_zero_weights_make_hinge_equal_margin(example):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import pair_ctx
 from submodsum.bench import random_instance
-from submodsum.errors import ConfigError, SizeError, UnsupportedError
+from submodsum.errors import ConfigError, NumericError, SizeError, UnsupportedError
 from submodsum.functions import Family, FunctionSpec, MeasureMode
 from submodsum.optimize import (
     CompositeObjective,
@@ -40,6 +40,16 @@ def test_modular_brute_force_agrees():
 def test_tie_break_lowest_index():
     sel = greedy_maximize(modular_objective((1.0, 1.0, 1.0)), 2)
     assert sel.indices == [0, 1]
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gain_raises_numeric_error(lazy, bad):
+    # unchecked, a NaN never wins the max or sinks in the heap order, so
+    # greedy used to return a plausible selection around it
+    obj = modular_objective((3.0, bad, 2.0, 1.0))
+    with pytest.raises(NumericError, match="candidate 1"):
+        greedy_maximize(obj, 2, lazy=lazy)
 
 
 def test_budget_edge_cases():
