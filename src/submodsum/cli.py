@@ -42,6 +42,7 @@ from .functions import (
     MeasureMode,
     definitional_oracle,
     evaluate,
+    modes_supported,
     parse_family,
 )
 from .learning import (
@@ -417,18 +418,21 @@ def _check_gradients(seed: int, tol: float = 1e-3) -> list[str]:
 def _check_lazy(seed: int) -> list[str]:
     failures = []
     rng = np.random.default_rng(seed)
-    for alias in ("sc", "gc", "fl1", "fl2", "logdet", "com"):
+    for alias in ("sc", "psc", "gc", "fl1", "fl2", "logdet", "com", "rouge"):
         family = parse_family(alias)
-        for t in range(10):
-            ctx, Q, P = random_instance(rng, n_range=(6, 10))
-            spec = FunctionSpec(family, lam=0.4, eta=float(rng.uniform(0.1, 0.9)), nu=0.5)
-            obj = MeasureObjective(spec, MeasureMode.SMI, ctx, Q=Q)
-            k = int(rng.integers(1, 5))
-            a = greedy_maximize(obj, k, lazy=True)
-            b = greedy_maximize(obj, k, lazy=False)
-            if a.indices != b.indices:
-                failures.append(f"{alias}: lazy {a.indices} != naive {b.indices}")
-                break
+        for mode in (MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG):
+            if mode not in modes_supported(family):
+                continue
+            for t in range(10):
+                ctx, Q, P = random_instance(rng, n_range=(6, 10))
+                spec = FunctionSpec(family, lam=0.4, eta=float(rng.uniform(0.1, 0.9)), nu=0.5)
+                obj = MeasureObjective(spec, mode, ctx, Q=Q, P=P)
+                k = int(rng.integers(1, 5))
+                a = greedy_maximize(obj, k, lazy=True)
+                b = greedy_maximize(obj, k, lazy=False)
+                if a.indices != b.indices:
+                    failures.append(f"{alias}/{mode.value}: lazy {a.indices} != naive {b.indices}")
+                    break
     return failures
 
 

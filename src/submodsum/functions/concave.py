@@ -15,15 +15,30 @@ all derived from the restricted base
          + da * sum_{i in V} max(psi(sum_{j in S^V'} x_ij), psi(g * [i in S]))
 
 with guard g = sqrt(|V|).  The identities assume the guard dominates the
-cross modular sums, which holds whenever cross rows sum to at most g.
+cross modular sums, which holds whenever cross rows sum to at most g, and
+psi needs nonnegative sums, so a kernel with negative cross similarities
+(possible with the dot metric) is rejected.  The marginal state
+recomputes every candidate's gain over its few query/auxiliary rows after
+each pick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from ._common import PSI, FamilyOps, MarginalState, require_aux
 from .spec import MeasureMode
+
+
+def _cross(ctx) -> np.ndarray:
+    """The cross-only view, checked for the nonnegative sums psi is defined on."""
+    X = ctx.cross_nonneg
+    n = ctx.n_ground
+    if n < ctx.size and min(X[:n, n:].min(), X[n:, :n].min()) < 0.0:
+        raise ConfigError(f"concave-over-modular needs nonnegative similarities, but the "
+                          f"{ctx.metric} kernel has negative cross similarities")
+    return X
 
 
 def _sums(X, rows, cols):
@@ -38,7 +53,7 @@ class ConcaveOverModularOps(FamilyOps):
     PARAM_KEYS = ("eta",)
 
     def base(self, ctx, spec, S):
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         psi = PSI[spec.psi]
         da, dq = spec.com_deltas()
         g = np.sqrt(ctx.n_ground)
@@ -54,14 +69,14 @@ class ConcaveOverModularOps(FamilyOps):
 
     def smi(self, ctx, spec, A, Q):
         require_aux(Q, ctx, "Q")
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         psi = PSI[spec.psi]
         da, dq = spec.com_deltas()
         return float(dq * psi(_sums(X, Q, A)).sum() + da * psi(_sums(X, A, Q)).sum())
 
     def cg(self, ctx, spec, A, P):
         require_aux(P, ctx, "P")
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         psi = PSI[spec.psi]
         da, dq = spec.com_deltas()
         g = np.sqrt(ctx.n_ground)
@@ -73,7 +88,7 @@ class ConcaveOverModularOps(FamilyOps):
     def csmi(self, ctx, spec, A, Q, P):
         require_aux(Q, ctx, "Q")
         require_aux(P, ctx, "P")
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         psi = PSI[spec.psi]
         da, dq = spec.com_deltas()
         qs = _sums(X, A, Q)
@@ -86,7 +101,7 @@ class ConcaveOverModularOps(FamilyOps):
     def partials(self, ctx, spec, mode, A, Q, P):
         if spec.com_weights is not None:
             return {}  # eta only acts through the default delta mapping
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         psi = PSI[spec.psi]
         g = np.sqrt(ctx.n_ground)
         if mode == MeasureMode.BASE:
@@ -107,42 +122,42 @@ class ConcaveOverModularOps(FamilyOps):
 class _ComState(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         self.psi = PSI[spec.psi]
         self.da, self.dq = spec.com_deltas()
-        self.mode = mode
-        self.g = np.sqrt(ctx.n_ground)
+        n = ctx.n_ground
+        g = np.sqrt(n)
         if mode == MeasureMode.BASE:
-            self.rows = np.arange(ctx.n_ground, ctx.size)
+            rows = np.arange(n, ctx.size)
         elif mode == MeasureMode.SMI:
             require_aux(Q, ctx, "Q")
-            self.rows = Q.copy()
+            rows = Q
         elif mode == MeasureMode.CG:
             require_aux(P, ctx, "P")
-            self.rows = np.setdiff1d(np.arange(ctx.n_ground, ctx.size), P)
+            rows = np.setdiff1d(np.arange(n, ctx.size), P)
         else:
             require_aux(Q, ctx, "Q")
             require_aux(P, ctx, "P")
-            self.rows = Q.copy()
-        self.cross = X[self.rows, :] if self.rows.size else np.zeros((0, X.shape[1]))
-        self.msum = np.zeros(self.rows.size)
-        n = ctx.n_ground
+            rows = Q
+        self.cross = X[rows, :n]
+        self.msum = np.zeros(rows.size)
         qs = _sums(X, np.arange(n), Q)
         ps = _sums(X, np.arange(n), P)
         if mode == MeasureMode.BASE:
-            self.item_term = np.full(n, float(self.psi(self.g)))
+            self.item_term = np.full(n, float(self.psi(g)))
         elif mode == MeasureMode.SMI:
             self.item_term = self.psi(qs)
         elif mode == MeasureMode.CG:
-            self.item_term = self.psi(self.g) - self.psi(ps)
+            self.item_term = self.psi(g) - self.psi(ps)
         else:
             self.item_term = self.psi(qs + ps) - self.psi(ps)
+        self._refresh()
 
-    def gain(self, j):
-        col = self.cross[:, j] if self.rows.size else np.zeros(0)
-        row_part = (self.psi(self.msum + col) - self.psi(self.msum)).sum()
-        return float(self.dq * row_part + self.da * self.item_term[j])
+    def _refresh(self):
+        m = self.msum[:, None]
+        row_part = (self.psi(m + self.cross) - self.psi(m)).sum(axis=0)
+        self.gains = self.dq * row_part + self.da * self.item_term
 
     def _push(self, j):
-        if self.rows.size:
-            self.msum = self.msum + self.cross[:, j]
+        self.msum = self.msum + self.cross[:, j]
+        self._refresh()

@@ -5,13 +5,18 @@ weighted intersections/differences of covered-concept sets.  Probabilistic
 set cover: f(S) = sum_i w_i (1 - prod_{j in S}(1 - p_ij)), the product being
 the probability that concept i stays uncovered by S.  Neither family has
 continuous parameters.
+
+Both marginal states keep every item's gain as a sum over its nonzero
+concepts of a per-concept weight (the weight of a concept still uncovered;
+weight * probability still missing).  A pick updates those per-concept
+weights and re-adds the entries once, O(nonzeros).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._common import FamilyOps, MarginalState
+from ._common import FamilyOps, MarginalState, SparseRows
 from .spec import MeasureMode
 
 
@@ -59,14 +64,16 @@ class _CoverState(MarginalState):
     def __init__(self, gamma, weights, active):
         super().__init__()
         self.gamma = gamma
-        self.w = weights * active  # inactive concepts never contribute
-        self.covered = np.zeros(gamma.shape[1], dtype=bool)
+        self.entries = SparseRows(gamma)
+        self.w = weights * active  # inactive and covered concepts never contribute
+        self._refresh()
 
-    def gain(self, j):
-        return float(self.w @ (self.gamma[j] & ~self.covered))
+    def _refresh(self):
+        self.gains = self.entries.row_sums(self.w[self.entries.cols])
 
     def _push(self, j):
-        self.covered |= self.gamma[j]
+        self.w = np.where(self.gamma[j], 0.0, self.w)
+        self._refresh()
 
 
 def _probs(ctx) -> np.ndarray:
@@ -114,11 +121,15 @@ class _ProbCoverState(MarginalState):
     def __init__(self, prob, weights, mult):
         super().__init__()
         self.prob = prob
+        self.entries = SparseRows(prob)
         self.wm = weights * mult
         self.miss = np.ones(prob.shape[1])
+        self._refresh()
 
-    def gain(self, j):
-        return float(self.wm @ (self.miss * self.prob[j]))
+    def _refresh(self):
+        e = self.entries
+        self.gains = e.row_sums((self.wm * self.miss)[e.cols] * e.vals)
 
     def _push(self, j):
         self.miss *= 1.0 - self.prob[j]
+        self._refresh()

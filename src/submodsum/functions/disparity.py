@@ -2,6 +2,9 @@
 
 Base-mode only; information and conditional modes are not defined for
 these. Disparity-min is not submodular, so greedy on it is heuristic.
+Both marginal states recompute every item's gain from the running
+similarity sum (resp. minimum dissimilarity) to the selection after each
+pick, O(N) per pick.
 """
 
 from __future__ import annotations
@@ -45,13 +48,12 @@ class _DispSumState(MarginalState):
         self.sim = ctx.nonneg
         self.sim_to_A = np.zeros(ctx.size)
         self.count = 0
-
-    def gain(self, j):
-        return float(self.count - self.sim_to_A[j])
+        self.gains = np.zeros(ctx.size)
 
     def _push(self, j):
         self.sim_to_A = self.sim_to_A + self.sim[j]
         self.count += 1
+        self.gains = self.count - self.sim_to_A
 
 
 class _DispMinState(MarginalState):
@@ -60,17 +62,12 @@ class _DispMinState(MarginalState):
         self.sim = ctx.nonneg
         self.min_to_A = np.full(ctx.size, np.inf)  # min_{i in A} (1 - s_ij)
         self.cur = None  # None until |A| >= 2
-
-    def gain(self, j):
-        if not self.selected:
-            return 0.0
-        cand = self.min_to_A[j]
-        if self.cur is None:
-            return float(cand)
-        return float(min(self.cur, cand) - self.cur)
+        self.gains = np.zeros(ctx.size)  # a single item has no pair yet
 
     def _push(self, j):
         if self.selected:  # j pairs with every prior pick
             prev = self.min_to_A[j]
             self.cur = float(min(self.cur, prev)) if self.cur is not None else float(prev)
         self.min_to_A = np.minimum(self.min_to_A, 1.0 - self.sim[j])
+        # min_to_A is rebound, never written in place, so gains may share it
+        self.gains = self.min_to_A if self.cur is None else np.minimum(self.cur, self.min_to_A) - self.cur

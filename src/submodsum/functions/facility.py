@@ -13,6 +13,11 @@ whose pairwise information form is
     sum_{i in Q} min(max_{j in A} s_ij, 1) + eta * sum_{i in A} min(max_{j in Q} s_ij, 1)
 (the min caps are inactive for similarities in [0, 1]).  Variant 2 has no
 conditional forms; those belong to variant 1.
+
+Both marginal states keep every candidate's gain as a sum of per-row
+contributions.  Variant 1 keeps partial sums over blocks of ground rows
+and, on a pick, recomputes only the blocks where a row's best similarity
+changed; variant 2 recomputes its few query/auxiliary rows outright.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ import numpy as np
 
 from ._common import FamilyOps, MarginalState, column_scale, require_aux, scaled_kernel_matrix
 from .spec import MeasureMode
+
+_BLOCK = 1 << 17  # elements per temporary when a state sweeps kernel rows
+_ROWS = 16  # ground rows per partial sum of the fl1 gains
 
 
 def _colmax(F: np.ndarray, rows: np.ndarray, cols: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
@@ -120,31 +128,59 @@ class FacilityLocation1Ops(FamilyOps):
 
 
 class _FL1State(MarginalState):
+    """Ground row i adds score(max(amax_i, F_ij)) - score(amax_i) to candidate j's gain.
+
+    Every mode's score is a clip of amax to a per-row band [lo, hi] (the
+    query cap and the conditioning floor), so row i adds
+    min(max(F_ij - c_i, 0), hi_i - c_i) with c_i = clip(amax_i, lo_i, hi_i).
+
+    part[b] sums, for every candidate, the contributions of the _ROWS rows
+    of block b; a pick recomputes only the blocks holding a row whose best
+    similarity changed, and gains is the fixed-order sum of the parts.  The
+    gains thus depend on the current selection alone, not on the order it
+    grew in: candidates with equal per-row contributions tie exactly, and
+    a candidate that improves no row reads exactly 0.0.
+    """
+
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
-        rows = np.arange(ctx.n_ground)
-        self.F = ctx.nonneg[:ctx.n_ground, :]
-        self.mode = mode
-        self.amax = np.zeros(ctx.n_ground)
-        self.qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta))
-        self.pcap = _colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
+        n = ctx.n_ground
+        rows = np.arange(n)
+        self.F = ctx.nonneg[:n, :]
+        self.amax = np.zeros(n)
+        self.capped = mode in (MeasureMode.SMI, MeasureMode.CSMI)
+        unbounded = np.full(n, np.inf)
+        qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta)) if self.capped else unbounded
+        pcap = (_colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
+                if mode in (MeasureMode.CG, MeasureMode.CSMI) else -unbounded)
+        self.lo, self.hi = pcap, np.maximum(qcap, pcap)
+        self.part = np.zeros((-(-n // _ROWS), self.F.shape[1]))
+        self._recompute(np.arange(self.part.shape[0]))
 
-    def _score(self, amax):
-        if self.mode == MeasureMode.BASE:
-            return amax
-        if self.mode == MeasureMode.SMI:
-            return np.minimum(amax, self.qcap)
-        if self.mode == MeasureMode.CG:
-            return np.maximum(amax - self.pcap, 0.0)
-        return np.maximum(np.minimum(amax, self.qcap) - self.pcap, 0.0)
-
-    def gain(self, j):
-        cur = self._score(self.amax)
-        new = self._score(np.maximum(self.amax, self.F[:, j]))
-        return float((new - cur).sum())
+    def _recompute(self, blocks):
+        """Rebuild the parts of the given (ascending) blocks, a few blocks per pass."""
+        n, width = self.F.shape
+        step = max(1, _BLOCK // (_ROWS * width))
+        for s in range(0, blocks.size, step):
+            b = blocks[s:s + step]
+            r = (b[:, None] * _ROWS + np.arange(_ROWS)).ravel()
+            short = r >= n  # rows past the end pad the last block with zeros
+            r[short] = n - 1
+            c = np.clip(self.amax[r], self.lo[r], self.hi[r])[:, None]
+            d = self.F[r]
+            d -= c
+            np.maximum(d, 0.0, out=d)
+            if self.capped:
+                np.minimum(d, self.hi[r, None] - c, out=d)
+            d[short] = 0.0
+            self.part[b] = d.reshape(b.size, _ROWS, width).sum(axis=1)
+        self.gains = self.part.sum(axis=0)
 
     def _push(self, j):
-        self.amax = np.maximum(self.amax, self.F[:, j])
+        col = self.F[:, j]
+        rows = np.flatnonzero(col > self.amax)  # every other row keeps its contributions
+        self.amax[rows] = col[rows]
+        self._recompute(np.unique(rows // _ROWS))
 
 
 class FacilityLocation2Ops(FamilyOps):
@@ -177,27 +213,29 @@ class FacilityLocation2Ops(FamilyOps):
 class _FL2State(MarginalState):
     def __init__(self, ctx, spec, mode, Q):
         super().__init__()
-        self.X = ctx.cross_nonneg
-        self.eta = spec.eta
+        X = ctx.cross_nonneg
+        n = ctx.n_ground
         self.capped = mode == MeasureMode.SMI  # caps come from the pairwise-information algebra
         if mode == MeasureMode.SMI:
             require_aux(Q, ctx, "Q")
-            self.rows = Q.copy()
-            self.qmax = np.minimum(_colmax(self.X, np.arange(ctx.n_ground), Q), 1.0)
+            rows = Q
+            qmax = np.minimum(_colmax(X, np.arange(n), Q), 1.0)
         else:
-            self.rows = np.arange(ctx.n_ground, ctx.size)
-            self.qmax = np.full(ctx.n_ground, 1.0)  # base mode: each pick adds eta * x_jj = eta
-        self.rowmax = np.zeros(self.rows.size)
+            rows = np.arange(n, ctx.size)
+            qmax = np.full(n, 1.0)  # base mode: each pick adds eta * x_jj = eta
+        self.cross = X[rows, :n]
+        self.item_term = spec.eta * qmax
+        self.rowmax = np.zeros(rows.size)
+        self._refresh()
 
-    def gain(self, j):
-        cross = self.X[self.rows, j] if self.rows.size else np.zeros(0)
-        new = np.maximum(self.rowmax, cross)
-        old = self.rowmax
+    def _refresh(self):
+        old = self.rowmax[:, None]
+        new = np.maximum(self.cross, old)
         if self.capped:
             new = np.minimum(new, 1.0)
             old = np.minimum(old, 1.0)
-        return float((new - old).sum() + self.eta * self.qmax[j])
+        self.gains = (new - old).sum(axis=0) + self.item_term
 
     def _push(self, j):
-        if self.rows.size:
-            self.rowmax = np.maximum(self.rowmax, self.X[self.rows, j])
+        self.rowmax = np.maximum(self.rowmax, self.cross[:, j])
+        self._refresh()

@@ -4,6 +4,10 @@ f(S) = sum_{i in V, j in S} s_ij - lam * sum_{i,j in S} s_ij.  The query form
 is modular, 2*lam*sum_{i in A, j in Q} s_ij; the conditional form discounts
 similarity to the conditioning set, with nu scaling only V<->V' cross pairs.
 A conditional-mutual-information form does not exist for this family.
+
+The marginal state keeps every candidate's gain: fixed in the query form,
+and recomputed from the running similarity to the selection after each
+pick otherwise (O(N) per pick).
 """
 
 from __future__ import annotations
@@ -68,22 +72,24 @@ class _GraphCutState(MarginalState):
         self.K = K
         self.lam = spec.lam
         self.mode = mode
+        if mode == MeasureMode.SMI:  # modular: the gains never change
+            qsum = K[:, Q].sum(axis=1) if Q.size else np.zeros(K.shape[0])
+            self.gains = 2.0 * self.lam * qsum
+            return
         self.col_ground = K[:n, :].sum(axis=0)  # representation mass per candidate
         self.diag = np.diag(K)
         self.sim_to_A = np.zeros(K.shape[0])
-        if mode == MeasureMode.SMI:
-            self.qsum = K[:, Q].sum(axis=1) if Q.size else np.zeros(K.shape[0])
         if mode == MeasureMode.CG:
             self.psum = (K[:, P] * column_scale(P, ctx, spec.nu)).sum(axis=1) if P.size else np.zeros(K.shape[0])
+        self._refresh()
 
-    def gain(self, j):
-        if self.mode == MeasureMode.SMI:
-            return float(2.0 * self.lam * self.qsum[j])
-        g = self.col_ground[j] - self.lam * (self.diag[j] + 2.0 * self.sim_to_A[j])
+    def _refresh(self):
+        g = self.col_ground - self.lam * (self.diag + 2.0 * self.sim_to_A)
         if self.mode == MeasureMode.CG:
-            g -= 2.0 * self.lam * self.psum[j]
-        return float(g)
+            g -= 2.0 * self.lam * self.psum
+        self.gains = g
 
     def _push(self, j):
         if self.mode != MeasureMode.SMI:
             self.sim_to_A += self.K[j]
+            self._refresh()

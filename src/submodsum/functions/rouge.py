@@ -9,13 +9,18 @@ Counts are additive within a side, so every derived measure reduces to
 vector algebra on side-split count sums.  For A in V and Q in V' the
 pairwise information is sum_c w_c * min(c(A), c(Q)), the count-overlap
 score of A against Q.
+
+The marginal state keeps every item's gain as a weighted sum over the
+item's nonzero concepts of its per-concept count change.  Those changes
+are whole numbers, summed before weighting, so an item that moves no
+concept reads exactly 0.0; a pick re-adds the entries once, O(nonzeros).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._common import FamilyOps, MarginalState
+from ._common import FamilyOps, MarginalState, SparseRows
 from .spec import MeasureMode
 
 
@@ -96,13 +101,18 @@ class _RougeState(MarginalState):
             self.terms = [(1.0, up, vp)]
         else:
             self.terms = [(1.0, up, vp), (-1.0, uq + up, vq + vp)]
+        self.entries = SparseRows(ctx.counts)
+        self._refresh()
 
-    def gain(self, j):
-        cj = self.counts[j]
-        out = 0.0
+    def _refresh(self):
+        e = self.entries
+        c, x = e.cols, e.vals
+        moved = np.zeros(c.size)
         for sign, du, v in self.terms:
-            out += sign * (_f(self.w, self.u + cj + du, v) - _f(self.w, self.u + du, v))
-        return float(out)
+            a, b = (self.u + du)[c], v[c]
+            moved += sign * (np.maximum(a + x, b) - np.maximum(a, b))
+        self.gains = e.row_sums(self.w[c] * moved)
 
     def _push(self, j):
         self.u = self.u + self.counts[j]
+        self._refresh()

@@ -274,9 +274,6 @@ class _VRougeMarginState(MarginalState):
         have = np.minimum(self.c_sel, self.c_ref)
         self.gains = -((np.minimum(self.c_sel + self.counts, self.c_ref) - have) @ self.w) / self.mass
 
-    def gain(self, j):
-        return float(self.gains[j])
-
     def _push(self, j):
         self.c_sel += self.counts[j]
         self._refresh()

@@ -93,13 +93,18 @@ class MeasureObjective:
     def lazy_safe(self) -> bool:
         """True when marginal gains are nonincreasing, so stale upper bounds
         stay valid. Dispersion objectives grow gains as the selection grows,
-        and the log-det mutual-information forms are differences of
-        submodular terms, so both get the plain scan."""
+        the log-det mutual-information forms are differences of submodular
+        terms, and the count-overlap conditional forms are supermodular
+        below the conditioning counts, so all of them get the plain scan."""
         fam, mode = self.spec.family, self.mode
         if fam in (Family.DISPARITY_SUM, Family.DISPARITY_MIN):
             return False
         if fam is Family.LOG_DET:
             return mode in (MeasureMode.BASE, MeasureMode.CG)
+        if fam is Family.ROUGE:
+            # against conditioning counts a concept's gain max(u + c, v) - max(u, v)
+            # grows with the summary's count u
+            return mode in (MeasureMode.BASE, MeasureMode.SMI)
         if fam is Family.GRAPH_CUT and mode is not MeasureMode.SMI:
             # cut gains are nonincreasing only for nonnegative similarities
             n = self.ctx.n_ground

@@ -51,6 +51,16 @@ def psd_ctx(rng, n: int, n_ground: int | None = None):
     return EvalContext(kernel, n if n_ground is None else n_ground, metric="dot")
 
 
+def with_copies(ctx, ground, aux):
+    """Context over ctx's ground set followed by the items `ground`, with the
+    items `aux` as its auxiliary set (all indices into ctx); a copy of an
+    item has the same kernel row and concepts, so it ties exactly with it."""
+    idx = np.r_[np.arange(ctx.n_ground), ground, aux].astype(int)
+    return EvalContext(ctx.kernel[np.ix_(idx, idx)], ctx.n_ground + len(ground), metric=ctx.metric,
+                       counts=ctx.counts[idx], cover_prob=ctx.cover_prob[idx],
+                       concept_weights=ctx.concept_weights)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

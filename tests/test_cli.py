@@ -171,6 +171,24 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     assert not (out / "selection.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_summarize_com_rejects_negative_similarities(tmp_path, capsys):
+    # the dot kernel keeps negative cross similarities; sqrt of their sums
+    # used to warn and end in exit 3 "non-finite marginal gain nan"
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({
+        "items": [{"id": f"g{i}", "features": [x]} for i, x in enumerate((0.0, -1.0, 1.0))],
+        "queries": [{"id": "q0", "features": [-1.0]}],
+    }))
+    out = tmp_path / "o"
+    rc = main(["summarize", "--collection", str(path), "--flavor", "query", "--budget", "2",
+               "--fn", "com", "--metric", "dot", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "nonnegative similarities" in err and "dot" in err
+    assert not (out / "selection.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_summarize_non_finite_gains_exit_3(coll_path, tmp_path, capsys):
     # a finite but huge lam overflows the cut gains to infinity

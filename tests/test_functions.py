@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import concept_ctx, pair_ctx, psd_ctx, relerr, seed_from
+from conftest import concept_ctx, pair_ctx, psd_ctx, relerr, seed_from, with_copies
 from submodsum.bench import random_instance
 from submodsum.errors import ConfigError, NumericError, UnsupportedError
 from submodsum.functions import (
@@ -291,27 +291,71 @@ def test_state_spec_mismatch_rejected(rng):
         marginal(FunctionSpec(Family.GRAPH_CUT), MeasureMode.SMI, state, 0)
 
 
-def test_logdet_incremental_matches_from_scratch(rng):
-    """Every candidate's state gain equals the closed-form difference at every
-    step, over 10 picks, in all four modes (eta/nu scale the cross pairs)."""
-    n = 14
-    ctx = psd_ctx(rng, n + 6, n_ground=n)
-    Q, P = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
-    spec = FunctionSpec(Family.LOG_DET, eta=0.7, nu=0.6)
-    for mode in (MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG, MeasureMode.CSMI):
-        state = make_state(spec, mode, ctx, Q=Q, P=P)
-        picked: list[int] = []
-        before = 0.0
-        for step in range(10):
-            rest = [j for j in range(n) if j not in picked]
-            for j in rest:
-                want = evaluate(spec, mode, ctx, picked + [j], Q, P) - before
-                assert state.gain(j) == pytest.approx(want, abs=1e-8), (mode, step, j)
-            j = rest[(5 * step) % len(rest)]
-            state.add(j)
-            picked.append(j)
-            before = evaluate(spec, mode, ctx, picked, Q, P)
-            assert state.value == pytest.approx(before, abs=1e-8)
+FAMILY_MODES = [(f, m) for f in Family for m in MeasureMode if m in modes_supported(f)]
+
+
+@pytest.mark.parametrize("family,mode", FAMILY_MODES, ids=lambda v: v.value)
+def test_state_gains_match_from_scratch(family, mode):
+    """Every remaining candidate's state gain equals the closed-form
+    difference at every step, over 8 picks (eta/nu scale the cross pairs)."""
+    rng = np.random.default_rng(seed_from(f"{family.value}-{mode.value}-gains"))
+    if family is Family.LOG_DET:  # a well-conditioned kernel keeps factorizations exact
+        n = 14
+        ctx = psd_ctx(rng, n + 6, n_ground=n)
+        Q, P = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
+    else:
+        ctx, Q, P = random_instance(rng, n_range=(12, 12))
+        n = ctx.n_ground
+    spec = FunctionSpec(family, lam=0.4, eta=0.7, nu=0.6)
+    state = make_state(spec, mode, ctx, Q=Q, P=P)
+    picked: list[int] = []
+    before = 0.0
+    for step in range(8):
+        rest = [j for j in range(n) if j not in picked]
+        for j in rest:
+            want = evaluate(spec, mode, ctx, picked + [j], Q, P) - before
+            assert state.gain(j) == pytest.approx(want, abs=1e-9), (step, j)
+        j = rest[(5 * step) % len(rest)]
+        state.add(j)
+        picked.append(j)
+        before = evaluate(spec, mode, ctx, picked, Q, P)
+        assert state.value == pytest.approx(before, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", list(MeasureMode), ids=lambda m: m.value)
+def test_fl1_gains_across_row_blocks(mode):
+    """Enough ground rows for several row blocks, a short last block and
+    more than one sweep per refresh; every candidate checked at every step."""
+    rng = np.random.default_rng(seed_from(f"fl1-blocks-{mode.value}"))
+    ctx, Q, P = random_instance(rng, n_range=(410, 410), concepts=False)
+    spec = FunctionSpec(Family.FACILITY_LOCATION_1, eta=0.7, nu=0.6)
+    state = make_state(spec, mode, ctx, Q=Q, P=P)
+    picked: list[int] = []
+    for step in range(6):
+        before = evaluate(spec, mode, ctx, picked, Q, P)
+        rest = [j for j in range(ctx.n_ground) if j not in picked]
+        want = [evaluate(spec, mode, ctx, picked + [j], Q, P) - before for j in rest]
+        assert state.gains[rest] == pytest.approx(want, abs=1e-9), step
+        state.add(rest[(37 * step) % len(rest)])
+        picked.append(rest[(37 * step) % len(rest)])
+
+
+@pytest.mark.parametrize("family", [Family.SET_COVER, Family.FACILITY_LOCATION_1, Family.ROUGE])
+def test_duplicate_of_a_pick_reads_exact_zero(family, rng):
+    """A copy ties exactly with its original, and once the original is
+    picked the copy moves no row or concept and reads exactly 0.0, not a
+    rounding residue."""
+    ctx = with_copies(random_instance(rng, n_range=(8, 8))[0], [3], [3])
+    copy, query = ctx.n_ground - 1, ctx.n_ground
+    # rouge's base measure is modular over the ground set (a copy adds its
+    # counts again), so its zero shows against a query holding those counts
+    mode = MeasureMode.SMI if family is Family.ROUGE else MeasureMode.BASE
+    state = make_state(FunctionSpec(family), mode, ctx, Q=(query,))
+    for j in (0, 5):
+        state.add(j)
+    assert state.gain(copy) == state.gain(3)
+    state.add(3)
+    assert state.gain(copy) == 0.0
 
 
 def test_logdet_add_rejects_nonpositive_schur_complement():

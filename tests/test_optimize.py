@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import pair_ctx
+from conftest import pair_ctx, seed_from, with_copies
 from submodsum.bench import random_instance
 from submodsum.errors import ConfigError, NumericError, SizeError, UnsupportedError
-from submodsum.functions import Family, FunctionSpec, MeasureMode
+from submodsum.functions import Family, FunctionSpec, MeasureMode, modes_supported
 from submodsum.optimize import (
     CompositeObjective,
     Flavor,
@@ -90,34 +90,35 @@ def test_stop_on_nonpositive():
     assert all(g > 0 for g in trimmed.gains)
 
 
-LAZY_COMBOS = [
-    (Family.SET_COVER, MeasureMode.SMI),
-    (Family.PROB_SET_COVER, MeasureMode.CG),
-    (Family.GRAPH_CUT, MeasureMode.SMI),
-    (Family.GRAPH_CUT, MeasureMode.CG),
-    (Family.FACILITY_LOCATION_1, MeasureMode.SMI),
-    (Family.FACILITY_LOCATION_1, MeasureMode.CSMI),
-    (Family.FACILITY_LOCATION_2, MeasureMode.SMI),
-    (Family.LOG_DET, MeasureMode.SMI),
-    (Family.LOG_DET, MeasureMode.CSMI),
-    (Family.CONCAVE_OVER_MODULAR, MeasureMode.SMI),
-    (Family.ROUGE, MeasureMode.SMI),
-]
+# every (family, mode) the lazy heap may serve; the log-det mutual-information
+# forms are listed too and must fall back to the plain scan
+LAZY_COMBOS = [(f, m) for f in Family for m in MeasureMode
+               if m in modes_supported(f) and f not in (Family.DISPARITY_SUM, Family.DISPARITY_MIN)]
 
 
-@pytest.mark.parametrize("family,mode", LAZY_COMBOS)
+@pytest.mark.parametrize("family,mode", LAZY_COMBOS, ids=lambda v: v.value)
 def test_lazy_matches_naive(family, mode):
-    rng = np.random.default_rng(hash((family.value, mode.value)) % 2**32)
-    for _ in range(10):
+    rng = np.random.default_rng(seed_from(f"lazy-{family.value}-{mode.value}"))
+    for t in range(11):
         ctx, Q, P = random_instance(rng, n_range=(6, 10))
+        if t == 10:  # item i + n copies item i
+            n = ctx.n_ground
+            ctx = with_copies(ctx, np.arange(n), np.arange(n, ctx.size))
+            Q, P = tuple(q + n for q in Q), tuple(p + n for p in P)
         spec = FunctionSpec(family, lam=0.4,
                             eta=float(rng.uniform(0.1, 0.9)), nu=float(rng.uniform(0.1, 0.9)))
         obj = MeasureObjective(spec, mode, ctx, Q=Q, P=P)
-        k = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 5)) if t < 10 else ctx.n_ground // 2
         a = greedy_maximize(obj, k, lazy=True)
         b = greedy_maximize(obj, k, lazy=False)
         assert a.indices == b.indices
         assert a.value == pytest.approx(b.value, abs=1e-10)
+        # the lowest index wins a tie: no copy before its original (the log-det
+        # Cholesky rows come from a BLAS product, which can round equal
+        # columns apart, so there copies need not tie exactly)
+        if t == 10 and family is not Family.LOG_DET:
+            half = ctx.n_ground // 2
+            assert all(j - half in a.indices[:s] for s, j in enumerate(a.indices) if j >= half)
 
 
 def test_lazy_safe_gating():
@@ -130,6 +131,8 @@ def test_lazy_safe_gating():
     assert MeasureObjective(FunctionSpec(Family.LOG_DET), MeasureMode.CG, ctx, P=P).lazy_safe
     assert not MeasureObjective(FunctionSpec(Family.DISPARITY_SUM),
                                 MeasureMode.BASE, ctx).lazy_safe
+    assert MeasureObjective(FunctionSpec(Family.ROUGE), MeasureMode.SMI, ctx, Q=Q).lazy_safe
+    assert not MeasureObjective(FunctionSpec(Family.ROUGE), MeasureMode.CG, ctx, P=P).lazy_safe
     # graph cut loses the guarantee exactly when ground similarities go negative
     neg = ctx.copy_with(kernel=ctx.kernel - 0.5)
     assert not MeasureObjective(FunctionSpec(Family.GRAPH_CUT), MeasureMode.BASE, neg).lazy_safe
