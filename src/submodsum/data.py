@@ -21,6 +21,37 @@ from .errors import ConfigError, FormatError, NumericError
 
 AUX_ROLES = ("query", "private", "previous_summary")
 
+_U = np.finfo(float).eps / 2  # unit roundoff of float64
+_TILE = 256  # side of the square blocks the kernel is symmetrized and checked in
+_SAFETY = 100.0  # margin of the positive-definiteness certificate over Demmel's condition
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error bound of an m-term sum of products."""
+    return m * _U / (1 - m * _U)
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slice pairs covering the upper block triangle of an n x n matrix."""
+    spans = [slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
+    return [(r, c) for k, r in enumerate(spans) for c in spans[k:]]
+
+
+def _symmetrize(mat: np.ndarray) -> None:
+    """Overwrite mat with (mat + mat.T) / 2, bit for bit, one block pair at a time."""
+    for r, c in _tile_pairs(mat.shape[0]):
+        avg = (mat[r, c] + mat[c, r].T) / 2.0
+        mat[r, c] = avg
+        mat[c, r] = avg.T
+
+
+def _max_asymmetry(mat: np.ndarray):
+    """max |mat - mat.T| (NaN if any difference is NaN) without forming mat - mat.T."""
+    worst = 0.0
+    for r, c in _tile_pairs(mat.shape[0]):
+        worst = np.maximum(worst, np.abs(mat[r, c] - mat[c, r].T).max())
+    return worst
+
 
 @dataclass
 class ItemRecord:
@@ -199,7 +230,7 @@ class SimilarityKernel:
             raise FormatError("kernel matrix must be square and match the id list")
         if self.ground_count is None:
             self.ground_count = n
-        asym = np.max(np.abs(self.matrix - self.matrix.T)) if n else 0.0
+        asym = _max_asymmetry(self.matrix)
         if asym > 1e-12:
             raise FormatError(f"kernel asymmetry {asym:.3g} exceeds 1e-12")
         if self.metric_tag == "cosine" and n:
@@ -208,12 +239,29 @@ class SimilarityKernel:
                 raise FormatError(f"cosine similarities out of [-1, 1]: [{lo:.3g}, {hi:.3g}]")
         self.index = {i: k for k, i in enumerate(self.ids)}
 
-    def check_positive_definite(self):
-        """Cholesky of matrix + jitter*I must succeed for cosine/rbf kernels."""
-        if self.metric_tag not in ("cosine", "rbf") or not len(self.ids):
+    def check_positive_definite(self, entry_error: float | None = None):
+        """Cholesky of matrix + jitter*I must succeed for cosine/rbf kernels.
+
+        entry_error, when given, bounds |matrix - G| entrywise for some
+        positive semidefinite G.  By Weyl's inequality the matrix to factor
+        then has lambda_min >= jitter - n*entry_error - u*(1 + jitter).  When
+        that clears Demmel's sufficient condition for Cholesky to complete
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10),
+        n*gamma_{n+1} times the diagonal 1 + jitter, by a factor of 100, the
+        factorization would succeed and is skipped.
+        """
+        n = len(self.ids)
+        if self.metric_tag not in ("cosine", "rbf") or not n:
             return
+        jitter = self.psd_jitter
+        if entry_error is not None and jitter > 0:
+            floor = jitter - n * entry_error - _U * (1 + jitter)
+            if floor > _SAFETY * n * _gamma(n + 1) * (1 + jitter):
+                return
+        shifted = self.matrix.copy()
+        shifted.flat[:: n + 1] += jitter  # matrix + jitter*I without an n x n identity
         try:
-            np.linalg.cholesky(self.matrix + self.psd_jitter * np.eye(len(self.ids)))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"kernel + {self.psd_jitter:g}*I is not positive definite; "
@@ -221,24 +269,40 @@ class SimilarityKernel:
             ) from exc
 
 
-def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> np.ndarray:
+def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> tuple[np.ndarray, float | None]:
+    """Similarity matrix (not yet symmetrized) and, for cosine, a bound on
+    how far each of its entries lies from a positive semidefinite matrix
+    once symmetrized (None for the other metrics)."""
     if metric == "dot":
-        return feats @ feats.T
+        return feats @ feats.T, None
     if metric == "rbf":
         sq = np.sum(feats**2, axis=1)
         d2 = np.maximum(sq[:, None] + sq[None, :] - 2 * feats @ feats.T, 0.0)
-        return np.exp(-d2 / (2 * sigma**2))
+        return np.exp(-d2 / (2 * sigma**2)), None
     if metric == "cosine":
         norms = np.linalg.norm(feats, axis=1)
         zero = norms == 0
         safe = np.where(zero, 1.0, norms)
         unit = feats / safe[:, None]
-        sim = np.clip(unit @ unit.T, -1.0, 1.0)
+        sim = unit @ unit.T
+        # Bound every entry's distance from G, the Gram matrix of the unit
+        # rows with zero rows zeroed, which is positive semidefinite.  An
+        # inner product is within gamma_d |u_i||u_j| (Higham, section 3.1)
+        # and |u_i|^2 is within delta of 1, where delta is measured on this
+        # product's own diagonal, not assumed O(d u): rounded norms of
+        # features near 1e-160 leave it ~1e-3.  Clipping and the unit
+        # diagonal stay within delta of G; halving the symmetrized sum adds
+        # u.  A zero row's unit diagonal only adds a semidefinite term.
+        d = feats.shape[1]
+        off = np.abs(sim.diagonal()[~zero] - 1.0).max(initial=0.0)
+        delta = (off + _gamma(d)) / (1 - _gamma(d))
+        entry_error = _gamma(d) * (1 + delta) + delta + 2 * _U
+        np.clip(sim, -1.0, 1.0, out=sim)
         # Zero vectors: similarity 0 everywhere except self-similarity 1.
         sim[zero, :] = 0.0
         sim[:, zero] = 0.0
         np.fill_diagonal(sim, 1.0)
-        return sim
+        return sim, entry_error
     raise ConfigError(f"unknown similarity metric {metric!r}")
 
 
@@ -273,10 +337,10 @@ def build_kernel(
         feats = np.concatenate([count_matrix(s, uni).astype(float) for s in all_sets], axis=0)
     if not np.all(np.isfinite(feats)):
         raise FormatError("feature values must be finite")
-    mat = _pairwise(metric, feats, sigma) if len(ids) else np.zeros((0, 0))
-    mat = (mat + mat.T) / 2.0
+    mat, entry_error = _pairwise(metric, feats, sigma) if len(ids) else (np.zeros((0, 0)), None)
+    _symmetrize(mat)
     kern = SimilarityKernel(mat, tuple(ids), metric, jitter, ground_count=len(ground))
-    kern.check_positive_definite()
+    kern.check_positive_definite(entry_error=entry_error)
     return kern
 
 
@@ -331,6 +395,13 @@ def _record_from_json(obj: dict) -> ItemRecord:
         raise FormatError(f"item {obj['id']!r}: {exc}") from None
 
 
+def _item_list(value, where: str) -> list[ItemRecord]:
+    """Item records parsed from a JSON list; any other value raises FormatError."""
+    if not isinstance(value, list):
+        raise FormatError(f"{where} must be a list of item records, not {type(value).__name__}")
+    return [_record_from_json(r) for r in value]
+
+
 def load_items(path, fmt: str | None = None) -> GroundSet:
     """Load a ground set from JSON ({'items': [...]} or a bare list) or CSV.
 
@@ -340,8 +411,11 @@ def load_items(path, fmt: str | None = None) -> GroundSet:
     fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
     if fmt == "json":
         doc = read_json(path)
-        records = doc["items"] if isinstance(doc, dict) else doc
-        return GroundSet([_record_from_json(r) for r in records])
+        if not isinstance(doc, dict):
+            return GroundSet(_item_list(doc, str(path)))
+        if "items" not in doc:
+            raise FormatError(f"{path}: JSON object has no 'items' key")
+        return GroundSet(_item_list(doc["items"], f"{path}: 'items'"))
     if fmt == "csv":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -352,10 +426,14 @@ def load_items(path, fmt: str | None = None) -> GroundSet:
         if rows[0] != expected:
             raise FormatError(f"csv header must be {','.join(expected)}")
         items = []
-        for row in rows[1:]:
+        for line, row in enumerate(rows[1:], start=2):
             if len(row) != width + 1:
                 raise FormatError(f"csv row for {row[0] if row else '?'!r} has wrong width")
-            items.append(ItemRecord(id=row[0], features=np.array([float(v) for v in row[1:]])))
+            try:
+                feats = np.array([float(v) for v in row[1:]])
+            except ValueError:
+                raise FormatError(f"csv line {line} ({row[0]!r}): feature values must be numbers") from None
+            items.append(ItemRecord(id=row[0], features=feats))
         return GroundSet(items)
     raise ConfigError(f"unknown format {fmt!r}")
 
@@ -389,10 +467,13 @@ def load_collection(path) -> Collection:
     doc = read_json(path)
     if not isinstance(doc, dict) or "items" not in doc:
         raise FormatError("collection must be a JSON object with an 'items' array")
-    ground = GroundSet([_record_from_json(r) for r in doc["items"]])
-    queries = AuxiliarySet([_record_from_json(r) for r in doc.get("queries", [])], "query")
-    privates = AuxiliarySet([_record_from_json(r) for r in doc.get("privates", [])], "private")
-    refs = [tuple(str(i) for i in ref) for ref in doc.get("references", [])]
+    ground = GroundSet(_item_list(doc["items"], "'items'"))
+    queries = AuxiliarySet(_item_list(doc.get("queries", []), "'queries'"), "query")
+    privates = AuxiliarySet(_item_list(doc.get("privates", []), "'privates'"), "private")
+    refs = doc.get("references", [])
+    if not isinstance(refs, list) or not all(isinstance(ref, list) for ref in refs):
+        raise FormatError("'references' must be a list of id lists")
+    refs = [tuple(str(i) for i in ref) for ref in refs]
     known = set(ground.ids)
     for ref in refs:
         missing = [i for i in ref if i not in known]

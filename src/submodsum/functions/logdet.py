@@ -81,7 +81,9 @@ class GrowingCholesky:
             grown[:k] = self.C
             self.C = grown
         rows = self.C[:k]
-        e = (self.mat[i] - rows[:, i] @ rows) / np.sqrt(d2)
+        # an elementwise product summed down the rows in a fixed order, not a
+        # BLAS product, so equal columns (copies of an item) stay bit-equal
+        e = (self.mat[i] - (rows[:, i, None] * rows).sum(axis=0)) / np.sqrt(d2)
         self.C[k] = e
         self.k = k + 1
         self.d2 -= e * e

@@ -11,6 +11,18 @@ from submodsum.data import AuxiliarySet, GroundSet, ItemRecord
 from submodsum.functions import EvalContext
 
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Property tests that leave max_examples to the profile run 100 fixed
+    # examples by default; `--hypothesis-profile deep` runs 2000 fresh ones.
+    settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+    settings.register_profile("deep", max_examples=2000, database=None, deadline=None)
+    settings.load_profile("tier1")
+
+
 def relerr(a: float, b: float) -> float:
     """Relative error with a unit floor so values near zero compare absolutely."""
     return abs(a - b) / max(1.0, abs(a), abs(b))

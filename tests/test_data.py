@@ -157,3 +157,25 @@ def test_write_json_is_strict(tmp_path):
         with pytest.raises(NumericError):
             write_json(path, {"gains": [0.5, bad]})
         assert not path.exists()
+
+
+@pytest.mark.parametrize("name, text, match", [
+    ("items.csv", "id,f0,f1\na,1.0,2.0\nb,0.5,x\n", "line 3 .'b'."),
+    ("items.json", json.dumps({"rows": []}), "'items'"),
+    ("items.json", json.dumps({"items": {"id": "a"}}), "'items' must be a list"),
+    ("items.json", json.dumps(7), "must be a list"),
+])
+def test_load_items_malformed_input_is_a_format_error(tmp_path, name, text, match):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match):
+        load_items(path)
+
+
+@pytest.mark.parametrize("key, value", [("queries", 3), ("privates", {"id": "p"}),
+                                        ("references", [5]), ("references", "a")])
+def test_collection_lists_must_be_lists(tmp_path, key, value):
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"items": [{"id": "a", "concepts": {"x": 1}}], key: value}))
+    with pytest.raises(FormatError, match=f"'{key}' must be a list"):
+        load_collection(path)

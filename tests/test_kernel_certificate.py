@@ -1,0 +1,127 @@
+"""The positive-definiteness check of similarity kernels.
+
+A cosine kernel carries a bound on its rounding error, and when that bound
+proves that Cholesky of kernel + jitter*I would succeed, build_kernel skips
+the factorization.  These tests pin the outcomes the factorization gives,
+check that the certificate never accepts a kernel the factorization would
+reject, and check the blockwise symmetrize and asymmetry scans against their
+dense forms.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from submodsum import data
+from submodsum.data import GroundSet, ItemRecord, build_kernel, cross_only_kernel
+from submodsum.errors import NumericError
+
+pytest.importorskip("hypothesis")
+from hypothesis import event, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _feature_ground(feats):
+    return GroundSet([ItemRecord(f"i{k}", features=row) for k, row in enumerate(feats)])
+
+
+def test_cosine_zero_jitter_with_more_items_than_dims_is_not_definite(rng):
+    with pytest.raises(NumericError, match="positive definite"):
+        build_kernel(_feature_ground(rng.normal(size=(30, 4))), [], jitter=0.0)
+
+
+def test_cosine_negative_jitter_is_not_definite(rng):
+    with pytest.raises(NumericError, match="positive definite"):
+        build_kernel(_feature_ground(rng.normal(size=(30, 4))), [], jitter=-1e-6)
+
+
+def test_cosine_duplicate_and_zero_rows_pass_at_default_jitter(rng):
+    feats = rng.normal(size=(30, 4))
+    feats[10:20] = feats[:10]
+    feats[25:] = 0.0
+    kern = build_kernel(_feature_ground(feats), [])
+    np.linalg.cholesky(kern.matrix + kern.psd_jitter * np.eye(30))
+
+
+def test_cosine_features_near_underflow_are_not_definite(rng):
+    # squares of 1e-160 underflow, so the computed unit rows miss unit length
+    # by ~1e-3 and the kernel has an eigenvalue near -1e-4, below -jitter
+    with pytest.raises(NumericError, match="positive definite"):
+        build_kernel(_feature_ground(rng.normal(size=(30, 4)) * 1e-160), [])
+
+
+@contextlib.contextmanager
+def _factorizations():
+    """Shapes of the matrices handed to np.linalg.cholesky inside the block."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", spy)
+        yield calls
+
+
+def test_certificate_replaces_the_factorization_for_cosine_only(rng):
+    ground = _feature_ground(rng.normal(size=(300, 16)))
+    with _factorizations() as calls:
+        build_kernel(ground, [])
+    assert calls == []
+    with _factorizations() as calls:
+        build_kernel(ground, [], metric="rbf")
+    assert calls == [(300, 300)]
+    # a jitter below the certificate's floor falls back to the factorization
+    with _factorizations() as calls:
+        build_kernel(ground, [], jitter=1e-9)
+    assert calls == [(300, 300)]
+    # so does a kernel whose entries carry no rounding bound
+    kern = build_kernel(ground, [])
+    with _factorizations() as calls:
+        cross_only_kernel(kern).check_positive_definite()
+    assert calls == [(300, 300)]
+
+
+@pytest.mark.parametrize("metric", ["cosine", "rbf", "dot"])
+def test_tiled_symmetrize_and_asymmetry_match_the_dense_forms(rng, metric):
+    n = 2 * data._TILE + 37
+    mat, _ = data._pairwise(metric, rng.normal(size=(n, 5)), 1.0)
+    mat += 1e-13 * rng.normal(size=(n, n))  # the product itself may already be symmetric
+    asym = np.max(np.abs(mat - mat.T))
+    expect = (mat + mat.T) / 2.0
+    assert data._max_asymmetry(mat) == asym > 0
+    data._symmetrize(mat)
+    assert np.array_equal(mat.view(np.int64), expect.view(np.int64))
+    assert data._max_asymmetry(mat) == 0.0
+
+
+# no max_examples here: the loaded profile (tests/conftest.py) sets it
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.integers(1, 6),
+       copies=st.integers(0, 10), zeros=st.integers(0, 3), scale=st.integers(-160, 150),
+       spread=st.integers(0, 4),
+       jitter=st.one_of(st.sampled_from([0.0, 1e-6, -1e-6]),
+                        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                                  st.floats(-16, -3))))
+def test_certified_cosine_kernel_factors(seed, n, dim, copies, zeros, scale, spread, jitter):
+    """Whenever the certificate skips the factorization, the factorization succeeds."""
+    rng = np.random.default_rng(seed)
+    # rows of unequal length, each scaled by a power of ten in [1e-160, 1e150]
+    powers = np.clip(scale + rng.integers(-spread, spread + 1, size=(n, 1)), -160, 150)
+    feats = rng.normal(size=(n, dim)) * 10.0**powers
+    for _ in range(copies):
+        feats[rng.integers(n)] = feats[rng.integers(n)]
+    feats[rng.integers(n, size=zeros)] = 0.0
+    with _factorizations() as calls:
+        try:
+            kern = build_kernel(_feature_ground(feats), [], jitter=jitter)
+        except NumericError:
+            assert calls, "only a factorization may reject a kernel"
+            event("rejected")
+            return
+    event("factored" if calls else "certified")
+    if not calls:
+        np.linalg.cholesky(kern.matrix + jitter * np.eye(n))

@@ -113,10 +113,8 @@ def test_lazy_matches_naive(family, mode):
         b = greedy_maximize(obj, k, lazy=False)
         assert a.indices == b.indices
         assert a.value == pytest.approx(b.value, abs=1e-10)
-        # the lowest index wins a tie: no copy before its original (the log-det
-        # Cholesky rows come from a BLAS product, which can round equal
-        # columns apart, so there copies need not tie exactly)
-        if t == 10 and family is not Family.LOG_DET:
+        # the lowest index wins a tie: no copy before its original
+        if t == 10:
             half = ctx.n_ground // 2
             assert all(j - half in a.indices[:s] for s, j in enumerate(a.indices) if j >= half)
 
