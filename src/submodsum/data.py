@@ -485,8 +485,9 @@ def load_collection(path) -> Collection:
         if not isinstance(cu, dict) or not isinstance(cu.get("concepts"), list):
             raise FormatError("concept_universe must be an object with a 'concepts' list")
         universe = ConceptUniverse([str(c) for c in cu["concepts"]], cu.get("weights"))
+        names = set(universe.index)
         for it in (*ground, *queries, *privates):
-            unknown = sorted((set(it.concepts) | set(it.coverage)) - set(universe.index))
+            unknown = sorted((set(it.concepts) | set(it.coverage)) - names)
             if unknown:
                 raise FormatError(f"item {it.id!r}: concepts {unknown} not in concept_universe")
     return Collection(ground, queries, privates, refs, universe)

@@ -3,16 +3,17 @@
 Items are indexed 0..n-1 for the ground set V and n..N-1 for auxiliary
 items (V').  Families read the view they need:
 
-* raw kernel               graph-cut
+* raw kernel               graph-cut, log-determinant (which reads blocks
+                           of it and adds the jitter to their diagonals)
 * nonneg kernel            facility-location, disparity (cosine gets the (s+1)/2 shift)
 * cross-only nonneg kernel second facility-location variant, concave-over-modular
-* jittered kernel          log-determinant (raw + jitter * I)
 * counts / cover_prob      set-cover, probabilistic set-cover, rouge
 
-The three derived N x N views are built on first use and then cached on
-the context, so a solve holds only the views its family reads.  The
-copy_with hook swaps individual views; the definitional oracle uses it
-to evaluate base functions on transformed kernels.
+The two derived N x N views are built on first use, each straight from
+the kernel, and then cached on the context, so a solve holds only the
+views its family reads.  The copy_with hook swaps the kernel or
+individual views; the definitional oracle uses it to evaluate base
+functions on transformed kernels.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from ..data import (
     build_kernel,
     count_matrix,
     coverage_matrix,
-    cross_only,
 )
 from ..errors import ConfigError
 
-_VIEWS = ("nonneg", "cross_nonneg", "logdet")
+_VIEWS = ("nonneg", "cross_nonneg")
 
 
 class EvalContext:
@@ -84,14 +84,18 @@ class EvalContext:
 
     @cached_property
     def cross_nonneg(self) -> np.ndarray:
-        """nonneg with identity diagonal blocks: only V <-> V' similarity."""
-        return cross_only(self.nonneg, self.n_ground)
+        """nonneg with identity diagonal blocks: only V <-> V' similarity.
 
-    @cached_property
-    def logdet(self) -> np.ndarray:
-        """kernel + jitter * I."""
-        out = self.kernel.copy()
-        out[np.diag_indices_from(out)] += self.jitter
+        Built from the kernel's two cross blocks, without the nonneg view.
+        """
+        n = self.n_ground
+        out = np.zeros((self.size, self.size))
+        np.fill_diagonal(out, 1.0)
+        for blk in (np.s_[:n, n:], np.s_[n:, :n]):
+            out[blk] = self.kernel[blk]
+            if self.metric == "cosine":
+                out[blk] += 1.0
+                out[blk] /= 2.0
         return out
 
     # -- construction ------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_collection_rejects_unknown_reference(tmp_path):
     path.write_text(json.dumps({"items": [{"id": "a", "concepts": {"x": 1}}],
                                 "references": [["nope"]]}))
     with pytest.raises(FormatError):
+        load_collection(path)
+
+
+def test_collection_names_unknown_concepts_sorted(tmp_path):
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({
+        "items": [{"id": "a", "concepts": {"x": 1}}],
+        "queries": [{"id": "q", "concepts": {"z": 1, "x": 1}, "coverage": {"w": 0.5}}],
+        "concept_universe": {"concepts": ["x"]},
+    }))
+    with pytest.raises(FormatError, match=re.escape("item 'q': concepts ['w', 'z'] not in concept_universe")):
         load_collection(path)
 
 

@@ -124,12 +124,12 @@ def test_overlapping_sets_rejected(rng):
 # context views
 
 
-_VIEWS = {"nonneg", "cross_nonneg", "logdet"}
+_VIEWS = {"nonneg", "cross_nonneg"}
 
 
 @pytest.mark.parametrize("alias, built", [
     ("sc", set()), ("rouge", set()), ("gc", set()), ("fl1", {"nonneg"}),
-    ("fl2", {"nonneg", "cross_nonneg"}), ("logdet", {"logdet"}),
+    ("fl2", {"cross_nonneg"}), ("logdet", set()),
 ])
 def test_solve_builds_only_the_views_it_reads(alias, built):
     ctx = concept_ctx()
@@ -140,14 +140,14 @@ def test_solve_builds_only_the_views_it_reads(alias, built):
 
 def test_copy_with_kernel_drops_cached_views(rng):
     ctx, Q, P = random_instance(rng)
-    ctx.logdet  # random_instance already built nonneg and cross_nonneg
+    ctx.nonneg  # random_instance already built cross_nonneg
     moved = ctx.copy_with(kernel=ctx.kernel * 0.5)
     assert not _VIEWS & set(vars(moved))
     np.testing.assert_array_equal(moved.nonneg, ctx.kernel * 0.5)  # rbf: nonneg is the kernel
 
 
 @pytest.mark.parametrize("family, view", [
-    (Family.FACILITY_LOCATION_1, "nonneg"), (Family.LOG_DET, "logdet"),
+    (Family.FACILITY_LOCATION_1, "nonneg"), (Family.LOG_DET, "kernel"),
 ])
 def test_copy_with_view_is_what_the_oracle_sees(family, view, rng):
     ctx, Q, P = random_instance(rng)
@@ -364,7 +364,7 @@ def test_logdet_add_rejects_nonpositive_schur_complement():
     state.add(0)
     with pytest.raises(NumericError):
         state.add(1)
-    chol = GrowingCholesky(ctx.logdet)
+    chol = GrowingCholesky(ctx.kernel, ctx.jitter)
     chol.push(0)
     assert chol.quad(1) < 0
     with pytest.raises(NumericError):
