@@ -240,8 +240,8 @@ def random_instance(rng, n_range=(4, 8), nq_range=(1, 3), np_range=(1, 3),
         scaled[:n, n:] *= 0.99 * guard / worst
         scaled[n:, :n] *= 0.99 * guard / worst
         ctx = ctx.copy_with(cross_nonneg=scaled)
-    Q = tuple(ctx.role_indices["query"])
-    P = tuple(ctx.role_indices["private"])
+    Q = tuple(ctx.role_indices.get("query", ()))
+    P = tuple(ctx.role_indices.get("private", ()))
     return ctx, Q, P
 
 
@@ -280,7 +280,9 @@ def make_collection(seed: int, budget: int = 4):
     st = truth.fresh_state()
     for j in ref1[:-1]:
         st.add(j)
-    alt = max((st.gain(j), j) for j in cand if j not in ref1)[1]
+    pool = np.setdiff1d(cand, ref1)
+    g = st.gain(pool)
+    alt = int(pool[np.flatnonzero(g == g.max())[-1]])  # the highest index wins a tie
     ref2 = ref1[:-1] + [alt]
     return ctx, [tuple(ref1), tuple(ref2)], Q
 

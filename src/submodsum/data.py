@@ -306,6 +306,13 @@ def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> tuple[np.ndarray,
     raise ConfigError(f"unknown similarity metric {metric!r}")
 
 
+def aux_list(aux) -> list[AuxiliarySet]:
+    """One auxiliary set, a list of them or None, as a list without the
+    empty sets: an empty set adds no items and so no role."""
+    sets = [] if aux is None else ([aux] if isinstance(aux, GroundSet) else list(aux))
+    return [s for s in sets if len(s)]
+
+
 def build_kernel(
     ground: GroundSet,
     aux: AuxiliarySet | list[AuxiliarySet] | None = None,
@@ -319,7 +326,7 @@ def build_kernel(
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     if not np.isfinite(jitter):
         raise ConfigError(f"jitter must be finite, got {jitter}")
-    aux_sets = [] if aux is None else ([aux] if isinstance(aux, GroundSet) else list(aux))
+    aux_sets = aux_list(aux)
     ids = list(ground.ids)
     for s in aux_sets:
         ids.extend(s.ids)
@@ -450,12 +457,7 @@ class Collection:
 
     @property
     def aux_sets(self) -> list[AuxiliarySet]:
-        out = []
-        if len(self.queries):
-            out.append(self.queries)
-        if len(self.privates):
-            out.append(self.privates)
-        return out
+        return aux_list([self.queries, self.privates])
 
 
 def load_collection(path) -> Collection:

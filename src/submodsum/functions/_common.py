@@ -143,7 +143,10 @@ class MarginalState:
     costs one vectorized update instead of a recomputation per candidate
     (the per-candidate bookkeeping of "Fast Greedy MAP Inference for
     Determinantal Point Processes", Chen, Zhang & Zhou, NeurIPS 2018).
-    add(j) commits the candidate and returns its gain.
+    ``gain(j)`` takes an int and returns a float, or takes an ascending
+    index array and returns those candidates' gains in that order, each
+    bit-equal to the int read of its candidate.  add(j) commits the
+    candidate and returns its gain.
     """
 
     gains: np.ndarray
@@ -152,8 +155,8 @@ class MarginalState:
         self.value = 0.0
         self.selected: list[int] = []
 
-    def gain(self, j: int) -> float:
-        return float(self.gains[j])
+    def gain(self, j):
+        return self.gains[j] if isinstance(j, np.ndarray) else float(self.gains[j])
 
     def _push(self, j: int) -> None:
         raise NotImplementedError

@@ -15,6 +15,8 @@ to invert an empty block, nor an empty A.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigError, UnsupportedError
 from ._common import MarginalState, as_indices, check_disjoint, check_ground, check_universe
 from .concave import ConcaveOverModularOps
@@ -121,7 +123,7 @@ def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> f
 
 class _ZeroState(MarginalState):
     def gain(self, j):
-        return 0.0
+        return np.zeros(j.size) if isinstance(j, np.ndarray) else 0.0
 
     def _push(self, j):
         pass

@@ -26,6 +26,7 @@ from ..data import (
     AuxiliarySet,
     ConceptUniverse,
     GroundSet,
+    aux_list,
     build_kernel,
     count_matrix,
     coverage_matrix,
@@ -110,7 +111,7 @@ class EvalContext:
         sigma: float = 1.0,
         universe: ConceptUniverse | None = None,
     ) -> "EvalContext":
-        aux_sets = [] if aux is None else ([aux] if isinstance(aux, GroundSet) else list(aux))
+        aux_sets = aux_list(aux)
         kern = build_kernel(ground, aux_sets, metric=metric, jitter=jitter, sigma=sigma, universe=universe)
         all_sets = [ground, *aux_sets]
         has_concepts = any(it.concepts or it.coverage for s in all_sets for it in s)

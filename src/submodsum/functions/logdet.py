@@ -75,8 +75,9 @@ class GrowingCholesky:
         self.C = np.zeros((0, mat.shape[0]))
         self.k = 0
 
-    def quad(self, j: int) -> float:
-        """Schur complement d^2 of entry j against the current selection."""
+    def quad(self, j):
+        """Schur complement d^2 of entry j against the current selection;
+        for an index array, those of each entry."""
         return self.d2[j]
 
     def push(self, i: int) -> None:
@@ -255,6 +256,21 @@ class LogDetOps(FamilyOps):
         return out
 
 
+def _log(d2):
+    """math.log of a positive Schur complement, or of each entry of an array.
+
+    The array form maps math.log too, since numpy's vectorized log can
+    round an entry differently and a gain read must not depend on its form.
+    """
+    if isinstance(d2, np.ndarray):
+        if not (d2 > 0).all():
+            raise NumericError(_ADVICE)
+        return np.fromiter(map(math.log, d2.tolist()), float, d2.size)
+    if not d2 > 0:
+        raise NumericError(_ADVICE)
+    return math.log(d2)
+
+
 class _LogDetState(MarginalState):
     def __init__(self, M, N, jitter):
         super().__init__()
@@ -262,15 +278,8 @@ class _LogDetState(MarginalState):
         self.neg = GrowingCholesky(N) if N is not None else None
 
     def gain(self, j):
-        d2 = self.pos.quad(j)
-        if not d2 > 0:
-            raise NumericError(_ADVICE)
-        if self.neg is None:
-            return math.log(d2)
-        e2 = self.neg.quad(j)
-        if not e2 > 0:
-            raise NumericError(_ADVICE)
-        return math.log(d2) - math.log(e2)
+        g = _log(self.pos.quad(j))
+        return g if self.neg is None else g - _log(self.neg.quad(j))
 
     def _push(self, j):
         self.pos.push(j)

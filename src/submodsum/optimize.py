@@ -130,7 +130,12 @@ class _CompositeState:
         self.value = 0.0
 
     def gain(self, j):
-        return float(sum(w * st.gain(j) for w, st in self.parts))
+        # the parts in order from 0.0, so an array read adds each entry's
+        # terms exactly as the int read of that entry does
+        total = 0.0
+        for w, st in self.parts:
+            total = total + w * st.gain(j)
+        return total
 
     def add(self, j):
         g = float(sum(w * st.add(j) for w, st in self.parts))
@@ -197,6 +202,8 @@ class _CallableState:
         self.value = float(fn(np.zeros(0, dtype=int)))
 
     def gain(self, j):
+        if isinstance(j, np.ndarray):
+            return np.fromiter(map(self.gain, j.tolist()), float, j.size)
         A = as_indices(self.selected + [int(j)])
         return float(self.fn(A)) - self.value
 
@@ -209,19 +216,22 @@ class _CallableState:
 
 def _require_finite(gains, cands) -> None:
     """Post-condition on every gain the solver reads: a NaN would silently
-    corrupt the heap order or the max, and an infinity every later sum."""
-    if not all(map(math.isfinite, gains)):
-        g, j = next((g, j) for g, j in zip(gains, cands) if not math.isfinite(g))
-        raise NumericError(f"non-finite marginal gain {g} for candidate {j}")
+    corrupt the heap order or the argmax, and an infinity every later sum."""
+    finite = np.isfinite(gains)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first non-finite gain
+        raise NumericError(f"non-finite marginal gain {gains[i]} for candidate {cands[i]}")
 
 
 def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = False,
                     candidates=None, flavor: str | None = None) -> Selection:
-    """Budget-k greedy. The lazy variant keeps stale upper bounds in a heap
-    and refreshes the top until it is current; with submodular gains the
-    result matches the plain variant pick for pick, including ties.
-    Objectives that declare lazy_safe=False always get the plain scan.
-    Every gain read must be finite, else NumericError."""
+    """Budget-k greedy. The plain variant reads every remaining candidate's
+    gain as one array per pick and takes its argmax. The lazy variant
+    starts its heap from one such read and afterwards refreshes the top
+    until it is current; with submodular gains the result matches the
+    plain variant pick for pick, including ties. Objectives that declare
+    lazy_safe=False always get the plain scan. Every gain read must be
+    finite, else NumericError."""
     cand = as_indices(candidates) if candidates is not None else obj.candidates()
     k = int(k)
     if k < 0:
@@ -232,15 +242,21 @@ def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = 
     state = obj.fresh_state()
     picked: list[int] = []
     gains: list[float] = []
-    if lazy:
-        heap = [(-math.inf, int(j)) for j in cand]
+    if k and lazy:  # a zero budget reads no gain
+        # every first bound is current, as if each stale entry had been
+        # refreshed in index order before the first pick
+        gvals = state.gain(cand)
+        _require_finite(gvals, cand)
+        ids = cand.tolist()
+        heap = list(zip((-gvals).tolist(), ids))
         heapq.heapify(heap)
-        fresh: set[int] = set()
+        fresh = set(ids)
         while heap and len(picked) < k:
             negb, j = heapq.heappop(heap)
             if j not in fresh:
                 g = state.gain(j)
-                _require_finite((g,), (j,))
+                if not math.isfinite(g):  # far cheaper on one float than the array check
+                    _require_finite((g,), (j,))
                 fresh.add(j)
                 heapq.heappush(heap, (-g, j))
                 continue
@@ -251,16 +267,17 @@ def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = 
             gains.append(g)
             fresh.clear()
     else:
-        remaining = [int(j) for j in cand]  # ascending
-        while remaining and len(picked) < k:
-            gvals = [state.gain(j) for j in remaining]
+        remaining = cand  # ascending
+        while remaining.size and len(picked) < k:
+            gvals = state.gain(remaining)
             _require_finite(gvals, remaining)
-            # max keeps the first of equal gains: lowest index wins ties
-            best = max(range(len(remaining)), key=gvals.__getitem__)
-            g = gvals[best]
+            # argmax returns the first of equal gains: lowest index wins ties
+            best = int(np.argmax(gvals))
+            g = float(gvals[best])
             if stop_on_nonpositive and g <= 0:
                 break
-            j = remaining.pop(best)
+            j = int(remaining[best])
+            remaining = np.delete(remaining, best)
             state.add(j)
             picked.append(j)
             gains.append(g)

@@ -20,6 +20,8 @@ from submodsum.data import (
     write_json,
 )
 from submodsum.errors import FormatError, NumericError
+from submodsum.functions import EvalContext, Family, FunctionSpec
+from submodsum.optimize import Flavor, master_solve
 
 
 def test_ground_set_basic():
@@ -117,6 +119,28 @@ def test_cross_only_kernel_idempotent(rng):
     assert np.allclose(cross.matrix[:3, 3:], kern.matrix[:3, 3:])
     again = cross_only_kernel(cross)
     assert np.allclose(again.matrix, cross.matrix)
+
+
+@pytest.mark.parametrize("features", [True, False], ids=["features", "concepts"])
+def test_empty_auxiliary_set_adds_no_rows_and_no_role(rng, features):
+    # an empty set is dropped the way a collection drops its empty roles,
+    # instead of failing to stack its zero feature rows
+    def items(prefix, count):
+        return [ItemRecord(f"{prefix}{k}", features=rng.normal(size=3) if features else None,
+                           concepts={f"c{k % 3}": 1 + k % 2}) for k in range(count)]
+
+    ground, queries = GroundSet(items("g", 8)), AuxiliarySet(items("q", 2), "query")
+    empty = AuxiliarySet([], "query")
+    fl1 = FunctionSpec(Family.FACILITY_LOCATION_1)
+    for aux in ([], [queries]):
+        want = EvalContext.build(ground, aux)
+        got = EvalContext.build(ground, [empty, *aux])
+        assert np.array_equal(got.kernel, want.kernel)
+        assert got.role_indices == want.role_indices
+        Q = got.role_indices.get("query", ())
+        assert (master_solve(Flavor.QUERY, fl1, got, 3, Q=Q).indices
+                == master_solve(Flavor.QUERY, fl1, want, 3, Q=Q).indices)
+    assert "query" not in EvalContext.build(ground, empty).role_indices
 
 
 def test_collection_round_trip(tmp_path):

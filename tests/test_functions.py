@@ -371,6 +371,21 @@ def test_logdet_add_rejects_nonpositive_schur_complement():
         chol.push(1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+@pytest.mark.parametrize("factor", ["pos", "neg"])
+def test_logdet_array_read_rejects_nonpositive_schur_complement(rng, factor, bad):
+    ctx, Q, P = random_instance(rng, n_range=(6, 6))
+    state = make_state(FunctionSpec(Family.LOG_DET), MeasureMode.SMI, ctx, Q=Q)
+    cands = np.arange(ctx.n_ground)
+    state.gain(cands)
+    getattr(state, factor).d2[3] = bad
+    with pytest.raises(NumericError):
+        state.gain(cands)
+    with pytest.raises(NumericError):
+        state.gain(3)
+    assert np.all(np.isfinite(state.gain(np.delete(cands, 3))))
+
+
 # ---------------------------------------------------------------------------
 # parameter gradients
 

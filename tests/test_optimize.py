@@ -1,3 +1,6 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,11 @@ from submodsum.optimize import (
     master_solve,
     parse_flavor,
 )
+from submodsum.learning import VRougeMargin
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 
 def modular_objective(weights=(3.0, 1.0, 2.0)):
@@ -50,6 +58,22 @@ def test_non_finite_gain_raises_numeric_error(lazy, bad):
     obj = modular_objective((3.0, bad, 2.0, 1.0))
     with pytest.raises(NumericError, match="candidate 1"):
         greedy_maximize(obj, 2, lazy=lazy)
+    # a marginal state's array read names the first bad candidate too
+    ctx, _, _ = random_instance(np.random.default_rng(4), n_range=(6, 6))
+    poisoned = _PoisonedObjective(FunctionSpec(Family.SET_COVER), MeasureMode.BASE, ctx)
+    poisoned.bad = {3: bad, 5: bad}
+    with pytest.raises(NumericError, match="candidate 3$"):
+        greedy_maximize(poisoned, 2, lazy=lazy)
+
+
+class _PoisonedObjective(MeasureObjective):
+    """A measure whose fresh states hold the gains in self.bad."""
+
+    def fresh_state(self):
+        state = super().fresh_state()
+        for j, g in self.bad.items():
+            state.gains[j] = g
+        return state
 
 
 def test_budget_edge_cases():
@@ -196,3 +220,165 @@ def test_composite_objective_matches_weighted_sum(rng):
     assert comp.value(A) == pytest.approx(want)
     sel = greedy_maximize(comp, 2)
     assert len(sel) == 2
+
+
+# -- one gain read per pick ------------------------------------------------------
+#
+# The solver reads a whole candidate array per call to gain.  Its reference
+# is the solver as it was when it read one candidate per call: every pick,
+# gain and value must come out with the same bits.
+
+
+def _ref_require_finite(gains, cands):
+    if not all(map(math.isfinite, gains)):
+        g, j = next((g, j) for g, j in zip(gains, cands) if not math.isfinite(g))
+        raise NumericError(f"non-finite marginal gain {g} for candidate {j}")
+
+
+def _ref_greedy(obj, k, lazy, stop_on_nonpositive, cand):
+    """greedy_maximize with one scalar gain read per candidate."""
+    lazy = lazy and getattr(obj, "lazy_safe", True)
+    state = obj.fresh_state()
+    picked, gains = [], []
+    if lazy:
+        heap = [(-math.inf, int(j)) for j in cand]
+        heapq.heapify(heap)
+        fresh = set()
+        while heap and len(picked) < k:
+            negb, j = heapq.heappop(heap)
+            if j not in fresh:
+                g = state.gain(j)
+                _ref_require_finite((g,), (j,))
+                fresh.add(j)
+                heapq.heappush(heap, (-g, j))
+                continue
+            if stop_on_nonpositive and -negb <= 0:
+                break
+            g = state.add(j)
+            picked.append(j)
+            gains.append(g)
+            fresh.clear()
+    else:
+        remaining = [int(j) for j in cand]
+        while remaining and len(picked) < k:
+            gvals = [state.gain(j) for j in remaining]
+            _ref_require_finite(gvals, remaining)
+            best = max(range(len(remaining)), key=gvals.__getitem__)
+            g = gvals[best]
+            if stop_on_nonpositive and g <= 0:
+                break
+            j = remaining.pop(best)
+            state.add(j)
+            picked.append(j)
+            gains.append(g)
+    return picked, gains, float(state.value)
+
+
+class _Counted:
+    """An objective whose states count the candidates their gain reads
+    evaluate: an array read counts each of its entries."""
+
+    def __init__(self, obj):
+        self.obj, self.evals = obj, 0
+
+    def __getattr__(self, name):
+        return getattr(self.obj, name)
+
+    def fresh_state(self):
+        return _CountingState(self.obj.fresh_state(), self)
+
+
+class _CountingState:
+    def __init__(self, state, owner):
+        self.state, self.owner = state, owner
+
+    def __getattr__(self, name):
+        return getattr(self.state, name)
+
+    def gain(self, j):
+        self.owner.evals += j.size if isinstance(j, np.ndarray) else 1
+        return self.state.gain(j)
+
+
+def _bits(values) -> bytes:
+    """The float64 bits of a gain sequence, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except NumericError:
+        return NumericError
+
+
+ALL_COMBOS = [(f, m) for f in Family for m in MeasureMode if m in modes_supported(f)]
+
+
+@st.composite
+def greedy_instances(draw):
+    """A random instance, maybe with copied items, and maybe with its query
+    or private set emptied, which gives the degenerate (zero) states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctx, Q, P = random_instance(rng, n_range=(2, 8), nq_range=(0, 2), np_range=(0, 2))
+    n = ctx.n_ground
+    copies = rng.integers(n, size=draw(st.integers(0, 3)))  # ground items copied
+    if copies.size:
+        ctx = with_copies(ctx, copies, np.arange(n, ctx.size))
+        Q, P = tuple(q + copies.size for q in Q), tuple(p + copies.size for p in P)
+    Q = Q if draw(st.booleans()) else ()
+    P = P if draw(st.booleans()) else ()
+    spec_kw = dict(lam=0.4, eta=float(rng.uniform(0, 1)), nu=float(rng.uniform(0, 1)))
+    return ctx, Q, P, spec_kw, draw(st.booleans())
+
+
+def _objectives(ctx, Q, P, spec_kw):
+    """(label, objective) for every family x supported mode, and the two
+    learning mixtures: one with the V-ROUGE margin, one with zero_one."""
+    for family, mode in ALL_COMBOS:
+        yield f"{family.value}/{mode.value}", MeasureObjective(FunctionSpec(family, **spec_kw), mode, ctx, Q=Q, P=P)
+    cand = np.arange(ctx.n_ground)
+    ref = cand[: max(1, cand.size // 2)]
+    fl1 = MeasureObjective(FunctionSpec(Family.FACILITY_LOCATION_1, **spec_kw), MeasureMode.SMI, ctx, Q=Q)
+    sc = MeasureObjective(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, Q=Q)
+    yield "mix+vrouge", CompositeObjective([(0.6, fl1), (0.3, sc), (1.0, VRougeMargin(ctx, ref))])
+    zero_one = FunctionObjective(lambda Y: 0.0 if set(Y.tolist()) == set(ref.tolist()) else 1.0, cand)
+    yield "mix+zero_one", CompositeObjective([(0.7, fl1), (1.0, zero_one)])
+
+
+# no max_examples here: the loaded profile (tests/conftest.py) sets it
+@settings(deadline=None)
+@given(inst=greedy_instances())
+def test_greedy_vector_reads_bit_equal_to_scalar_reference(inst):
+    ctx, Q, P, spec_kw, stop = inst
+    cand = np.arange(ctx.n_ground)
+    k = min(8, cand.size)
+    for label, obj in _objectives(ctx, Q, P, spec_kw):
+        # an array read equals the int reads of its entries, pick by pick
+        state, remaining = obj.fresh_state(), cand
+        for _ in range(k):
+            vec = _outcome(state.gain, remaining)
+            one = [_outcome(state.gain, int(j)) for j in remaining]
+            if vec is NumericError or NumericError in one:
+                assert vec is NumericError and NumericError in one, label
+                break
+            assert _bits(vec) == _bits(one), label
+            best = int(np.argmax(vec))
+            if _outcome(state.add, int(remaining[best])) is NumericError:
+                break
+            remaining = np.delete(remaining, best)
+        # and the solver returns what the scalar solver returned, after
+        # evaluating as many candidates
+        for lazy in (True, False):
+            ref_obj, new_obj = _Counted(obj), _Counted(obj)
+            want = _outcome(_ref_greedy, ref_obj, k, lazy, stop, cand)
+            got = _outcome(greedy_maximize, new_obj, k, lazy=lazy, stop_on_nonpositive=stop)
+            if want is NumericError:
+                assert got is NumericError, label
+                continue
+            assert got is not NumericError, label
+            assert got.indices == want[0] and got.gains == want[1] and got.value == want[2], label
+            assert _bits(got.gains) == _bits(want[1]), label
+            assert new_obj.evals == ref_obj.evals, label
+            assert all(type(j) is int for j in got.indices), label
+            assert all(type(g) is float for g in got.gains), label
