@@ -33,7 +33,7 @@ from .bench import (
     vrouge,
     write_plot_csv,
 )
-from .data import AuxiliarySet, ItemRecord, load_collection, read_json, write_json
+from .data import AuxiliarySet, ItemRecord, id_lists, load_collection, read_json, write_json
 from .errors import NumericError, SubmodsumError, ConfigError
 from .functions import (
     EvalContext,
@@ -54,7 +54,7 @@ from .learning import (
     train,
     write_training_log,
 )
-from .optimize import Flavor, MeasureObjective, greedy_maximize, master_solve, parse_flavor
+from .optimize import Flavor, master_solve, parse_flavor
 
 _QUERY_FLAVORS = (Flavor.QUERY, Flavor.QUERY_UPDATE, Flavor.QUERY_PRIVACY)
 
@@ -275,10 +275,9 @@ def cmd_eval(args) -> int:
     summary_ids = _load_summary_ids(args.summary)
     Y = _ground_indices(coll, summary_ids)
     if args.references is not None:
-        doc = read_json(args.references)
-        refs_ids = [[str(i) for i in ref] for ref in doc]
+        refs_ids = id_lists(read_json(args.references), str(args.references))
     else:
-        refs_ids = [list(r) for r in coll.references]
+        refs_ids = coll.references
     if not refs_ids:
         raise ConfigError("no reference summaries given (collection has none, --references missing)")
     refs = [_ground_indices(coll, r) for r in refs_ids]
@@ -364,23 +363,15 @@ def cmd_synth(args) -> int:
 # check
 
 
-_CHECK_FORMS = [
-    ("sc", MeasureMode.SMI), ("sc", MeasureMode.CG), ("sc", MeasureMode.CSMI),
-    ("psc", MeasureMode.SMI), ("psc", MeasureMode.CG), ("psc", MeasureMode.CSMI),
-    ("gc", MeasureMode.SMI), ("gc", MeasureMode.CG),
-    ("fl1", MeasureMode.SMI), ("fl1", MeasureMode.CG), ("fl1", MeasureMode.CSMI),
-    ("fl2", MeasureMode.SMI),
-    ("logdet", MeasureMode.SMI), ("logdet", MeasureMode.CG), ("logdet", MeasureMode.CSMI),
-    ("rouge", MeasureMode.SMI),
-    ("com", MeasureMode.SMI),
-]
+# every closed form beyond f itself, checked against the definitional oracle
+_CHECK_FORMS = [(family, mode) for family in Family for mode in MeasureMode
+                if mode is not MeasureMode.BASE and mode in modes_supported(family)]
 
 
 def _check_closed_forms(seed: int, trials: int = 25, tol: float = 1e-8) -> list[str]:
     failures = []
     rng = np.random.default_rng(seed)
-    for alias, mode in _CHECK_FORMS:
-        family = parse_family(alias)
+    for family, mode in _CHECK_FORMS:
         metric = "cosine" if family in (Family.GRAPH_CUT, Family.LOG_DET) else "rbf"
         for t in range(trials):
             ctx, Q, P = random_instance(rng, metric=metric)
@@ -394,7 +385,7 @@ def _check_closed_forms(seed: int, trials: int = 25, tol: float = 1e-8) -> list[
             want = definitional_oracle(spec, mode, ctx, A, Q, P)
             rel = abs(got - want) / max(1.0, abs(got), abs(want))
             if rel > tol:
-                failures.append(f"{alias} {mode.value}: rel {rel:.2e} at trial {t}")
+                failures.append(f"{family.value} {mode.value}: rel {rel:.2e} at trial {t}")
                 break
     return failures
 
@@ -415,34 +406,12 @@ def _check_gradients(seed: int, tol: float = 1e-3) -> list[str]:
     return failures
 
 
-def _check_lazy(seed: int) -> list[str]:
-    failures = []
-    rng = np.random.default_rng(seed)
-    for alias in ("sc", "psc", "gc", "fl1", "fl2", "logdet", "com", "rouge"):
-        family = parse_family(alias)
-        for mode in (MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG):
-            if mode not in modes_supported(family):
-                continue
-            for t in range(10):
-                ctx, Q, P = random_instance(rng, n_range=(6, 10))
-                spec = FunctionSpec(family, lam=0.4, eta=float(rng.uniform(0.1, 0.9)), nu=0.5)
-                obj = MeasureObjective(spec, mode, ctx, Q=Q, P=P)
-                k = int(rng.integers(1, 5))
-                a = greedy_maximize(obj, k, lazy=True)
-                b = greedy_maximize(obj, k, lazy=False)
-                if a.indices != b.indices:
-                    failures.append(f"{alias}/{mode.value}: lazy {a.indices} != naive {b.indices}")
-                    break
-    return failures
-
-
 def cmd_check(args) -> int:
     if not args.oracle:
         raise ConfigError("nothing selected; pass --oracle to run the self-check suites")
     suites = [
         ("closed-forms-vs-definitional", _check_closed_forms),
         ("gradients-vs-finite-difference", _check_gradients),
-        ("lazy-vs-naive-greedy", _check_lazy),
     ]
     failed = 0
     for name, fn in suites:

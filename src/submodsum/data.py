@@ -409,6 +409,13 @@ def _item_list(value, where: str) -> list[ItemRecord]:
     return [_record_from_json(r) for r in value]
 
 
+def id_lists(value, where: str) -> list[tuple[str, ...]]:
+    """Id tuples parsed from a JSON list of lists; any other value raises FormatError."""
+    if not isinstance(value, list) or not all(isinstance(ref, list) for ref in value):
+        raise FormatError(f"{where} must be a list of id lists")
+    return [tuple(str(i) for i in ref) for ref in value]
+
+
 def load_items(path, fmt: str | None = None) -> GroundSet:
     """Load a ground set from JSON ({'items': [...]} or a bare list) or CSV.
 
@@ -472,10 +479,7 @@ def load_collection(path) -> Collection:
     ground = GroundSet(_item_list(doc["items"], "'items'"))
     queries = AuxiliarySet(_item_list(doc.get("queries", []), "'queries'"), "query")
     privates = AuxiliarySet(_item_list(doc.get("privates", []), "'privates'"), "private")
-    refs = doc.get("references", [])
-    if not isinstance(refs, list) or not all(isinstance(ref, list) for ref in refs):
-        raise FormatError("'references' must be a list of id lists")
-    refs = [tuple(str(i) for i in ref) for ref in refs]
+    refs = id_lists(doc.get("references", []), "'references'")
     known = set(ground.ids)
     for ref in refs:
         missing = [i for i in ref if i not in known]

@@ -115,18 +115,22 @@ class FunctionSpec:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FunctionSpec":
-        if "family" not in obj:
-            raise ConfigError("function spec needs a 'family' key")
+    def from_json(cls, obj) -> "FunctionSpec":
+        if not isinstance(obj, dict) or "family" not in obj:
+            raise ConfigError(f"function spec must be an object with a 'family' key, got {obj!r}")
         known = {"family", "lam", "eta", "nu", "psi", "com_weights"}
         extra = set(obj) - known
         if extra:
             raise ConfigError(f"unknown function spec keys: {sorted(extra)}")
-        return cls(
-            family=parse_family(str(obj["family"])),
-            lam=float(obj.get("lam", 1.0)),
-            eta=float(obj.get("eta", 1.0)),
-            nu=float(obj.get("nu", 1.0)),
-            psi=str(obj.get("psi", "sqrt")),
-            com_weights=None if obj.get("com_weights") is None else tuple(obj["com_weights"]),
-        )
+        cw = obj.get("com_weights")
+        try:
+            return cls(
+                family=parse_family(str(obj["family"])),
+                lam=float(obj.get("lam", 1.0)),
+                eta=float(obj.get("eta", 1.0)),
+                nu=float(obj.get("nu", 1.0)),
+                psi=str(obj.get("psi", "sqrt")),
+                com_weights=None if cw is None else tuple(float(v) for v in cw),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed function spec {obj!r}: {exc}") from None

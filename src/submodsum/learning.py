@@ -12,15 +12,14 @@ full-batch Nesterov descent projected onto the box each family declares
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bench import vrouge
-from .data import write_json
-from .errors import ConfigError, NumericError
+from .data import read_json, write_json
+from .errors import ConfigError, FormatError, NumericError
 from .functions import (
     REGISTRY,
     Family,
@@ -77,46 +76,35 @@ class MixtureModel:
             raise ConfigError("reg_strength must be finite and nonnegative")
 
     def to_json(self) -> dict:
-        comps = []
-        for spec in self.components:
-            entry = {"family": spec.family.value, "lam": spec.lam, "eta": spec.eta,
-                     "nu": spec.nu, "psi": spec.psi}
-            if spec.com_weights is not None:
-                entry["com_weights"] = [float(v) for v in spec.com_weights]
-            comps.append(entry)
         return {
-            "components": comps,
+            "components": [spec.to_json() for spec in self.components],
             "weights": [float(w) for w in self.weights],
             "reg_strength": float(self.reg_strength),
             "metadata": self.metadata,
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "MixtureModel":
-        comps = []
-        for entry in doc.get("components", []):
-            cw = entry.get("com_weights")
-            comps.append(FunctionSpec(
-                parse_family(entry["family"]),
-                lam=float(entry.get("lam", 1.0)),
-                eta=float(entry.get("eta", 1.0)),
-                nu=float(entry.get("nu", 1.0)),
-                psi=entry.get("psi", "sqrt"),
-                com_weights=None if cw is None else tuple(float(v) for v in cw),
-            ))
-        return cls(
-            components=comps,
-            weights=np.asarray(doc.get("weights", []), dtype=float),
-            reg_strength=float(doc.get("reg_strength", 1e-3)),
-            metadata=dict(doc.get("metadata", {})),
-        )
+    def from_json(cls, doc) -> "MixtureModel":
+        if not isinstance(doc, dict):
+            raise FormatError("model must be a JSON object")
+        comps = doc.get("components", [])
+        if not isinstance(comps, list):
+            raise FormatError("model 'components' must be a list of function specs")
+        specs = [FunctionSpec.from_json(c) for c in comps]
+        try:
+            weights = np.asarray(doc.get("weights", []), dtype=float)
+            reg_strength = float(doc.get("reg_strength", 1e-3))
+            metadata = dict(doc.get("metadata", {}))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed model: {exc}") from None
+        return cls(specs, weights, reg_strength=reg_strength, metadata=metadata)
 
     def save(self, path) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "MixtureModel":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
 
 def init_mixture(families, seed: int = 0, reg_strength: float = 1e-3) -> MixtureModel:
@@ -292,10 +280,7 @@ def make_margin(ex: TrainingExample, name: str, reference):
 
 def loss_augmented_inference(model: MixtureModel, ex: TrainingExample, margin_fn,
                              task: Flavor = Flavor.QUERY) -> Selection:
-    """Greedy argmax of F(Y) + l(Y) over |Y| <= budget.
-
-    The margin makes the augmented objective non-submodular in general, so
-    the composite opts out of lazy evaluation and the plain scan runs."""
+    """Greedy argmax of F(Y) + l(Y) over |Y| <= budget."""
     obj = mixture_objective(model, ex, task, margin_fn=margin_fn)
     mode, q_used, cond = _task_sets(ex, task)
     return greedy_maximize(obj, ex.budget, candidates=_candidates(ex, q_used, cond))

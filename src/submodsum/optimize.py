@@ -1,13 +1,12 @@
 """Cardinality-constrained maximization of the information measures.
 
-Greedy (accelerated lazy variant and plain variant), an exhaustive
-optimum for small instances, and the flavor dispatcher that turns a
-summarization task into (mode, Q, P) plus a candidate pool.
+Greedy (one argmax scan per pick), an exhaustive optimum for small
+instances, and the flavor dispatcher that turns a summarization task
+into (mode, Q, P) plus a candidate pool.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,11 +90,11 @@ class MeasureObjective:
 
     @property
     def lazy_safe(self) -> bool:
-        """True when marginal gains are nonincreasing, so stale upper bounds
-        stay valid. Dispersion objectives grow gains as the selection grows,
-        the log-det mutual-information forms are differences of submodular
-        terms, and the count-overlap conditional forms are supermodular
-        below the conditioning counts, so all of them get the plain scan."""
+        """True when marginal gains are nonincreasing as the selection grows.
+        Dispersion objectives grow gains, the log-det mutual-information
+        forms are differences of submodular terms, and the count-overlap
+        conditional forms are supermodular below the conditioning counts.
+        The solver does not read it."""
         fam, mode = self.spec.family, self.mode
         if fam in (Family.DISPARITY_SUM, Family.DISPARITY_MIN):
             return False
@@ -153,6 +152,7 @@ class CompositeObjective:
 
     @property
     def lazy_safe(self) -> bool:
+        """True when every part's marginal gains are nonincreasing."""
         return all(getattr(obj, "lazy_safe", False) for _, obj in self.parts)
 
     def fresh_state(self):
@@ -169,16 +169,12 @@ class CompositeObjective:
 
 
 class FunctionObjective:
-    """Arbitrary set function given as a callable; gains recomputed from scratch.
+    """Arbitrary set function given as a callable; gains recomputed from scratch."""
 
-    Callers who know the function is submodular can pass lazy_safe=True to
-    allow the stale-bound heap."""
-
-    def __init__(self, fn, candidates, ids=None, lazy_safe=False):
+    def __init__(self, fn, candidates, ids=None):
         self.fn = fn
         self._candidates = as_indices(candidates)
         self._ids = ids
-        self.lazy_safe = bool(lazy_safe)
 
     def fresh_state(self):
         return _CallableState(self.fn)
@@ -216,71 +212,41 @@ class _CallableState:
 
 def _require_finite(gains, cands) -> None:
     """Post-condition on every gain the solver reads: a NaN would silently
-    corrupt the heap order or the argmax, and an infinity every later sum."""
+    corrupt the argmax, and an infinity every later sum."""
     finite = np.isfinite(gains)
     if not finite.all():
         i = int(np.argmin(finite))  # the first non-finite gain
         raise NumericError(f"non-finite marginal gain {gains[i]} for candidate {cands[i]}")
 
 
-def greedy_maximize(obj, k: int, lazy: bool = True, stop_on_nonpositive: bool = False,
+def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
                     candidates=None, flavor: str | None = None) -> Selection:
-    """Budget-k greedy. The plain variant reads every remaining candidate's
-    gain as one array per pick and takes its argmax. The lazy variant
-    starts its heap from one such read and afterwards refreshes the top
-    until it is current; with submodular gains the result matches the
-    plain variant pick for pick, including ties. Objectives that declare
-    lazy_safe=False always get the plain scan. Every gain read must be
-    finite, else NumericError."""
+    """Budget-k greedy: each pick reads every remaining candidate's gain as
+    one array and takes its argmax. Every gain read must be finite, else
+    NumericError."""
     cand = as_indices(candidates) if candidates is not None else obj.candidates()
     k = int(k)
     if k < 0:
         raise ConfigError("budget must be nonnegative")
     if k > cand.size:
         raise ConfigError(f"budget {k} exceeds {cand.size} available candidates")
-    lazy = lazy and getattr(obj, "lazy_safe", True)
     state = obj.fresh_state()
     picked: list[int] = []
     gains: list[float] = []
-    if k and lazy:  # a zero budget reads no gain
-        # every first bound is current, as if each stale entry had been
-        # refreshed in index order before the first pick
-        gvals = state.gain(cand)
-        _require_finite(gvals, cand)
-        ids = cand.tolist()
-        heap = list(zip((-gvals).tolist(), ids))
-        heapq.heapify(heap)
-        fresh = set(ids)
-        while heap and len(picked) < k:
-            negb, j = heapq.heappop(heap)
-            if j not in fresh:
-                g = state.gain(j)
-                if not math.isfinite(g):  # far cheaper on one float than the array check
-                    _require_finite((g,), (j,))
-                fresh.add(j)
-                heapq.heappush(heap, (-g, j))
-                continue
-            if stop_on_nonpositive and -negb <= 0:
-                break
-            g = state.add(j)
-            picked.append(j)
-            gains.append(g)
-            fresh.clear()
-    else:
-        remaining = cand  # ascending
-        while remaining.size and len(picked) < k:
-            gvals = state.gain(remaining)
-            _require_finite(gvals, remaining)
-            # argmax returns the first of equal gains: lowest index wins ties
-            best = int(np.argmax(gvals))
-            g = float(gvals[best])
-            if stop_on_nonpositive and g <= 0:
-                break
-            j = int(remaining[best])
-            remaining = np.delete(remaining, best)
-            state.add(j)
-            picked.append(j)
-            gains.append(g)
+    remaining = cand  # ascending
+    while len(picked) < k:  # a zero budget reads no gain
+        gvals = state.gain(remaining)
+        _require_finite(gvals, remaining)
+        # argmax returns the first of equal gains: lowest index wins ties
+        best = int(np.argmax(gvals))
+        g = float(gvals[best])
+        if stop_on_nonpositive and g <= 0:
+            break
+        j = int(remaining[best])
+        remaining = np.delete(remaining, best)
+        state.add(j)
+        picked.append(j)
+        gains.append(g)
     return Selection(
         ids=obj.item_ids(picked),
         indices=picked,
@@ -340,7 +306,7 @@ def flavor_sets(flavor: Flavor, Q=None, P=None, previous=None):
 
 
 def master_solve(flavor: Flavor, spec: FunctionSpec, ctx, k: int, Q=None, P=None,
-                 previous=None, lazy: bool = True, stop_on_nonpositive: bool = False) -> Selection:
+                 previous=None, stop_on_nonpositive: bool = False) -> Selection:
     """Solve max_{A subset of V, |A| <= k} of the flavor's measure."""
     mode, q_used, cond = flavor_sets(flavor, Q, P, previous)
     if mode not in modes_supported(spec.family):
@@ -350,5 +316,5 @@ def master_solve(flavor: Flavor, spec: FunctionSpec, ctx, k: int, Q=None, P=None
         np.asarray(as_indices(s), dtype=int) for s in (q_used, cond) if s is not None
     ]) if (q_used is not None or cond is not None) else ())
     cand = np.setdiff1d(np.arange(ctx.n_ground), fixed)
-    return greedy_maximize(obj, k, lazy=lazy, stop_on_nonpositive=stop_on_nonpositive,
+    return greedy_maximize(obj, k, stop_on_nonpositive=stop_on_nonpositive,
                            candidates=cand, flavor=flavor.value)

@@ -265,6 +265,21 @@ def test_eval_scores_against_references(coll_path, tmp_path):
     assert report["vrouge"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("doc", [5, [5], [["g0"], 7], {"g0": 1}, "ab"],
+                         ids=["number", "list_of_number", "mixed", "object", "string"])
+def test_eval_rejects_references_that_are_not_id_lists(doc, coll_path, tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(["g0"]))
+    refs = tmp_path / "refs.json"
+    refs.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main(["eval", "--collection", str(coll_path), "--summary", str(summary),
+               "--references", str(refs), "--out", str(out)])
+    assert rc == 2
+    assert "must be a list of id lists" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_eval_requires_references(tmp_path, capsys):
     path = tmp_path / "coll.json"
     path.write_text(json.dumps(_collection_doc(with_refs=False)))
@@ -327,5 +342,5 @@ def test_check_requires_suite_selection(capsys):
 def test_check_oracle_passes(capsys):
     assert main(["check", "--oracle"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 2
     assert all(line.startswith("ok") for line in lines)

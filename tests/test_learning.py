@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from submodsum.bench import make_collection, vrouge
-from submodsum.errors import ConfigError, NumericError
+from submodsum.errors import ConfigError, FormatError, NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate
 from submodsum.learning import (
     MixtureModel,
@@ -90,6 +92,51 @@ def test_model_json_round_trip(tmp_path):
     assert back.components[0].eta == 0.3 and back.components[0].nu == 1.7
     assert back.components[1].psi == "log1p"
     assert back.metadata["task"] == "query"
+
+
+def test_model_loads_old_layout_with_every_key(tmp_path):
+    # model files used to carry every spec key, defaults included
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "components": [
+            {"family": "facility_location_1", "lam": 1.0, "eta": 0.3, "nu": 1.7, "psi": "sqrt"},
+            {"family": "concave_over_modular", "lam": 1.0, "eta": 0.5, "nu": 1.0,
+             "psi": "log1p", "com_weights": [0.2, 0.8]},
+        ],
+        "weights": [0.25, 1.5], "reg_strength": 2e-3, "metadata": {"task": "query"},
+    }))
+    back = MixtureModel.load(path)
+    assert back.components == [
+        FunctionSpec(Family.FACILITY_LOCATION_1, eta=0.3, nu=1.7),
+        FunctionSpec(Family.CONCAVE_OVER_MODULAR, eta=0.5, psi="log1p", com_weights=(0.2, 0.8))]
+    assert back.weights.tolist() == [0.25, 1.5]
+    assert back.reg_strength == 2e-3 and back.metadata == {"task": "query"}
+    # saved again, only the keys off their defaults are written
+    back.save(path)
+    assert json.loads(path.read_text())["components"][0] == {
+        "family": "facility_location_1", "eta": 0.3, "nu": 1.7}
+
+
+@pytest.mark.parametrize("text,error", [
+    ("", FormatError),  # the file is missing
+    ('{"components": [', FormatError),
+    ("[1, 2]", FormatError),
+    ('{"components": {"family": "sc"}}', FormatError),
+    ('{"components": [{"lam": 2}], "weights": [1]}', ConfigError),
+    ('{"components": [{"family": "sc", "lamb": 2}], "weights": [1]}', ConfigError),
+    ('{"components": ["sc"], "weights": [1]}', ConfigError),
+    ('{"components": [{"family": "sc", "lam": "x"}], "weights": [1]}', ConfigError),
+    ('{"components": [{"family": "com", "com_weights": [1, 2, 3]}], "weights": [1]}', ConfigError),
+    ('{"components": [{"family": "sc"}], "weights": ["x"]}', FormatError),
+], ids=["missing", "malformed", "not_object", "components_not_list", "no_family",
+        "misspelled_key", "spec_not_object", "non_numeric_param", "three_com_weights",
+        "non_numeric_weight"])
+def test_model_load_rejects_malformed_files(text, error, tmp_path):
+    path = tmp_path / "model.json"
+    if text:
+        path.write_text(text)
+    with pytest.raises(error):
+        MixtureModel.load(path)
 
 
 def test_training_example_validation():

@@ -28,7 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 def modular_objective(weights=(3.0, 1.0, 2.0)):
     w = np.asarray(weights, dtype=float)
-    return FunctionObjective(lambda S: float(w[S].sum()), np.arange(w.size), lazy_safe=True)
+    return FunctionObjective(lambda S: float(w[S].sum()), np.arange(w.size))
 
 
 def test_modular_greedy_takes_top_k():
@@ -50,20 +50,19 @@ def test_tie_break_lowest_index():
     assert sel.indices == [0, 1]
 
 
-@pytest.mark.parametrize("lazy", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_gain_raises_numeric_error(lazy, bad):
-    # unchecked, a NaN never wins the max or sinks in the heap order, so
-    # greedy used to return a plausible selection around it
+def test_non_finite_gain_raises_numeric_error(bad):
+    # unchecked, a NaN never wins the max, so greedy used to return a
+    # plausible selection around it
     obj = modular_objective((3.0, bad, 2.0, 1.0))
     with pytest.raises(NumericError, match="candidate 1"):
-        greedy_maximize(obj, 2, lazy=lazy)
+        greedy_maximize(obj, 2)
     # a marginal state's array read names the first bad candidate too
     ctx, _, _ = random_instance(np.random.default_rng(4), n_range=(6, 6))
     poisoned = _PoisonedObjective(FunctionSpec(Family.SET_COVER), MeasureMode.BASE, ctx)
     poisoned.bad = {3: bad, 5: bad}
     with pytest.raises(NumericError, match="candidate 3$"):
-        greedy_maximize(poisoned, 2, lazy=lazy)
+        greedy_maximize(poisoned, 2)
 
 
 class _PoisonedObjective(MeasureObjective):
@@ -114,8 +113,9 @@ def test_stop_on_nonpositive():
     assert all(g > 0 for g in trimmed.gains)
 
 
-# every (family, mode) the lazy heap may serve; the log-det mutual-information
-# forms are listed too and must fall back to the plain scan
+# every (family, mode) but the dispersions: the solver's naive argmax scan
+# against the lazy heap of the scalar reference solver (_ref_greedy below),
+# which falls back to its own plain scan on the log-det mutual-information forms
 LAZY_COMBOS = [(f, m) for f in Family for m in MeasureMode
                if m in modes_supported(f) and f not in (Family.DISPARITY_SUM, Family.DISPARITY_MIN)]
 
@@ -133,14 +133,14 @@ def test_lazy_matches_naive(family, mode):
                             eta=float(rng.uniform(0.1, 0.9)), nu=float(rng.uniform(0.1, 0.9)))
         obj = MeasureObjective(spec, mode, ctx, Q=Q, P=P)
         k = int(rng.integers(1, 5)) if t < 10 else ctx.n_ground // 2
-        a = greedy_maximize(obj, k, lazy=True)
-        b = greedy_maximize(obj, k, lazy=False)
-        assert a.indices == b.indices
-        assert a.value == pytest.approx(b.value, abs=1e-10)
+        a = _ref_greedy(obj, k, True, False, obj.candidates())
+        b = greedy_maximize(obj, k)
+        assert a[0] == b.indices
+        assert a[2] == pytest.approx(b.value, abs=1e-10)
         # the lowest index wins a tie: no copy before its original
         if t == 10:
             half = ctx.n_ground // 2
-            assert all(j - half in a.indices[:s] for s, j in enumerate(a.indices) if j >= half)
+            assert all(j - half in b.indices[:s] for s, j in enumerate(b.indices) if j >= half)
 
 
 def test_lazy_safe_gating():
@@ -225,8 +225,9 @@ def test_composite_objective_matches_weighted_sum(rng):
 # -- one gain read per pick ------------------------------------------------------
 #
 # The solver reads a whole candidate array per call to gain.  Its reference
-# is the solver as it was when it read one candidate per call: every pick,
-# gain and value must come out with the same bits.
+# is the solver as it was when it read one candidate per call, in both its
+# plain scan and Minoux's lazy heap: every pick, gain and value must come
+# out with the same bits.
 
 
 def _ref_require_finite(gains, cands):
@@ -367,18 +368,20 @@ def test_greedy_vector_reads_bit_equal_to_scalar_reference(inst):
             if _outcome(state.add, int(remaining[best])) is NumericError:
                 break
             remaining = np.delete(remaining, best)
-        # and the solver returns what the scalar solver returned, after
-        # evaluating as many candidates
+        # and the solver returns what both scalar solvers returned, after
+        # evaluating as many candidates as the scalar plain scan
+        new_obj = _Counted(obj)
+        got = _outcome(greedy_maximize, new_obj, k, stop_on_nonpositive=stop)
         for lazy in (True, False):
-            ref_obj, new_obj = _Counted(obj), _Counted(obj)
+            ref_obj = _Counted(obj)
             want = _outcome(_ref_greedy, ref_obj, k, lazy, stop, cand)
-            got = _outcome(greedy_maximize, new_obj, k, lazy=lazy, stop_on_nonpositive=stop)
             if want is NumericError:
                 assert got is NumericError, label
                 continue
             assert got is not NumericError, label
             assert got.indices == want[0] and got.gains == want[1] and got.value == want[2], label
             assert _bits(got.gains) == _bits(want[1]), label
-            assert new_obj.evals == ref_obj.evals, label
+            if not lazy:
+                assert new_obj.evals == ref_obj.evals, label
             assert all(type(j) is int for j in got.indices), label
             assert all(type(g) is float for g in got.gains), label
