@@ -52,7 +52,6 @@ from .functions import (
 from .optimize import (
     CompositeObjective,
     Flavor,
-    FunctionObjective,
     MeasureObjective,
     Selection,
     brute_force_opt,
@@ -100,7 +99,7 @@ __all__ = [
     "EvalContext", "evaluate", "make_state", "marginal", "partials",
     "modes_supported", "definitional_oracle",
     "Flavor", "parse_flavor", "Selection", "MeasureObjective",
-    "CompositeObjective", "FunctionObjective", "greedy_maximize",
+    "CompositeObjective", "greedy_maximize",
     "brute_force_opt", "flavor_sets", "master_solve",
     "MixtureModel", "TrainingExample", "TrainConfig", "init_mixture",
     "mixture_eval", "hinge_loss", "loss_augmented_inference", "gradients",

@@ -275,12 +275,11 @@ def make_collection(seed: int, budget: int = 4):
         (0.6, MeasureObjective(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, Q=Q)),
         (0.4, MeasureObjective(FunctionSpec(Family.FACILITY_LOCATION_1), MeasureMode.SMI, ctx, Q=Q)),
     ])
-    cand = np.arange(ctx.n_ground)
-    ref1 = greedy_maximize(truth, budget, candidates=cand).indices
+    ref1 = greedy_maximize(truth, budget).indices
     st = truth.fresh_state()
     for j in ref1[:-1]:
         st.add(j)
-    pool = np.setdiff1d(cand, ref1)
+    pool = np.setdiff1d(truth.candidates(), ref1)
     g = st.gain(pool)
     alt = int(pool[np.flatnonzero(g == g.max())[-1]])  # the highest index wins a tie
     ref2 = ref1[:-1] + [alt]

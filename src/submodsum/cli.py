@@ -33,8 +33,8 @@ from .bench import (
     vrouge,
     write_plot_csv,
 )
-from .data import AuxiliarySet, ItemRecord, id_lists, load_collection, read_json, write_json
-from .errors import NumericError, SubmodsumError, ConfigError
+from .data import AuxiliarySet, ItemRecord, id_list, id_lists, load_collection, read_json, write_json
+from .errors import ConfigError, FormatError, NumericError, SubmodsumError
 from .functions import (
     EvalContext,
     Family,
@@ -261,12 +261,13 @@ def cmd_learn(args) -> int:
 
 
 def _load_summary_ids(path) -> list[str]:
+    """Ids from a JSON list of ids, or from an object's 'items' list."""
     doc = read_json(path)
-    if isinstance(doc, dict) and "items" in doc:
-        return [str(i) for i in doc["items"]]
-    if isinstance(doc, list):
-        return [str(i) for i in doc]
-    raise ConfigError("summary file must be a JSON list of ids or an object with 'items'")
+    if isinstance(doc, dict):
+        if "items" not in doc:
+            raise FormatError(f"{path}: JSON object has no 'items' key")
+        return list(id_list(doc["items"], f"{path}: 'items'"))
+    return list(id_list(doc, f"{path}: summary"))
 
 
 def cmd_eval(args) -> int:

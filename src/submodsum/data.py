@@ -409,11 +409,19 @@ def _item_list(value, where: str) -> list[ItemRecord]:
     return [_record_from_json(r) for r in value]
 
 
+def id_list(value, where: str) -> tuple[str, ...]:
+    """Ids parsed from a JSON list of strings or numbers; any other value
+    raises FormatError."""
+    if not isinstance(value, list) or not all(isinstance(i, (str, int, float)) for i in value):
+        raise FormatError(f"{where} must be a list of ids")
+    return tuple(str(i) for i in value)
+
+
 def id_lists(value, where: str) -> list[tuple[str, ...]]:
-    """Id tuples parsed from a JSON list of lists; any other value raises FormatError."""
+    """Id tuples parsed from a JSON list of id lists; any other value raises FormatError."""
     if not isinstance(value, list) or not all(isinstance(ref, list) for ref in value):
         raise FormatError(f"{where} must be a list of id lists")
-    return [tuple(str(i) for i in ref) for ref in value]
+    return [id_list(ref, f"{where}[{k}]") for k, ref in enumerate(value)]
 
 
 def load_items(path, fmt: str | None = None) -> GroundSet:

@@ -2,8 +2,6 @@
 
 from .api import (
     REGISTRY,
-    cg,
-    csmi,
     eval_base,
     evaluate,
     make_state,
@@ -11,7 +9,6 @@ from .api import (
     modes_supported,
     near_kink,
     partials,
-    smi,
 )
 from .context import EvalContext
 from .oracle import conditioned_smi, definitional_oracle, smi_conditional_gain
@@ -24,9 +21,7 @@ __all__ = [
     "FunctionSpec",
     "MeasureMode",
     "REGISTRY",
-    "cg",
     "conditioned_smi",
-    "csmi",
     "definitional_oracle",
     "eval_base",
     "evaluate",
@@ -36,6 +31,5 @@ __all__ = [
     "near_kink",
     "parse_family",
     "partials",
-    "smi",
     "smi_conditional_gain",
 ]

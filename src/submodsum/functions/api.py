@@ -89,18 +89,6 @@ def eval_base(spec: FunctionSpec, S, ctx) -> float:
     return float(REGISTRY[spec.family].base(ctx, spec, S))
 
 
-def smi(spec: FunctionSpec, A, Q, ctx) -> float:
-    return evaluate(spec, MeasureMode.SMI, ctx, A, Q=Q)
-
-
-def cg(spec: FunctionSpec, A, P, ctx) -> float:
-    return evaluate(spec, MeasureMode.CG, ctx, A, P=P)
-
-
-def csmi(spec: FunctionSpec, A, Q, P, ctx) -> float:
-    return evaluate(spec, MeasureMode.CSMI, ctx, A, Q=Q, P=P)
-
-
 def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> float:
     """Mode-polymorphic entry point used by the optimizer and learner."""
     if mode == MeasureMode.BASE:
@@ -122,8 +110,9 @@ def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> f
 
 
 class _ZeroState(MarginalState):
-    def gain(self, j):
-        return np.zeros(j.size) if isinstance(j, np.ndarray) else 0.0
+    def __init__(self, size: int):
+        super().__init__()
+        self.gains = np.zeros(size)
 
     def _push(self, j):
         pass
@@ -135,7 +124,7 @@ def make_state(spec: FunctionSpec, mode: MeasureMode, ctx, Q=None, P=None) -> Ma
     Degenerate conditioning collapses exactly like the closed forms do.
     """
     eff, _, Q, P = _reduce(spec, mode, ctx, (), Q, P)
-    state = _ZeroState() if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
+    state = _ZeroState(ctx.size) if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
     state.measure = (spec.family, MeasureMode(mode))
     return state
 

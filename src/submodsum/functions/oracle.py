@@ -20,20 +20,25 @@ from .api import REGISTRY, _check_mode
 from .spec import FunctionSpec, MeasureMode
 
 
-def definitional_oracle(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> float:
-    _check_mode(spec, mode)
+def _base_on_view(spec: FunctionSpec, ctx, mode: MeasureMode, Q, P):
+    """f(*sets): the family's base function of the union of the sets,
+    evaluated on its oracle view for (mode, Q, P)."""
     ops = REGISTRY[spec.family]
-    A = as_indices(A if A is not None else ())
-    Q = as_indices(Q if Q is not None else ())
-    P = as_indices(P if P is not None else ())
     view = ops.oracle_view(ctx, spec, mode, Q, P)
 
     def f(*sets):
         S = as_indices(np.concatenate([np.asarray(s, dtype=int) for s in sets]) if sets else ())
-        if not S.size:
-            return 0.0
-        return float(ops.base(view, spec, S))
+        return float(ops.base(view, spec, S)) if S.size else 0.0
 
+    return f
+
+
+def definitional_oracle(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> float:
+    _check_mode(spec, mode)
+    A = as_indices(A if A is not None else ())
+    Q = as_indices(Q if Q is not None else ())
+    P = as_indices(P if P is not None else ())
+    f = _base_on_view(spec, ctx, mode, Q, P)
     if mode == MeasureMode.BASE:
         return f(A)
     if mode == MeasureMode.SMI:
@@ -46,15 +51,10 @@ def definitional_oracle(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P
 def conditioned_smi(spec: FunctionSpec, ctx, A, Q, P) -> float:
     """I_{g}(A; Q) for g(S) = f(S u P) - f(P): the information carried by
     the P-shifted function. Must equal the joint measure numerically."""
-    ops = REGISTRY[spec.family]
     A = as_indices(A)
     Q = as_indices(Q)
     P = as_indices(P)
-    view = ops.oracle_view(ctx, spec, MeasureMode.CSMI, Q, P)
-
-    def f(*sets):
-        S = as_indices(np.concatenate([np.asarray(s, dtype=int) for s in sets]) if sets else ())
-        return float(ops.base(view, spec, S)) if S.size else 0.0
+    f = _base_on_view(spec, ctx, MeasureMode.CSMI, Q, P)
 
     def g(*sets):
         return f(*sets, P) - f(P)
@@ -65,15 +65,10 @@ def conditioned_smi(spec: FunctionSpec, ctx, A, Q, P) -> float:
 def smi_conditional_gain(spec: FunctionSpec, ctx, A, Q, P) -> float:
     """h_Q(A | P) for h_Q(S) = I_f(S; Q): the conditional gain of the
     query-information function. The second face of the same identity."""
-    ops = REGISTRY[spec.family]
     A = as_indices(A)
     Q = as_indices(Q)
     P = as_indices(P)
-    view = ops.oracle_view(ctx, spec, MeasureMode.CSMI, Q, P)
-
-    def f(*sets):
-        S = as_indices(np.concatenate([np.asarray(s, dtype=int) for s in sets]) if sets else ())
-        return float(ops.base(view, spec, S)) if S.size else 0.0
+    f = _base_on_view(spec, ctx, MeasureMode.CSMI, Q, P)
 
     def h(*sets):
         return f(*sets) + f(Q) - f(*sets, Q)

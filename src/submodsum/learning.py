@@ -25,7 +25,6 @@ from .functions import (
     Family,
     FunctionSpec,
     MeasureMode,
-    evaluate,
     modes_supported,
     near_kink,
     parse_family,
@@ -35,14 +34,11 @@ from .functions._common import MarginalState, as_indices
 from .optimize import (
     CompositeObjective,
     Flavor,
-    FunctionObjective,
     MeasureObjective,
     Selection,
     flavor_sets,
     greedy_maximize,
 )
-
-MARGINS = ("one_minus_vrouge", "zero_one")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +165,7 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.margin not in MARGINS:
-            raise ConfigError(f"margin must be one of {MARGINS}, got {self.margin!r}")
+            raise ConfigError(f"margin must be one of {tuple(MARGINS)}, got {self.margin!r}")
         self.task = Flavor(self.task)
 
 
@@ -184,51 +180,43 @@ def effective_mode(family: Family, mode: MeasureMode) -> MeasureMode:
     return mode if mode in modes_supported(family) else MeasureMode.BASE
 
 
-def _task_sets(ex: TrainingExample, task: Flavor):
+def mixture_objective(model: MixtureModel, ex: TrainingExample, task: Flavor,
+                      margin=None) -> CompositeObjective:
+    """F(Y) = sum_i w_i f_i(Y), each component in the task's mode (see
+    effective_mode), plus the margin l(Y) at weight 1 when one is given."""
     mode, q_used, cond = flavor_sets(task, Q=ex.Q, P=ex.P, previous=ex.previous)
-    return mode, (() if q_used is None else q_used), (() if cond is None else cond)
-
-
-def _candidates(ex: TrainingExample, q_used, cond) -> np.ndarray:
-    n = ex.ctx.n_ground
-    fixed = [i for i in (*q_used, *cond) if i < n]
-    return np.setdiff1d(np.arange(n), np.asarray(fixed, dtype=int))
+    parts = [(w, MeasureObjective(spec, effective_mode(spec.family, mode), ex.ctx, Q=q_used, P=cond))
+             for w, spec in zip(model.weights, model.components)]
+    if margin is not None:
+        parts.append((1.0, margin))
+    return CompositeObjective(parts)
 
 
 def mixture_eval(model: MixtureModel, Y, ex: TrainingExample,
                  task: Flavor = Flavor.QUERY) -> float:
     """F(Y) = sum_i w_i f_i(Y) with each component in the task's mode."""
-    mode, q_used, cond = _task_sets(ex, task)
-    total = 0.0
-    for w, spec in zip(model.weights, model.components):
-        total += w * evaluate(spec, effective_mode(spec.family, mode), ex.ctx, Y, q_used, cond)
-    return float(total)
+    return mixture_objective(model, ex, task).value(Y)
 
 
-def mixture_objective(model: MixtureModel, ex: TrainingExample, task: Flavor,
-                      margin_fn=None) -> CompositeObjective:
-    mode, q_used, cond = _task_sets(ex, task)
-    parts = [(w, MeasureObjective(spec, effective_mode(spec.family, mode), ex.ctx, Q=q_used, P=cond))
-             for w, spec in zip(model.weights, model.components)]
-    if margin_fn is not None:
-        if not isinstance(margin_fn, FunctionObjective):
-            margin_fn = FunctionObjective(margin_fn, _candidates(ex, q_used, cond))
-        parts.append((1.0, margin_fn))
-    return CompositeObjective(parts)
+class _Margin:
+    """Per-reference margin l(Y): callable on any summary, and an objective
+    whose fresh_state() the loss-augmented greedy reads incrementally."""
+
+    def __init__(self, ctx, reference):
+        self.ctx = ctx
+        self.ref = as_indices(reference)
+
+    def value(self, Y) -> float:
+        return self(Y)
 
 
-class VRougeMargin(FunctionObjective):
-    """l(Y) = 1 - V-ROUGE(Y, {R}), callable on any summary like every margin,
-    with a marginal state that tracks the running concept counts c_Y, so a
-    gain is a read instead of a from-scratch V-ROUGE:
+class VRougeMargin(_Margin):
+    """l(Y) = 1 - V-ROUGE(Y, {R}), with a marginal state that tracks the
+    running concept counts c_Y, so a gain is a read instead of a
+    from-scratch V-ROUGE:
 
         l(Y + j) - l(Y) = -w . (min(c_Y + c_j, c_R) - min(c_Y, c_R)) / (w . c_R)
     """
-
-    def __init__(self, ctx, reference):
-        super().__init__(self, np.arange(ctx.n_ground), ids=ctx.ids)
-        self.ctx = ctx
-        self.ref = as_indices(reference)
 
     def __call__(self, Y) -> float:
         return 1.0 - vrouge(Y, [self.ref], self.ctx)
@@ -267,23 +255,60 @@ class _VRougeMarginState(MarginalState):
         self._refresh()
 
 
-def make_margin(ex: TrainingExample, name: str, reference):
+class ZeroOneMargin(_Margin):
+    """l(Y) = 0 if Y is the reference R, else 1."""
+
+    def __call__(self, Y) -> float:
+        return 0.0 if np.array_equal(as_indices(Y), self.ref) else 1.0
+
+    def fresh_state(self):
+        return _ZeroOneMarginState(self.ctx.n_ground, self.ref)
+
+
+class _ZeroOneMarginState(MarginalState):
+    """Gains move only while Y stays inside R: the last missing reference
+    item gets -1, and once Y = R every item gets +1.  Any item outside R
+    leaves it for good, and every gain is 0 from then on."""
+
+    def __init__(self, n, ref):
+        super().__init__()
+        self.missing = set(ref.tolist())  # R minus Y
+        self.inside = True  # Y is a subset of R
+        self.value = 1.0 if self.missing else 0.0  # l(empty set)
+        self.gains = np.zeros(n)
+        self._refresh()
+
+    def _refresh(self):
+        self.gains.fill(0.0)
+        if not self.inside:
+            return
+        if not self.missing:
+            self.gains.fill(1.0)
+        elif len(self.missing) == 1:
+            self.gains[next(iter(self.missing))] = -1.0
+
+    def _push(self, j):
+        if j in self.missing:
+            self.missing.remove(j)
+        else:
+            self.inside = False
+        self._refresh()
+
+
+MARGINS = {"one_minus_vrouge": VRougeMargin, "zero_one": ZeroOneMargin}
+
+
+def make_margin(ex: TrainingExample, name: str, reference) -> _Margin:
     """Per-reference margin l(Y); evaluable on every candidate summary."""
-    ref = as_indices(reference)
-    if name == "zero_one":
-        ref_set = frozenset(int(i) for i in ref)
-        return lambda Y: 0.0 if frozenset(int(i) for i in as_indices(Y)) == ref_set else 1.0
-    if name == "one_minus_vrouge":
-        return VRougeMargin(ex.ctx, ref)
-    raise ConfigError(f"unknown margin {name!r}")
+    if name not in MARGINS:
+        raise ConfigError(f"unknown margin {name!r}")
+    return MARGINS[name](ex.ctx, reference)
 
 
-def loss_augmented_inference(model: MixtureModel, ex: TrainingExample, margin_fn,
+def loss_augmented_inference(model: MixtureModel, ex: TrainingExample, margin,
                              task: Flavor = Flavor.QUERY) -> Selection:
     """Greedy argmax of F(Y) + l(Y) over |Y| <= budget."""
-    obj = mixture_objective(model, ex, task, margin_fn=margin_fn)
-    mode, q_used, cond = _task_sets(ex, task)
-    return greedy_maximize(obj, ex.budget, candidates=_candidates(ex, q_used, cond))
+    return greedy_maximize(mixture_objective(model, ex, task, margin=margin), ex.budget)
 
 
 def hinge_loss(model: MixtureModel, ex: TrainingExample, reference,
@@ -363,18 +388,17 @@ def gradients(model: MixtureModel, ex: TrainingExample, reference,
     if yhat is None:
         sel = loss_augmented_inference(model, ex, make_margin(ex, margin, ref), task)
         yhat = tuple(sel.indices)
-    mode, q, p = _task_sets(ex, task)
+    parts = [obj for _, obj in mixture_objective(model, ex, task).parts]
     grad = np.zeros(len(theta_slots(model)))
-    modes = [effective_mode(spec.family, mode) for spec in model.components]
-    for i, (spec, m) in enumerate(zip(model.components, modes)):
-        grad[i] = evaluate(spec, m, ex.ctx, yhat, q, p) - evaluate(spec, m, ex.ctx, ref, q, p)
-    pos = len(modes)
-    for i, (spec, m) in enumerate(zip(model.components, modes)):
-        keys = REGISTRY[spec.family].PARAM_KEYS
+    for i, obj in enumerate(parts):
+        grad[i] = obj.value(yhat) - obj.value(ref)
+    pos = len(parts)
+    for i, obj in enumerate(parts):
+        keys = REGISTRY[obj.spec.family].PARAM_KEYS
         if not keys:
             continue
-        p_hat = partials(spec, m, ex.ctx, yhat, q, p)
-        p_ref = partials(spec, m, ex.ctx, ref, q, p)
+        p_hat = partials(obj.spec, obj.mode, obj.ctx, yhat, obj.Q, obj.P)
+        p_ref = partials(obj.spec, obj.mode, obj.ctx, ref, obj.Q, obj.P)
         for key in keys:
             grad[pos] = model.weights[i] * (p_hat.get(key, 0.0) - p_ref.get(key, 0.0))
             pos += 1
@@ -395,7 +419,7 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
     sel = loss_augmented_inference(model, ex, make_margin(ex, margin, ref), task)
     yhat = tuple(sel.indices)
     analytic = gradients(model, ex, ref, task, margin, yhat=yhat)
-    mode, q_used, cond = _task_sets(ex, task)
+    parts = [obj for _, obj in mixture_objective(model, ex, task).parts]
     theta = pack_theta(model)
 
     def objective(vec: np.ndarray) -> float:
@@ -406,10 +430,8 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
     worst = 0.0
     for k, slot in enumerate(theta_slots(model)):
         if slot[0] != "w":
-            spec = model.components[slot[0]]
-            m = effective_mode(spec.family, mode)
-            if (near_kink(spec, m, ex.ctx, yhat, q_used, cond)
-                    or near_kink(spec, m, ex.ctx, ref, q_used, cond)):
+            obj = parts[slot[0]]
+            if any(near_kink(obj.spec, obj.mode, obj.ctx, Y, obj.Q, obj.P) for Y in (yhat, ref)):
                 continue
         step = np.zeros_like(theta)
         step[k] = h
@@ -495,10 +517,7 @@ def _mean_vrouge(model: MixtureModel, dataset, cfg: TrainConfig) -> float | None
 def summarize_with_mixture(model: MixtureModel, ex: TrainingExample,
                            task: Flavor = Flavor.QUERY) -> Selection:
     """Plain greedy summary under the mixture (no margin)."""
-    obj = mixture_objective(model, ex, task)
-    mode, q_used, cond = _task_sets(ex, task)
-    return greedy_maximize(obj, ex.budget, candidates=_candidates(ex, q_used, cond),
-                           flavor=task.value)
+    return greedy_maximize(mixture_objective(model, ex, task), ex.budget, flavor=task.value)
 
 
 def write_training_log(path, model: MixtureModel) -> None:

@@ -2,7 +2,8 @@
 
 Greedy (one argmax scan per pick), an exhaustive optimum for small
 instances, and the flavor dispatcher that turns a summarization task
-into (mode, Q, P) plus a candidate pool.
+into (mode, Q, P).  An objective owns its candidate pool: the ground set
+minus the task's query and conditioning items.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, SizeError, UnsupportedError
 from .functions import Family, FunctionSpec, MeasureMode, evaluate, make_state, modes_supported
-from .functions._common import as_indices
+from .functions._common import MarginalState, as_indices
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -117,16 +118,17 @@ class MeasureObjective:
         return evaluate(self.spec, self.mode, self.ctx, A, self.Q, self.P)
 
     def candidates(self) -> np.ndarray:
-        return np.arange(self.ctx.n_ground)
+        """The ground set minus Q and P, ascending."""
+        return np.setdiff1d(np.arange(self.ctx.n_ground), np.concatenate([self.Q, self.P]))
 
     def item_ids(self, indices) -> list[str]:
         return [self.ctx.ids[i] for i in indices]
 
 
-class _CompositeState:
+class _CompositeState(MarginalState):
     def __init__(self, parts):
+        super().__init__()
         self.parts = parts  # list of (weight, state)
-        self.value = 0.0
 
     def gain(self, j):
         # the parts in order from 0.0, so an array read adds each entry's
@@ -136,10 +138,9 @@ class _CompositeState:
             total = total + w * st.gain(j)
         return total
 
-    def add(self, j):
-        g = float(sum(w * st.add(j) for w, st in self.parts))
-        self.value += g
-        return g
+    def _push(self, j):
+        for _, st in self.parts:
+            st.add(j)
 
 
 class CompositeObjective:
@@ -168,48 +169,6 @@ class CompositeObjective:
         return self.parts[0][1].item_ids(indices)
 
 
-class FunctionObjective:
-    """Arbitrary set function given as a callable; gains recomputed from scratch."""
-
-    def __init__(self, fn, candidates, ids=None):
-        self.fn = fn
-        self._candidates = as_indices(candidates)
-        self._ids = ids
-
-    def fresh_state(self):
-        return _CallableState(self.fn)
-
-    def value(self, A) -> float:
-        return float(self.fn(as_indices(A)))
-
-    def candidates(self) -> np.ndarray:
-        return self._candidates.copy()
-
-    def item_ids(self, indices) -> list[str]:
-        if self._ids is None:
-            return [str(i) for i in indices]
-        return [self._ids[i] for i in indices]
-
-
-class _CallableState:
-    def __init__(self, fn):
-        self.fn = fn
-        self.selected: list[int] = []
-        self.value = float(fn(np.zeros(0, dtype=int)))
-
-    def gain(self, j):
-        if isinstance(j, np.ndarray):
-            return np.fromiter(map(self.gain, j.tolist()), float, j.size)
-        A = as_indices(self.selected + [int(j)])
-        return float(self.fn(A)) - self.value
-
-    def add(self, j):
-        g = self.gain(j)
-        self.selected.append(int(j))
-        self.value += g
-        return g
-
-
 def _require_finite(gains, cands) -> None:
     """Post-condition on every gain the solver reads: a NaN would silently
     corrupt the argmax, and an infinity every later sum."""
@@ -220,11 +179,11 @@ def _require_finite(gains, cands) -> None:
 
 
 def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
-                    candidates=None, flavor: str | None = None) -> Selection:
-    """Budget-k greedy: each pick reads every remaining candidate's gain as
-    one array and takes its argmax. Every gain read must be finite, else
-    NumericError."""
-    cand = as_indices(candidates) if candidates is not None else obj.candidates()
+                    flavor: str | None = None) -> Selection:
+    """Budget-k greedy over obj.candidates(): each pick reads every
+    remaining candidate's gain as one array and takes its argmax. Every
+    gain read must be finite, else NumericError."""
+    cand = obj.candidates()
     k = int(k)
     if k < 0:
         raise ConfigError("budget must be nonnegative")
@@ -257,9 +216,10 @@ def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
     )
 
 
-def brute_force_opt(obj, k: int, candidates=None) -> Selection:
-    """Exhaustive optimum over all subsets of size <= k (small instances only)."""
-    cand = obj.candidates() if candidates is None else as_indices(candidates)
+def brute_force_opt(obj, k: int) -> Selection:
+    """Exhaustive optimum over all subsets of obj.candidates() of size <= k
+    (small instances only)."""
+    cand = obj.candidates()
     n = cand.size
     k = int(min(k, n))
     total = sum(math.comb(n, r) for r in range(k + 1))
@@ -312,9 +272,4 @@ def master_solve(flavor: Flavor, spec: FunctionSpec, ctx, k: int, Q=None, P=None
     if mode not in modes_supported(spec.family):
         raise UnsupportedError(f"{spec.family.value} cannot express flavor {flavor.value}")
     obj = MeasureObjective(spec, mode, ctx, Q=q_used, P=cond)
-    fixed = as_indices(np.concatenate([
-        np.asarray(as_indices(s), dtype=int) for s in (q_used, cond) if s is not None
-    ]) if (q_used is not None or cond is not None) else ())
-    cand = np.setdiff1d(np.arange(ctx.n_ground), fixed)
-    return greedy_maximize(obj, k, stop_on_nonpositive=stop_on_nonpositive,
-                           candidates=cand, flavor=flavor.value)
+    return greedy_maximize(obj, k, stop_on_nonpositive=stop_on_nonpositive, flavor=flavor.value)

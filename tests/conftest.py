@@ -9,6 +9,7 @@ import pytest
 
 from submodsum.data import AuxiliarySet, GroundSet, ItemRecord
 from submodsum.functions import EvalContext
+from submodsum.functions._common import as_indices
 
 
 try:
@@ -71,6 +72,48 @@ def with_copies(ctx, ground, aux):
     return EvalContext(ctx.kernel[np.ix_(idx, idx)], ctx.n_ground + len(ground), metric=ctx.metric,
                        counts=ctx.counts[idx], cover_prob=ctx.cover_prob[idx],
                        concept_weights=ctx.concept_weights)
+
+
+class ScratchObjective:
+    """Any set function fn(A) of a sorted index array A over the items
+    0..n-1, with every gain recomputed from scratch: the reference the
+    incremental states are checked against.  Callable like a margin, so it
+    also stands in for one in loss-augmented inference."""
+
+    def __init__(self, fn, n: int):
+        self.fn, self.n = fn, n
+
+    def __call__(self, A) -> float:
+        return float(self.fn(as_indices(A)))
+
+    value = __call__
+
+    def fresh_state(self):
+        return _ScratchState(self.fn)
+
+    def candidates(self) -> np.ndarray:
+        return np.arange(self.n)
+
+    def item_ids(self, indices) -> list[str]:
+        return [str(i) for i in indices]
+
+
+class _ScratchState:
+    def __init__(self, fn):
+        self.fn = fn
+        self.selected: list[int] = []
+        self.value = float(fn(np.zeros(0, dtype=int)))
+
+    def gain(self, j):
+        if isinstance(j, np.ndarray):
+            return np.fromiter(map(self.gain, j.tolist()), float, j.size)
+        return float(self.fn(as_indices(self.selected + [int(j)]))) - self.value
+
+    def add(self, j):
+        g = self.gain(j)
+        self.selected.append(int(j))
+        self.value += g
+        return g
 
 
 @pytest.fixture

@@ -280,6 +280,21 @@ def test_eval_rejects_references_that_are_not_id_lists(doc, coll_path, tmp_path,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("doc", [{"items": 5}, {"items": {"g0": 1}}, {"items": "g0"},
+                                 {"items": [["g0"]]}, ["g0", None]],
+                         ids=["number", "object", "string", "nested_list", "null_id"])
+def test_eval_rejects_summaries_that_are_not_id_lists(doc, coll_path, tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main(["eval", "--collection", str(coll_path), "--summary", str(summary),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a list of ids" in err
+    assert not (out / "report.json").exists()
+
+
 def test_eval_requires_references(tmp_path, capsys):
     path = tmp_path / "coll.json"
     path.write_text(json.dumps(_collection_doc(with_refs=False)))

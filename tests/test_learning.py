@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import ScratchObjective
 from submodsum.bench import make_collection, vrouge
 from submodsum.errors import ConfigError, FormatError, NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate
@@ -184,7 +185,8 @@ def test_finite_difference_gap_small(example):
 def test_zero_margin_matches_plain_greedy(example):
     model = init_mixture(["sc", "fl1"], seed=7)
     plain = summarize_with_mixture(model, example, Flavor.QUERY)
-    augmented = loss_augmented_inference(model, example, lambda Y: 0.0)
+    zero = ScratchObjective(lambda Y: 0.0, example.ctx.n_ground)
+    augmented = loss_augmented_inference(model, example, zero)
     assert augmented.indices == plain.indices
 
 
@@ -219,10 +221,9 @@ def test_vrouge_margin_state_needs_concepts_and_reference_mass():
         make_margin(TrainingExample(empty, refs, 4), "one_minus_vrouge", refs[0]).fresh_state()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_vrouge_margin_picks_match_from_scratch_margin(example, seed):
-    """Loss-augmented inference picks the same items with the incremental
-    margin state as with the margin re-scored from scratch per candidate."""
+def _margin_picks_match_from_scratch_margin(example, name, seed):
+    """Loss-augmented inference with the incremental margin state against
+    the same margin re-scored from scratch per candidate: (fast, slow) pairs."""
     model = init_mixture(["sc", "gc", "fl1", "fl2", "logdet", "com"], seed=seed)
     zero = MixtureModel(model.components, np.zeros(len(model.components)))  # margin ties only
     other = make_collection(103 + seed)
@@ -230,11 +231,35 @@ def test_vrouge_margin_picks_match_from_scratch_margin(example, seed):
     for m in (model, zero):
         for ex in (example, other):
             for ref in ex.references:
-                margin = make_margin(ex, "one_minus_vrouge", ref)
-                fast = loss_augmented_inference(m, ex, margin)
-                slow = loss_augmented_inference(m, ex, lambda Y, margin=margin: margin(Y))
-                assert fast.indices == slow.indices
-                assert fast.gains == pytest.approx(slow.gains, abs=1e-12)
+                margin = make_margin(ex, name, ref)
+                slow = ScratchObjective(margin, ex.ctx.n_ground)
+                yield loss_augmented_inference(m, ex, margin), loss_augmented_inference(m, ex, slow)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vrouge_margin_picks_match_from_scratch_margin(example, seed):
+    for fast, slow in _margin_picks_match_from_scratch_margin(example, "one_minus_vrouge", seed):
+        assert fast.indices == slow.indices
+        assert fast.gains == pytest.approx(slow.gains, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_one_margin_picks_match_from_scratch_margin(example, seed):
+    # the zero_one gains are -1, 0 or +1, so both paths add the same floats
+    for fast, slow in _margin_picks_match_from_scratch_margin(example, "zero_one", seed):
+        assert fast.indices == slow.indices
+        assert fast.gains == slow.gains and fast.value == slow.value
+
+
+def test_update_summary_never_picks_a_previous_item(example):
+    # fl2 has no conditional gain, so in the mixture it runs as its base
+    # function, which alone would pick the generic summary again
+    model = init_mixture(["fl2"], seed=0)
+    generic = summarize_with_mixture(model, example, Flavor.GENERIC).indices
+    ex = TrainingExample(example.ctx, example.references, 4, Q=example.Q, previous=generic)
+    for task in (Flavor.UPDATE, Flavor.QUERY_UPDATE):
+        sel = summarize_with_mixture(model, ex, task)
+        assert len(sel) == 4 and not set(generic) & set(sel.indices), task
 
 
 def test_zero_weights_make_hinge_equal_margin(example):

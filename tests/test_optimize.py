@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pair_ctx, seed_from, with_copies
+from conftest import ScratchObjective, pair_ctx, seed_from, with_copies
 from submodsum.bench import random_instance
 from submodsum.errors import ConfigError, NumericError, SizeError, UnsupportedError
-from submodsum.functions import Family, FunctionSpec, MeasureMode, modes_supported
+from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, modes_supported
 from submodsum.optimize import (
     CompositeObjective,
     Flavor,
-    FunctionObjective,
     MeasureObjective,
     brute_force_opt,
     flavor_sets,
@@ -19,16 +18,16 @@ from submodsum.optimize import (
     master_solve,
     parse_flavor,
 )
-from submodsum.learning import VRougeMargin
+from submodsum.learning import VRougeMargin, ZeroOneMargin
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
 def modular_objective(weights=(3.0, 1.0, 2.0)):
     w = np.asarray(weights, dtype=float)
-    return FunctionObjective(lambda S: float(w[S].sum()), np.arange(w.size))
+    return ScratchObjective(lambda S: float(w[S].sum()), w.size)
 
 
 def test_modular_greedy_takes_top_k():
@@ -91,8 +90,7 @@ def test_full_budget_takes_everything_monotone():
 
 
 def test_brute_force_size_guard():
-    w = np.ones(50)
-    obj = FunctionObjective(lambda S: float(w[S].sum()), np.arange(50))
+    obj = modular_objective(np.ones(50))
     with pytest.raises(SizeError):
         brute_force_opt(obj, 5)
 
@@ -206,6 +204,19 @@ def test_empty_query_yields_zero_gain_fill(rng):
     assert sel.indices == [0, 1, 2]
     assert sel.gains == [0.0, 0.0, 0.0]
     assert sel.value == 0.0
+
+
+def test_candidates_leave_out_ground_items_in_q_and_p(rng):
+    ctx, Q, P = random_instance(rng, n_range=(8, 8))
+    gc = FunctionSpec(Family.GRAPH_CUT, lam=0.5)
+    top = greedy_maximize(MeasureObjective(gc, MeasureMode.BASE, ctx), 3).indices
+    for mode in (MeasureMode.BASE, MeasureMode.CG):
+        obj = MeasureObjective(gc, mode, ctx, P=top)
+        assert obj.candidates().tolist() == [j for j in range(8) if j not in top]
+        sel = greedy_maximize(obj, 5)
+        assert not set(top) & set(sel.indices), mode
+    # auxiliary items are never candidates anyway
+    assert MeasureObjective(gc, MeasureMode.SMI, ctx, Q=Q).candidates().tolist() == list(range(8))
 
 
 def test_composite_objective_matches_weighted_sum(rng):
@@ -338,13 +349,11 @@ def _objectives(ctx, Q, P, spec_kw):
     learning mixtures: one with the V-ROUGE margin, one with zero_one."""
     for family, mode in ALL_COMBOS:
         yield f"{family.value}/{mode.value}", MeasureObjective(FunctionSpec(family, **spec_kw), mode, ctx, Q=Q, P=P)
-    cand = np.arange(ctx.n_ground)
-    ref = cand[: max(1, cand.size // 2)]
+    ref = np.arange(max(1, ctx.n_ground // 2))
     fl1 = MeasureObjective(FunctionSpec(Family.FACILITY_LOCATION_1, **spec_kw), MeasureMode.SMI, ctx, Q=Q)
     sc = MeasureObjective(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, Q=Q)
     yield "mix+vrouge", CompositeObjective([(0.6, fl1), (0.3, sc), (1.0, VRougeMargin(ctx, ref))])
-    zero_one = FunctionObjective(lambda Y: 0.0 if set(Y.tolist()) == set(ref.tolist()) else 1.0, cand)
-    yield "mix+zero_one", CompositeObjective([(0.7, fl1), (1.0, zero_one)])
+    yield "mix+zero_one", CompositeObjective([(0.7, fl1), (1.0, ZeroOneMargin(ctx, ref))])
 
 
 # no max_examples here: the loaded profile (tests/conftest.py) sets it
@@ -385,3 +394,35 @@ def test_greedy_vector_reads_bit_equal_to_scalar_reference(inst):
                 assert new_obj.evals == ref_obj.evals, label
             assert all(type(j) is int for j in got.indices), label
             assert all(type(g) is float for g in got.gains), label
+
+
+@st.composite
+def zero_one_paths(draw):
+    """(n, reference, path): the path walks a prefix of the reference in
+    some order, then every other item, so it may reach the reference
+    exactly before it leaves it."""
+    n = draw(st.integers(1, 7))
+    ref = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    lead = ref[:draw(st.integers(0, len(ref)))]
+    return n, ref, lead + [j for j in draw(st.permutations(range(n))) if j not in lead]
+
+
+@settings(deadline=None)
+@given(inst=zero_one_paths())
+@example(inst=(4, [], [2, 0, 3, 1]))  # the empty reference
+@example(inst=(5, [1, 3], [3, 1, 0, 4, 2]))  # reaches the reference exactly, then leaves it
+@example(inst=(5, [1, 3, 4], [1, 0, 3, 4, 2]))  # leaves the reference before completing it
+def test_zero_one_margin_state_matches_from_scratch(inst):
+    """At every step, every candidate's state gain is l(Y + j) - l(Y),
+    with l rescored from scratch, in the int and the array read."""
+    n, ref, path = inst
+    margin = ZeroOneMargin(EvalContext(np.eye(n), n, metric="dot"), ref)
+    state, scratch = margin.fresh_state(), ScratchObjective(margin, n).fresh_state()
+    for step in range(n + 1):
+        assert state.value == scratch.value == margin(path[:step])
+        rest = np.asarray(sorted(set(range(n)) - set(path[:step])), dtype=int)
+        want = scratch.gain(rest)
+        assert _bits(state.gain(rest)) == _bits(want)
+        assert _bits([state.gain(int(j)) for j in rest]) == _bits(want)
+        if step < n:
+            assert state.add(path[step]) == scratch.add(path[step])
