@@ -27,13 +27,9 @@ from .data import (
     ItemRecord,
     SimilarityKernel,
     build_kernel,
-    collection_to_json,
     count_matrix,
     coverage_matrix,
-    cross_only_kernel,
-    embed_query,
     load_collection,
-    load_items,
 )
 from .functions import (
     FAMILY_ALIASES,
@@ -44,7 +40,6 @@ from .functions import (
     definitional_oracle,
     evaluate,
     make_state,
-    marginal,
     modes_supported,
     parse_family,
     partials,
@@ -92,11 +87,10 @@ __all__ = [
     "SubmodsumError", "ConfigError", "FormatError",
     "NumericError", "SizeError", "UnsupportedError",
     "ItemRecord", "GroundSet", "AuxiliarySet", "ConceptUniverse",
-    "SimilarityKernel", "Collection", "build_kernel", "cross_only_kernel",
-    "count_matrix", "coverage_matrix", "embed_query", "load_items",
-    "load_collection", "collection_to_json",
+    "SimilarityKernel", "Collection", "build_kernel",
+    "count_matrix", "coverage_matrix", "load_collection",
     "Family", "FunctionSpec", "MeasureMode", "FAMILY_ALIASES", "parse_family",
-    "EvalContext", "evaluate", "make_state", "marginal", "partials",
+    "EvalContext", "evaluate", "make_state", "partials",
     "modes_supported", "definitional_oracle",
     "Flavor", "parse_flavor", "Selection", "MeasureObjective",
     "CompositeObjective", "greedy_maximize",

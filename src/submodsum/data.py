@@ -10,7 +10,6 @@ to concept-count vectors when features are absent).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from .errors import ConfigError, FormatError, NumericError
 AUX_ROLES = ("query", "private", "previous_summary")
 
 _U = np.finfo(float).eps / 2  # unit roundoff of float64
-_TILE = 256  # side of the square blocks the kernel is symmetrized and checked in
+_TILE = 256  # side of the square blocks the kernel is symmetrized in
 _SAFETY = 100.0  # margin of the positive-definiteness certificate over Demmel's condition
 
 
@@ -43,14 +42,6 @@ def _symmetrize(mat: np.ndarray) -> None:
         avg = (mat[r, c] + mat[c, r].T) / 2.0
         mat[r, c] = avg
         mat[c, r] = avg.T
-
-
-def _max_asymmetry(mat: np.ndarray):
-    """max |mat - mat.T| (NaN if any difference is NaN) without forming mat - mat.T."""
-    worst = 0.0
-    for r, c in _tile_pairs(mat.shape[0]):
-        worst = np.maximum(worst, np.abs(mat[r, c] - mat[c, r].T).max())
-    return worst
 
 
 @dataclass
@@ -114,16 +105,9 @@ class GroundSet:
         except KeyError:
             raise LookupError(f"unknown item id {item_id!r}") from None
 
-    def feature_matrix(self, universe: "ConceptUniverse | None" = None) -> np.ndarray:
-        """Dense (n, d) feature matrix.
-
-        Uses explicit features when every item has them; otherwise falls back
-        to concept-count vectors over the given (or derived) universe.
-        """
-        if self.dim is not None and all(it.features is not None for it in self.items):
-            return np.stack([it.features for it in self.items]) if self.items else np.zeros((0, self.dim))
-        uni = universe or ConceptUniverse.from_items(self)
-        return count_matrix(self, uni).astype(float)
+    def feature_matrix(self) -> np.ndarray:
+        """Dense (n, d) matrix of the items' features; every item must have them."""
+        return np.stack([it.features for it in self.items]) if self.items else np.zeros((0, 0))
 
 
 class AuxiliarySet(GroundSet):
@@ -144,14 +128,14 @@ class ConceptUniverse:
         if len(set(names)) != len(names):
             raise FormatError("duplicate concept names in universe")
         self.concepts = names
-        if weights is None:
-            self.weights = np.ones(len(names))
-        else:
-            self.weights = np.asarray(weights, dtype=float)
-            if self.weights.shape != (len(names),):
-                raise FormatError("weights length must match concept count")
-            if np.any(self.weights < 0):
-                raise FormatError("concept weights must be nonnegative")
+        try:
+            self.weights = np.ones(len(names)) if weights is None else np.asarray(weights, dtype=float)
+        except (TypeError, ValueError):
+            raise FormatError("concept weights must be a list of numbers") from None
+        if self.weights.shape != (len(names),):
+            raise FormatError("weights length must match concept count")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise FormatError("concept weights must be finite and nonnegative")
         self.index = {c: k for k, c in enumerate(names)}
 
     def __len__(self):
@@ -199,45 +183,18 @@ def coverage_matrix(items: GroundSet, universe: ConceptUniverse) -> np.ndarray:
     return out
 
 
-def embed_query(concepts, universe: ConceptUniverse) -> np.ndarray:
-    """k-hot embedding of a concept list; duplicates collapse, unknown names raise."""
-    vec = np.zeros(len(universe))
-    for name in concepts:
-        if name not in universe.index:
-            raise LookupError(f"unknown concept {name!r}")
-        vec[universe.index[name]] = 1.0
-    return vec
-
-
 @dataclass
 class SimilarityKernel:
-    """Symmetric similarity matrix over the joint universe (ground set first).
-
-    ground_count marks the split between V rows/cols and V' rows/cols.
-    psd_jitter is the diagonal boost applied before any factorization.
+    """Similarity matrix over the joint universe (ground set first), as
+    build_kernel returns it: exactly symmetric, and for cosine clipped to
+    [-1, 1].  psd_jitter is the diagonal boost applied before any
+    factorization.
     """
 
     matrix: np.ndarray
     ids: tuple[str, ...]
     metric_tag: str
     psd_jitter: float = 1e-6
-    ground_count: int | None = None
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n) or len(self.ids) != n:
-            raise FormatError("kernel matrix must be square and match the id list")
-        if self.ground_count is None:
-            self.ground_count = n
-        asym = _max_asymmetry(self.matrix)
-        if asym > 1e-12:
-            raise FormatError(f"kernel asymmetry {asym:.3g} exceeds 1e-12")
-        if self.metric_tag == "cosine" and n:
-            lo, hi = self.matrix.min(), self.matrix.max()
-            if lo < -1 - 1e-9 or hi > 1 + 1e-9:
-                raise FormatError(f"cosine similarities out of [-1, 1]: [{lo:.3g}, {hi:.3g}]")
-        self.index = {i: k for k, i in enumerate(self.ids)}
 
     def check_positive_definite(self, entry_error: float | None = None):
         """Cholesky of matrix + jitter*I must succeed for cosine/rbf kernels.
@@ -346,26 +303,9 @@ def build_kernel(
         raise FormatError("feature values must be finite")
     mat, entry_error = _pairwise(metric, feats, sigma) if len(ids) else (np.zeros((0, 0)), None)
     _symmetrize(mat)
-    kern = SimilarityKernel(mat, tuple(ids), metric, jitter, ground_count=len(ground))
+    kern = SimilarityKernel(mat, tuple(ids), metric, jitter)
     kern.check_positive_definite(entry_error=entry_error)
     return kern
-
-
-def cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
-    """Copy of a square matrix with both diagonal blocks replaced by identity,
-    keeping only V<->V' entries.  Idempotent."""
-    out = matrix.copy()
-    out[:n_ground, :n_ground] = 0.0
-    out[n_ground:, n_ground:] = 0.0
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def cross_only_kernel(kernel: SimilarityKernel) -> SimilarityKernel:
-    """The kernel with only its V<->V' similarities kept (see cross_only)."""
-    n = kernel.ground_count
-    return SimilarityKernel(cross_only(kernel.matrix, n), kernel.ids, kernel.metric_tag,
-                            kernel.psd_jitter, ground_count=n)
 
 
 def read_json(path):
@@ -424,42 +364,6 @@ def id_lists(value, where: str) -> list[tuple[str, ...]]:
     return [id_list(ref, f"{where}[{k}]") for k, ref in enumerate(value)]
 
 
-def load_items(path, fmt: str | None = None) -> GroundSet:
-    """Load a ground set from JSON ({'items': [...]} or a bare list) or CSV.
-
-    CSV layout: header id,f0,...,f{L-1}; one row per item, features only.
-    """
-    path = Path(path)
-    fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt == "json":
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            return GroundSet(_item_list(doc, str(path)))
-        if "items" not in doc:
-            raise FormatError(f"{path}: JSON object has no 'items' key")
-        return GroundSet(_item_list(doc["items"], f"{path}: 'items'"))
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or not rows[0] or rows[0][0] != "id":
-            raise FormatError("csv must start with header id,f0,...")
-        width = len(rows[0]) - 1
-        expected = ["id"] + [f"f{k}" for k in range(width)]
-        if rows[0] != expected:
-            raise FormatError(f"csv header must be {','.join(expected)}")
-        items = []
-        for line, row in enumerate(rows[1:], start=2):
-            if len(row) != width + 1:
-                raise FormatError(f"csv row for {row[0] if row else '?'!r} has wrong width")
-            try:
-                feats = np.array([float(v) for v in row[1:]])
-            except ValueError:
-                raise FormatError(f"csv line {line} ({row[0]!r}): feature values must be numbers") from None
-            items.append(ItemRecord(id=row[0], features=feats))
-        return GroundSet(items)
-    raise ConfigError(f"unknown format {fmt!r}")
-
-
 @dataclass
 class Collection:
     """One summarization problem: ground items plus optional auxiliary material."""
@@ -505,29 +409,3 @@ def load_collection(path) -> Collection:
             if unknown:
                 raise FormatError(f"item {it.id!r}: concepts {unknown} not in concept_universe")
     return Collection(ground, queries, privates, refs, universe)
-
-
-def collection_to_json(coll: Collection) -> dict:
-    def rec(it: ItemRecord) -> dict:
-        out: dict = {"id": it.id}
-        if it.features is not None:
-            out["features"] = [float(v) for v in it.features]
-        if it.concepts:
-            out["concepts"] = {k: int(v) for k, v in sorted(it.concepts.items())}
-        if it.coverage:
-            out["coverage"] = {k: float(v) for k, v in sorted(it.coverage.items())}
-        return out
-
-    doc: dict = {"items": [rec(it) for it in coll.ground]}
-    if len(coll.queries):
-        doc["queries"] = [rec(it) for it in coll.queries]
-    if len(coll.privates):
-        doc["privates"] = [rec(it) for it in coll.privates]
-    if coll.references:
-        doc["references"] = [list(r) for r in coll.references]
-    if coll.universe is not None:
-        doc["concept_universe"] = {
-            "concepts": list(coll.universe.concepts),
-            "weights": [float(w) for w in coll.universe.weights],
-        }
-    return doc

@@ -5,7 +5,6 @@ from .api import (
     eval_base,
     evaluate,
     make_state,
-    marginal,
     modes_supported,
     near_kink,
     partials,
@@ -26,7 +25,6 @@ __all__ = [
     "eval_base",
     "evaluate",
     "make_state",
-    "marginal",
     "modes_supported",
     "near_kink",
     "parse_family",

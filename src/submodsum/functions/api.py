@@ -124,16 +124,7 @@ def make_state(spec: FunctionSpec, mode: MeasureMode, ctx, Q=None, P=None) -> Ma
     Degenerate conditioning collapses exactly like the closed forms do.
     """
     eff, _, Q, P = _reduce(spec, mode, ctx, (), Q, P)
-    state = _ZeroState(ctx.size) if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
-    state.measure = (spec.family, MeasureMode(mode))
-    return state
-
-
-def marginal(spec: FunctionSpec, mode: MeasureMode, state: MarginalState, j: int) -> float:
-    """Pure gain of candidate j under the given state; add with state.add(j)."""
-    if getattr(state, "measure", (spec.family, mode)) != (spec.family, mode):
-        raise ConfigError("marginal state was built for a different spec or mode")
-    return float(state.gain(int(j)))
+    return _ZeroState(ctx.size) if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
 
 
 def partials(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> dict:

@@ -173,14 +173,6 @@ class EvalContext:
     def indices_of(self, item_ids) -> tuple[int, ...]:
         return tuple(self.index_of(i) for i in item_ids)
 
-    @property
-    def ground(self) -> tuple[int, ...]:
-        return tuple(range(self.n_ground))
-
-    @property
-    def auxiliary(self) -> tuple[int, ...]:
-        return tuple(range(self.n_ground, self.size))
-
     def require_concepts(self, what: str) -> None:
         if self.counts is None and self.cover_prob is None:
             raise ConfigError(f"{what} needs concept annotations, none present in the context")

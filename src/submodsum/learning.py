@@ -311,23 +311,29 @@ def loss_augmented_inference(model: MixtureModel, ex: TrainingExample, margin,
     return greedy_maximize(mixture_objective(model, ex, task, margin=margin), ex.budget)
 
 
+def _pair_hinge(model: MixtureModel, ex: TrainingExample, ref, margin: str,
+                task: Flavor) -> tuple[float, tuple[int, ...]]:
+    """(F(Y_hat) + l(Y_hat) - F(ref), Y_hat) for one reference, Y_hat from
+    loss-augmented inference."""
+    margin_fn = make_margin(ex, margin, ref)
+    yhat = tuple(loss_augmented_inference(model, ex, margin_fn, task).indices)
+    # the selection's value telescopes the margin from l(empty), so rebuild F + l directly
+    loss = mixture_eval(model, yhat, ex, task) + margin_fn(yhat) - mixture_eval(model, ref, ex, task)
+    return loss, yhat
+
+
 def hinge_loss(model: MixtureModel, ex: TrainingExample, reference,
                margin: str = "one_minus_vrouge", task: Flavor = Flavor.QUERY) -> float:
     """L = [F(Y_hat) + l(Y_hat)] - F(Y_ref) for a single reference."""
     ref = tuple(int(i) for i in as_indices(reference))
     if any(i < 0 or i >= ex.ctx.n_ground for i in ref):
         raise ConfigError("reference items must belong to the ground set")
-    margin_fn = make_margin(ex, margin, ref)
-    sel = loss_augmented_inference(model, ex, margin_fn, task)
-    yhat = tuple(sel.indices)
-    # sel.value telescopes the margin from l(empty), so rebuild F + l directly
-    return float(mixture_eval(model, yhat, ex, task) + margin_fn(yhat)
-                 - mixture_eval(model, ref, ex, task))
+    return float(_pair_hinge(model, ex, ref, margin, task)[0])
 
 
 def example_hinge(model: MixtureModel, ex: TrainingExample, cfg: TrainConfig) -> float:
     """Mean per-reference hinge for one example."""
-    losses = [hinge_loss(model, ex, ref, cfg.margin, cfg.task) for ref in ex.references]
+    losses = [_pair_hinge(model, ex, ref, cfg.margin, cfg.task)[0] for ref in ex.references]
     return float(np.mean(losses))
 
 
@@ -416,8 +422,7 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
         raise ConfigError("finite-difference step must be positive")
     ref = tuple(int(i) for i in as_indices(reference if reference is not None
                                            else ex.references[0]))
-    sel = loss_augmented_inference(model, ex, make_margin(ex, margin, ref), task)
-    yhat = tuple(sel.indices)
+    yhat = _pair_hinge(model, ex, ref, margin, task)[1]
     analytic = gradients(model, ex, ref, task, margin, yhat=yhat)
     parts = [obj for _, obj in mixture_objective(model, ex, task).parts]
     theta = pack_theta(model)
@@ -491,11 +496,8 @@ def _mean_hinge_and_gradient(model: MixtureModel, dataset, cfg: TrainConfig):
     losses = []
     for ex in dataset:
         for ref in ex.references:
-            margin_fn = make_margin(ex, cfg.margin, ref)
-            sel = loss_augmented_inference(model, ex, margin_fn, cfg.task)
-            yhat = tuple(sel.indices)
-            losses.append(mixture_eval(model, yhat, ex, cfg.task) + margin_fn(yhat)
-                          - mixture_eval(model, ref, ex, cfg.task))
+            loss, yhat = _pair_hinge(model, ex, ref, cfg.margin, cfg.task)
+            losses.append(loss)
             grads.append(gradients(model, ex, ref, cfg.task, cfg.margin, yhat=yhat))
     mean_loss = float(np.mean(losses))
     grad = np.mean(grads, axis=0)

@@ -138,9 +138,15 @@ class _CompositeState(MarginalState):
             total = total + w * st.gain(j)
         return total
 
-    def _push(self, j):
-        for _, st in self.parts:
-            st.add(j)
+    def add(self, j):
+        # each part's add returns its gain, summed as gain(j) sums them,
+        # so a pick reads every part once
+        total = 0.0
+        for w, st in self.parts:
+            total = total + w * st.add(j)
+        self.value += total
+        self.selected.append(int(j))
+        return total
 
 
 class CompositeObjective:

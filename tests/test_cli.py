@@ -140,13 +140,22 @@ def test_summarize_rejects_bad_config(coll_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_WEIGHTS = {"text_weight": ["w", 1, 1], "weights_object": {"x": 1},
+               "nan_weight": [float("nan"), 1, 1], "infinite_weight": [float("inf"), 1, 1]}
+
+
 @pytest.mark.parametrize("case", ["missing_file", "malformed_json", "universe_without_concepts",
                                   "concept_outside_universe", "fractional_count", "nan_feature",
-                                  "infinite_lam", "nan_jitter", "zero_sigma", "infinite_sigma"])
+                                  "infinite_lam", "nan_jitter", "zero_sigma", "infinite_sigma",
+                                  *BAD_WEIGHTS])
 def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     path = tmp_path / "coll.json"
     doc = _collection_doc()
     fn = "gc"
+    if case in BAD_WEIGHTS:
+        # set cover reads the weights, so a NaN one would reach its gains
+        doc["concept_universe"] = {"concepts": ["c0", "c1", "bg"], "weights": BAD_WEIGHTS[case]}
+        fn = "sc"
     kernel = {"nan_jitter": ["--jitter", "nan"], "zero_sigma": ["--metric", "rbf", "--sigma", "0"],
               "infinite_sigma": ["--metric", "rbf", "--sigma", "inf"]}.get(case, [])
     if case == "malformed_json":

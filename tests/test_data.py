@@ -10,13 +10,9 @@ from submodsum.data import (
     GroundSet,
     ItemRecord,
     build_kernel,
-    collection_to_json,
     count_matrix,
     coverage_matrix,
-    cross_only_kernel,
-    embed_query,
     load_collection,
-    load_items,
     write_json,
 )
 from submodsum.errors import FormatError, NumericError
@@ -47,32 +43,6 @@ def test_feature_dim_mismatch_rejected():
 def test_record_requires_some_payload():
     with pytest.raises(FormatError):
         ItemRecord("empty")
-
-
-def test_load_items_json(tmp_path):
-    path = tmp_path / "items.json"
-    rows = [{"id": f"i{k}", "features": [float(k), 0.0, 1.0, 2.0]} for k in range(3)]
-    path.write_text(json.dumps(rows))
-    gs = load_items(path, "json")
-    assert len(gs) == 3 and gs.dim == 4
-
-
-def test_load_items_duplicate_id(tmp_path):
-    path = tmp_path / "items.json"
-    path.write_text(json.dumps([{"id": "x", "features": [1.0]}, {"id": "x", "features": [2.0]}]))
-    with pytest.raises(FormatError):
-        load_items(path, "json")
-
-
-def test_embed_query():
-    uni = ConceptUniverse(["aircraft", "sky", "water"])
-    v = embed_query(["aircraft", "sky"], uni)
-    assert v.tolist() == [1.0, 1.0, 0.0]
-    assert embed_query([], uni).tolist() == [0.0, 0.0, 0.0]
-    # duplicates collapse to a 1-hot entry
-    assert embed_query(["sky", "sky"], uni).tolist() == [0.0, 1.0, 0.0]
-    with pytest.raises(LookupError):
-        embed_query(["ocean"], uni)
 
 
 def test_count_and_coverage_matrices():
@@ -107,18 +77,6 @@ def test_rbf_kernel_factorizes(rng):
     gs = GroundSet([ItemRecord(f"i{k}", features=rng.normal(size=3).tolist()) for k in range(10)])
     kern = build_kernel(gs, [], metric="rbf", sigma=1.0, jitter=1e-6)
     np.linalg.cholesky(kern.matrix + kern.psd_jitter * np.eye(10))
-
-
-def test_cross_only_kernel_idempotent(rng):
-    gs = GroundSet([ItemRecord(f"g{k}", features=rng.normal(size=2).tolist()) for k in range(3)])
-    aux = AuxiliarySet([ItemRecord("q", features=rng.normal(size=2).tolist())], "query")
-    kern = build_kernel(gs, [aux], metric="rbf")
-    cross = cross_only_kernel(kern)
-    assert np.allclose(cross.matrix[:3, :3], np.eye(3))
-    assert np.allclose(cross.matrix[3:, 3:], np.eye(1))
-    assert np.allclose(cross.matrix[:3, 3:], kern.matrix[:3, 3:])
-    again = cross_only_kernel(cross)
-    assert np.allclose(again.matrix, cross.matrix)
 
 
 @pytest.mark.parametrize("features", [True, False], ids=["features", "concepts"])
@@ -160,9 +118,7 @@ def test_collection_round_trip(tmp_path):
     assert coll.queries.ids == ("q",)
     assert coll.references == [("a",)]
     assert coll.universe.concepts == ("x", "y")
-    back = collection_to_json(coll)
-    assert back["items"][0]["id"] == "a"
-    assert back["references"] == [["a"]]
+    assert coll.universe.weights.tolist() == [1.0, 2.0]
 
 
 def test_collection_rejects_unknown_reference(tmp_path):
@@ -195,21 +151,17 @@ def test_write_json_is_strict(tmp_path):
         assert not path.exists()
 
 
-@pytest.mark.parametrize("name, text, match", [
-    ("items.csv", "id,f0,f1\na,1.0,2.0\nb,0.5,x\n", "line 3 .'b'."),
-    ("items.json", json.dumps({"rows": []}), "'items'"),
-    ("items.json", json.dumps({"items": {"id": "a"}}), "'items' must be a list"),
-    ("items.json", json.dumps(7), "must be a list"),
-])
-def test_load_items_malformed_input_is_a_format_error(tmp_path, name, text, match):
-    path = tmp_path / name
-    path.write_text(text)
-    with pytest.raises(FormatError, match=match):
-        load_items(path)
+@pytest.mark.parametrize("doc", [{"rows": []}, [{"id": "a", "features": [1.0]}], 7])
+def test_collection_must_be_an_object_with_items(tmp_path, doc):
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="JSON object with an 'items' array"):
+        load_collection(path)
 
 
 @pytest.mark.parametrize("key, value", [("queries", 3), ("privates", {"id": "p"}),
-                                        ("references", [5]), ("references", "a")])
+                                        ("references", [5]), ("references", "a"),
+                                        ("items", {"id": "p"})])
 def test_collection_lists_must_be_lists(tmp_path, key, value):
     path = tmp_path / "coll.json"
     path.write_text(json.dumps({"items": [{"id": "a", "concepts": {"x": 1}}], key: value}))

@@ -13,7 +13,6 @@ from submodsum.functions import (
     definitional_oracle,
     evaluate,
     make_state,
-    marginal,
     modes_supported,
     parse_family,
     partials,
@@ -276,19 +275,12 @@ def test_states_track_evaluate(family):
             order = rng.permutation(ctx.n_ground)[:4]
             picked = []
             for j in order:
-                g = marginal(spec, mode, state, int(j))
+                g = state.gain(int(j))
                 added = state.add(int(j))
                 assert g == pytest.approx(added, abs=1e-10)
                 picked.append(int(j))
                 want = evaluate(spec, mode, ctx, tuple(sorted(picked)), Q, P)
                 assert state.value == pytest.approx(want, abs=1e-8)
-
-
-def test_state_spec_mismatch_rejected(rng):
-    ctx, Q, P = random_instance(rng)
-    state = make_state(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, Q=Q)
-    with pytest.raises(ConfigError):
-        marginal(FunctionSpec(Family.GRAPH_CUT), MeasureMode.SMI, state, 0)
 
 
 FAMILY_MODES = [(f, m) for f in Family for m in MeasureMode if m in modes_supported(f)]

@@ -37,6 +37,9 @@ KEYS = ("lam", "eta", "nu") * 2 + ("psi", "bogus")  # numeric keys drawn twice a
 # at most one defect per collection, so most runs get through loading
 DEFECTS = (None,) * 6 + ("nan_feature", "inf_feature", "fractional_count", "negative_count",
                          "text_count", "bare_item")
+# a concept_universe over the items' concepts "abcd", now and then with one bad weight
+UNIVERSES = (None,) * 4 + ("valid",) * 2 + ("nan", "inf", "negative", "text")
+BAD_WEIGHT = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0, "text": "w"}
 
 
 @st.composite
@@ -64,6 +67,12 @@ def collections(draw, defects=DEFECTS):
                               "text_count": {"a": "two"}, "bare_item": {}}[defect]
         if defect == "bare_item":
             victim.pop("features", None)
+    universe = draw(st.sampled_from(UNIVERSES))
+    if universe is not None:
+        weights = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)), min_size=4, max_size=4))
+        if universe in BAD_WEIGHT:
+            weights[draw(st.integers(0, 3))] = BAD_WEIGHT[universe]
+        doc["concept_universe"] = {"concepts": list("abcd"), "weights": weights}
     return doc, n
 
 

@@ -4,8 +4,8 @@ A cosine kernel carries a bound on its rounding error, and when that bound
 proves that Cholesky of kernel + jitter*I would succeed, build_kernel skips
 the factorization.  These tests pin the outcomes the factorization gives,
 check that the certificate never accepts a kernel the factorization would
-reject, and check the blockwise symmetrize and asymmetry scans against their
-dense forms.
+reject, and check the blockwise symmetrize against its dense form and that
+every kernel build_kernel returns is exactly symmetric.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from submodsum import data
-from submodsum.data import GroundSet, ItemRecord, build_kernel, cross_only_kernel
+from submodsum.data import GroundSet, ItemRecord, build_kernel
 from submodsum.errors import NumericError
 
 pytest.importorskip("hypothesis")
@@ -78,10 +78,10 @@ def test_certificate_replaces_the_factorization_for_cosine_only(rng):
     with _factorizations() as calls:
         build_kernel(ground, [], jitter=1e-9)
     assert calls == [(300, 300)]
-    # so does a kernel whose entries carry no rounding bound
+    # so does a check given no rounding bound on the entries
     kern = build_kernel(ground, [])
     with _factorizations() as calls:
-        cross_only_kernel(kern).check_positive_definite()
+        kern.check_positive_definite()
     assert calls == [(300, 300)]
 
 
@@ -90,12 +90,14 @@ def test_tiled_symmetrize_and_asymmetry_match_the_dense_forms(rng, metric):
     n = 2 * data._TILE + 37
     mat, _ = data._pairwise(metric, rng.normal(size=(n, 5)), 1.0)
     mat += 1e-13 * rng.normal(size=(n, n))  # the product itself may already be symmetric
-    asym = np.max(np.abs(mat - mat.T))
+    assert np.max(np.abs(mat - mat.T)) > 0
     expect = (mat + mat.T) / 2.0
-    assert data._max_asymmetry(mat) == asym > 0
     data._symmetrize(mat)
     assert np.array_equal(mat.view(np.int64), expect.view(np.int64))
-    assert data._max_asymmetry(mat) == 0.0
+    assert np.array_equal(mat, mat.T)
+    # the kernel build_kernel returns is exactly symmetric too
+    kern = build_kernel(_feature_ground(rng.normal(size=(n, 5))), [], metric=metric).matrix
+    assert np.array_equal(kern, kern.T)
 
 
 # no max_examples here: the loaded profile (tests/conftest.py) sets it
@@ -107,7 +109,8 @@ def test_tiled_symmetrize_and_asymmetry_match_the_dense_forms(rng, metric):
                         st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
                                   st.floats(-16, -3))))
 def test_certified_cosine_kernel_factors(seed, n, dim, copies, zeros, scale, spread, jitter):
-    """Whenever the certificate skips the factorization, the factorization succeeds."""
+    """Whenever the certificate skips the factorization, the factorization
+    succeeds; every kernel returned is exactly symmetric and within [-1, 1]."""
     rng = np.random.default_rng(seed)
     # rows of unequal length, each scaled by a power of ten in [1e-160, 1e150]
     powers = np.clip(scale + rng.integers(-spread, spread + 1, size=(n, 1)), -160, 150)
@@ -123,5 +126,8 @@ def test_certified_cosine_kernel_factors(seed, n, dim, copies, zeros, scale, spr
             event("rejected")
             return
     event("factored" if calls else "certified")
+    mat = kern.matrix
+    assert np.array_equal(mat, mat.T)
+    assert -1.0 <= mat.min() and mat.max() <= 1.0
     if not calls:
         np.linalg.cholesky(kern.matrix + jitter * np.eye(n))

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from submodsum.data import AuxiliarySet, GroundSet, ItemRecord, cross_only
+from submodsum.data import AuxiliarySet, GroundSet, ItemRecord
 from submodsum.errors import NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, make_state
 from submodsum.functions._common import pair_scaled_block
@@ -225,6 +225,16 @@ def big_ctx():
 
     return EvalContext.build(GroundSet(items("g", n)),
                              [AuxiliarySet(items("q", aux), "query"), AuxiliarySet(items("p", aux), "private")])
+
+
+def cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
+    """Copy of a square matrix with both diagonal blocks replaced by identity,
+    keeping only its V <-> V' entries."""
+    out = matrix.copy()
+    out[:n_ground, :n_ground] = 0.0
+    out[n_ground:, n_ground:] = 0.0
+    np.fill_diagonal(out, 1.0)
+    return out
 
 
 @pytest.mark.parametrize("metric", ["cosine", "dot", "rbf"])

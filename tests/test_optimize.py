@@ -233,6 +233,19 @@ def test_composite_objective_matches_weighted_sum(rng):
     assert len(sel) == 2
 
 
+def test_composite_reads_each_part_once_per_pick(rng):
+    """The solver's array read is the only gain read of a part: the
+    composite commits a pick by summing its parts' add return values."""
+    ctx, Q, P = random_instance(rng, n_range=(8, 8))
+    parts = [_Counted(MeasureObjective(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, Q=Q)),
+             _Counted(MeasureObjective(FunctionSpec(Family.GRAPH_CUT, lam=0.5), MeasureMode.SMI, ctx, Q=Q))]
+    comp = CompositeObjective([(0.7, parts[0]), (0.3, parts[1])])
+    sel = greedy_maximize(comp, 4)
+    assert len(sel) == 4
+    assert [p.reads for p in parts] == [4, 4]
+    assert sel.value == pytest.approx(comp.value(sel.indices))
+
+
 # -- one gain read per pick ------------------------------------------------------
 #
 # The solver reads a whole candidate array per call to gain.  Its reference
@@ -288,10 +301,10 @@ def _ref_greedy(obj, k, lazy, stop_on_nonpositive, cand):
 
 class _Counted:
     """An objective whose states count the candidates their gain reads
-    evaluate: an array read counts each of its entries."""
+    evaluate (an array read counts each of its entries) and the reads."""
 
     def __init__(self, obj):
-        self.obj, self.evals = obj, 0
+        self.obj, self.evals, self.reads = obj, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.obj, name)
@@ -309,6 +322,7 @@ class _CountingState:
 
     def gain(self, j):
         self.owner.evals += j.size if isinstance(j, np.ndarray) else 1
+        self.owner.reads += 1
         return self.state.gain(j)
 
 
