@@ -109,32 +109,15 @@ def synth_generate(cfg: SyntheticConfig):
         pts = np.asarray(center) + cfg.cluster_std * rng.standard_normal((cfg.per_cluster, 2))
         for r, row in enumerate(pts):
             items.append(ItemRecord(f"d{c}_{r:02d}", features=row.tolist()))
-    for o, pos in enumerate(cfg.outliers):
-        items.append(ItemRecord(f"out{o}", features=[float(pos[0]), float(pos[1])]))
-    ground = GroundSet(items)
-    queries = AuxiliarySet(
-        [ItemRecord(f"q{i}", features=[float(x), float(y)]) for i, (x, y) in enumerate(cfg.queries)],
-        "query",
-    )
-    privates = AuxiliarySet(
-        [ItemRecord(f"p{i}", features=[float(x), float(y)]) for i, (x, y) in enumerate(cfg.privates)],
-        "private",
-    )
-    return ground, queries, privates
+    items += [ItemRecord(f"out{o}", features=pos) for o, pos in enumerate(cfg.outliers)]
+    queries = AuxiliarySet([ItemRecord(f"q{i}", features=xy) for i, xy in enumerate(cfg.queries)], "query")
+    privates = AuxiliarySet([ItemRecord(f"p{i}", features=xy) for i, xy in enumerate(cfg.privates)], "private")
+    return GroundSet(items), queries, privates
 
 
 def synth_context(cfg: SyntheticConfig) -> EvalContext:
     ground, queries, privates = synth_generate(cfg)
-    aux = []
-    if len(queries):
-        aux.append(queries)
-    if len(privates):
-        aux.append(privates)
-    return EvalContext.build(ground, aux, metric="rbf", sigma=cfg.sigma)
-
-
-def feature_array(records) -> np.ndarray:
-    return np.asarray([it.features for it in records], dtype=float)
+    return EvalContext.build(ground, [queries, privates], metric="rbf", sigma=cfg.sigma)
 
 
 # ---------------------------------------------------------------------------

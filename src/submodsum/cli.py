@@ -25,7 +25,6 @@ from . import __version__
 from .bench import (
     SyntheticConfig,
     behavior_metrics,
-    feature_array,
     make_collection,
     random_instance,
     synth_context,
@@ -107,10 +106,10 @@ def _outdir(args) -> Path:
     return out
 
 
-def _context_from_collection(coll, args):
+def _context_from_collection(coll, args, aux=None):
     return EvalContext.build(
         coll.ground,
-        coll.aux_sets,
+        coll.aux_sets if aux is None else aux,
         metric=args.metric,
         sigma=args.sigma,
         jitter=args.jitter,
@@ -132,13 +131,11 @@ def _aux_indices(ctx, role: str, restrict_ids=None) -> list[int]:
 
 
 def _ground_indices(coll, ids) -> list[int]:
-    pos = {i: k for k, i in enumerate(coll.ground.ids)}
-    out = []
-    for token in ids:
-        if token not in pos:
-            raise ConfigError(f"item {token!r} is not in the ground set")
-        out.append(pos[token])
-    return out
+    try:
+        return [coll.ground.index_of(token) for token in ids]
+    except LookupError:
+        unknown = next(token for token in ids if token not in coll.ground.ids)
+        raise ConfigError(f"item {unknown!r} is not in the ground set") from None
 
 
 def _split_csv(text: str | None) -> list[str] | None:
@@ -154,22 +151,21 @@ def _split_csv(text: str | None) -> list[str] | None:
 def cmd_summarize(args) -> int:
     coll = load_collection(args.collection)
     query_tokens = _split_csv(args.query)
-    synthesized = None
-    if query_tokens:
-        known_ids = set(coll.queries.ids)
-        if not all(t in known_ids for t in query_tokens):
-            # not item ids: treat the tokens as concept names and build a query item
-            universe = {c for it in coll.ground for c in (it.concepts or ())}
-            unknown = [t for t in query_tokens if t not in universe]
-            if unknown:
-                raise ConfigError(
-                    f"--query tokens {unknown} match neither query item ids nor concepts"
-                )
-            synthesized = ItemRecord("query:" + ",".join(query_tokens),
-                                     concepts={t: 1 for t in query_tokens})
-            coll.queries = AuxiliarySet(list(coll.queries) + [synthesized], "query")
-            query_tokens = [synthesized.id]
-    ctx = _context_from_collection(coll, args)
+    aux = coll.aux_sets
+    if query_tokens and not set(query_tokens) <= set(coll.queries.ids):
+        # not item ids: treat the tokens as concept names and build a query item
+        universe = set(coll.ground.counts.names)
+        unknown = [t for t in query_tokens if t not in universe]
+        if unknown:
+            raise ConfigError(
+                f"--query tokens {unknown} match neither query item ids nor concepts"
+            )
+        synthesized = ItemRecord("query:" + ",".join(query_tokens),
+                                 concepts={t: 1 for t in query_tokens})
+        # right after the collection's queries, as one more of them
+        aux = [coll.queries, AuxiliarySet([synthesized], "query"), coll.privates]
+        query_tokens = [synthesized.id]
+    ctx = _context_from_collection(coll, args, aux)
     flavor = parse_flavor(args.flavor)
     Q = _aux_indices(ctx, "query", query_tokens)
     P = _aux_indices(ctx, "private", _split_csv(args.private))
@@ -320,7 +316,7 @@ def cmd_synth(args) -> int:
     cfg = SyntheticConfig(seed=args.seed)
     ground, queries, privates = synth_generate(cfg)
     ctx = synth_context(cfg)
-    gxy, qxy, pxy = feature_array(ground), feature_array(queries), feature_array(privates)
+    gxy, qxy, pxy = ground.features, queries.features, privates.features
     Q = list(ctx.role_indices.get("query", ()))
     P = list(ctx.role_indices.get("private", ()))
 

@@ -6,13 +6,18 @@ universe V', and optional concept annotations used by the coverage-style
 objectives and the evaluation metrics.  Items carry dense feature vectors
 and/or sparse concept counts; kernels are built from features (falling back
 to concept-count vectors when features are absent).
+
+Item sets are held as columns: ids, a feature matrix and concept triplets.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,27 +26,12 @@ from .errors import ConfigError, FormatError, NumericError
 AUX_ROLES = ("query", "private", "previous_summary")
 
 _U = np.finfo(float).eps / 2  # unit roundoff of float64
-_TILE = 256  # side of the square blocks the kernel is symmetrized in
 _SAFETY = 100.0  # margin of the positive-definiteness certificate over Demmel's condition
 
 
 def _gamma(m: int) -> float:
     """Higham's gamma_m = m u / (1 - m u): the relative error bound of an m-term sum of products."""
     return m * _U / (1 - m * _U)
-
-
-def _tile_pairs(n: int):
-    """(rows, cols) slice pairs covering the upper block triangle of an n x n matrix."""
-    spans = [slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
-    return [(r, c) for k, r in enumerate(spans) for c in spans[k:]]
-
-
-def _symmetrize(mat: np.ndarray) -> None:
-    """Overwrite mat with (mat + mat.T) / 2, bit for bit, one block pair at a time."""
-    for r, c in _tile_pairs(mat.shape[0]):
-        avg = (mat[r, c] + mat[c, r].T) / 2.0
-        mat[r, c] = avg
-        mat[c, r] = avg.T
 
 
 @dataclass
@@ -60,7 +50,7 @@ class ItemRecord:
 
     def __post_init__(self):
         self.concepts = dict(self.concepts) if self.concepts else {}
-        self.coverage = dict(self.coverage) if self.coverage else {}
+        self.coverage = {name: float(p) for name, p in dict(self.coverage or {}).items()}
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)
             if self.features.ndim != 1:
@@ -73,12 +63,31 @@ class ItemRecord:
                 raise FormatError(f"item {self.id!r}: concept {name!r} count must be a nonnegative integer")
         self.concepts = {name: int(cnt) for name, cnt in self.concepts.items()}
         for name, p in self.coverage.items():
-            if not (0.0 <= float(p) <= 1.0):
+            if not (0.0 <= p <= 1.0):
                 raise FormatError(f"item {self.id!r}: coverage {name!r} must lie in [0, 1]")
 
 
+class Triplets(NamedTuple):
+    """Per-item concept values as columns: item rows[k] holds values[k] of concept names[k]."""
+
+    rows: np.ndarray
+    names: list[str]
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, dicts: list[dict]) -> "Triplets":
+        """Per-item {name: value} dicts; a value that is no number or boolean raises ValueError."""
+        values = np.array([v for d in dicts for v in d.values()])
+        if values.dtype.kind not in "biuf":
+            raise ValueError("concept values must be numbers")
+        rows = np.repeat(np.arange(len(dicts)), [len(d) for d in dicts])
+        return cls(rows, [k for d in dicts for k in d], values.astype(float))
+
+
 class GroundSet:
-    """Ordered, id-unique set of items with a shared feature dimension."""
+    """Ordered, id-unique items held as columns: features, the (m, d) matrix (None when some
+    item has none), and counts and cover, Triplets of the concept counts and the coverage
+    probabilities (an item without coverage covers, surely, each concept it counts above 0)."""
 
     def __init__(self, items: list[ItemRecord]):
         ids = [it.id for it in items]
@@ -88,26 +97,39 @@ class GroundSet:
         dims = {it.features.shape[0] for it in items if it.features is not None}
         if len(dims) > 1:
             raise FormatError(f"inconsistent feature dimensions: {sorted(dims)}")
-        self.items = list(items)
+        self._fill(ids, [it.features for it in items], [it.concepts for it in items],
+                   [it.coverage for it in items])
+
+    def _fill(self, ids: list[str], feats: list, concepts: list[dict], coverage: list[dict]) -> None:
+        """Columns of items given as lists, checked in vectorized form: features are flat lists
+        of numbers of one length or None, counts nonnegative integers, coverage in [0, 1], every
+        item has some payload and no id repeats; a failure raises a builtin exception."""
+        present = [f for f in feats if f is not None]
+        mat = np.array(present, dtype=float) if present else np.zeros((0, 0))
+        counts, given = Triplets.of(concepts), Triplets.of(coverage)
+        payload = np.array([f is not None for f in feats], dtype=bool)
+        payload[counts.rows] = payload[given.rows] = True
+        c, p = counts.values, given.values
+        if (mat.ndim != 2 or not payload.all() or len(set(ids)) != len(ids)
+                or not np.all(np.isfinite(c) & (c >= 0) & (c == np.floor(c))) or not np.all((p >= 0) & (p <= 1))):
+            raise ValueError("item values fail the format checks")
         self.ids = tuple(ids)
-        self.dim = dims.pop() if dims else None
+        self.features = mat if len(present) == len(feats) else None
+        self.counts = counts
+        fallback = ~np.isin(counts.rows, given.rows)
+        self.cover = Triplets(np.concatenate([given.rows, counts.rows[fallback]]),
+                              given.names + list(compress(counts.names, fallback.tolist())),
+                              np.concatenate([p, (c[fallback] > 0).astype(float)]))
         self._index = {i: k for k, i in enumerate(self.ids)}
 
     def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+        return len(self.ids)
 
     def index_of(self, item_id: str) -> int:
         try:
             return self._index[item_id]
         except KeyError:
             raise LookupError(f"unknown item id {item_id!r}") from None
-
-    def feature_matrix(self) -> np.ndarray:
-        """Dense (n, d) matrix of the items' features; every item must have them."""
-        return np.stack([it.features for it in self.items]) if self.items else np.zeros((0, 0))
 
 
 class AuxiliarySet(GroundSet):
@@ -143,44 +165,35 @@ class ConceptUniverse:
 
     @classmethod
     def from_items(cls, *sets: GroundSet, weights=None) -> "ConceptUniverse":
-        names: set[str] = set()
-        for s in sets:
-            for it in s:
-                names.update(it.concepts)
-                names.update(it.coverage)
+        names = set().union(*(s.counts.names for s in sets), *(s.cover.names for s in sets))
         return cls(sorted(names), weights)
 
 
-def count_matrix(items: GroundSet, universe: ConceptUniverse) -> np.ndarray:
-    """(n, L) integer concept-count matrix; unknown concepts raise LookupError."""
-    out = np.zeros((len(items), len(universe)), dtype=int)
-    for r, it in enumerate(items):
-        for name, cnt in it.concepts.items():
-            if name not in universe.index:
-                raise LookupError(f"item {it.id!r}: concept {name!r} not in universe")
-            out[r, universe.index[name]] = int(cnt)
+def _scatter(sets, universe: ConceptUniverse, column: str) -> np.ndarray:
+    """(n, L) matrix of one Triplets column of an item set, or of several
+    stacked in order; a concept outside the universe raises KeyError."""
+    sets = [sets] if isinstance(sets, GroundSet) else sets
+    out = np.zeros((sum(len(s) for s in sets), len(universe)))
+    offset = 0
+    for s in sets:
+        rows, names, values = getattr(s, column)
+        out[rows + offset, list(map(universe.index.__getitem__, names))] = values
+        offset += len(s)
     return out
 
 
-def coverage_matrix(items: GroundSet, universe: ConceptUniverse) -> np.ndarray:
+def count_matrix(items: GroundSet | list[GroundSet], universe: ConceptUniverse) -> np.ndarray:
+    """(n, L) concept-count matrix, as floats; unknown concepts raise KeyError."""
+    return _scatter(items, universe, "counts")
+
+
+def coverage_matrix(items: GroundSet | list[GroundSet], universe: ConceptUniverse) -> np.ndarray:
     """(n, L) coverage-probability matrix.
 
     Items without explicit coverage fall back to binarized counts
     (probability 1 wherever the count is positive).
     """
-    out = np.zeros((len(items), len(universe)), dtype=float)
-    for r, it in enumerate(items):
-        if it.coverage:
-            for name, p in it.coverage.items():
-                if name not in universe.index:
-                    raise LookupError(f"item {it.id!r}: concept {name!r} not in universe")
-                out[r, universe.index[name]] = float(p)
-        else:
-            for name, cnt in it.concepts.items():
-                if name not in universe.index:
-                    raise LookupError(f"item {it.id!r}: concept {name!r} not in universe")
-                out[r, universe.index[name]] = 1.0 if cnt > 0 else 0.0
-    return out
+    return _scatter(items, universe, "cover")
 
 
 @dataclass
@@ -227,20 +240,22 @@ class SimilarityKernel:
 
 
 def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> tuple[np.ndarray, float | None]:
-    """Similarity matrix (not yet symmetrized) and, for cosine, a bound on
-    how far each of its entries lies from a positive semidefinite matrix
-    once symmetrized (None for the other metrics)."""
+    """Similarity matrix, exactly symmetric as built, and for cosine a bound
+    on how far each of its entries lies from a positive semidefinite matrix
+    (None for the other metrics).  Each metric maps the Gram matrix X @ X.T
+    entry by entry, alike for (i, j) and (j, i), and numpy forms X @ X.T as
+    one triangle mirrored into the other (BLAS syrk; without BLAS, as the
+    same products summed in the same order)."""
     if metric == "dot":
         return feats @ feats.T, None
     if metric == "rbf":
         sq = np.sum(feats**2, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2 * feats @ feats.T, 0.0)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2 * (feats @ feats.T), 0.0)
         return np.exp(-d2 / (2 * sigma**2)), None
     if metric == "cosine":
         norms = np.linalg.norm(feats, axis=1)
         zero = norms == 0
-        safe = np.where(zero, 1.0, norms)
-        unit = feats / safe[:, None]
+        unit = feats / np.where(zero, 1.0, norms)[:, None]
         sim = unit @ unit.T
         # Bound every entry's distance from G, the Gram matrix of the unit
         # rows with zero rows zeroed, which is positive semidefinite.  An
@@ -248,8 +263,8 @@ def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> tuple[np.ndarray,
         # and |u_i|^2 is within delta of 1, where delta is measured on this
         # product's own diagonal, not assumed O(d u): rounded norms of
         # features near 1e-160 leave it ~1e-3.  Clipping and the unit
-        # diagonal stay within delta of G; halving the symmetrized sum adds
-        # u.  A zero row's unit diagonal only adds a semidefinite term.
+        # diagonal stay within delta of G, and the last 2u are slack.  A
+        # zero row's unit diagonal only adds a semidefinite term.
         d = feats.shape[1]
         off = np.abs(sim.diagonal()[~zero] - 1.0).max(initial=0.0)
         delta = (off + _gamma(d)) / (1 - _gamma(d))
@@ -283,26 +298,21 @@ def build_kernel(
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     if not np.isfinite(jitter):
         raise ConfigError(f"jitter must be finite, got {jitter}")
-    aux_sets = aux_list(aux)
-    ids = list(ground.ids)
-    for s in aux_sets:
-        ids.extend(s.ids)
+    all_sets = [ground, *aux_list(aux)]
+    ids = [i for s in all_sets for i in s.ids]
     if len(set(ids)) != len(ids):
         raise FormatError("auxiliary item ids must be disjoint from the ground set")
-    all_sets = [ground, *aux_sets]
-    use_features = all(it.features is not None for s in all_sets for it in s)
-    if use_features:
-        dims = {s.dim for s in all_sets if s.dim is not None}
+    if all(s.features is not None for s in all_sets):
+        dims = {s.features.shape[1] for s in all_sets if len(s)}
         if len(dims) > 1:
             raise FormatError(f"feature dimension mismatch across sets: {sorted(dims)}")
-        feats = np.concatenate([s.feature_matrix() for s in all_sets], axis=0) if ids else np.zeros((0, 0))
+        # an empty ground set adds no rows, whatever its (0, 0) matrix
+        feats = np.concatenate([s.features for s in all_sets if len(s)]) if ids else np.zeros((0, 0))
     else:
-        uni = universe or ConceptUniverse.from_items(*all_sets)
-        feats = np.concatenate([count_matrix(s, uni).astype(float) for s in all_sets], axis=0)
+        feats = count_matrix(all_sets, universe or ConceptUniverse.from_items(*all_sets))
     if not np.all(np.isfinite(feats)):
         raise FormatError("feature values must be finite")
     mat, entry_error = _pairwise(metric, feats, sigma) if len(ids) else (np.zeros((0, 0)), None)
-    _symmetrize(mat)
     kern = SimilarityKernel(mat, tuple(ids), metric, jitter)
     kern.check_positive_definite(entry_error=entry_error)
     return kern
@@ -338,15 +348,23 @@ def _record_from_json(obj: dict) -> ItemRecord:
             concepts={str(k): v for k, v in (obj.get("concepts") or {}).items()},
             coverage={str(k): float(v) for k, v in (obj.get("coverage") or {}).items()},
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"item {obj['id']!r}: {exc}") from None
 
 
-def _item_list(value, where: str) -> list[ItemRecord]:
-    """Item records parsed from a JSON list; any other value raises FormatError."""
+def _read_role(value, where: str, make) -> GroundSet:
+    """The item set (make builds it from records) of a JSON list of item records, read into
+    columns.  A list that fails a vectorized check is read again record by record, so that
+    the error names its first offending item in ItemRecord's words."""
     if not isinstance(value, list):
         raise FormatError(f"{where} must be a list of item records, not {type(value).__name__}")
-    return [_record_from_json(r) for r in value]
+    out = make([])
+    try:
+        out._fill([str(r["id"]) for r in value], [r.get("features") for r in value],
+                  [r.get("concepts") or {} for r in value], [r.get("coverage") or {} for r in value])
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        return make([_record_from_json(r) for r in value])
+    return out
 
 
 def id_list(value, where: str) -> tuple[str, ...]:
@@ -388,9 +406,9 @@ def load_collection(path) -> Collection:
     doc = read_json(path)
     if not isinstance(doc, dict) or "items" not in doc:
         raise FormatError("collection must be a JSON object with an 'items' array")
-    ground = GroundSet(_item_list(doc["items"], "'items'"))
-    queries = AuxiliarySet(_item_list(doc.get("queries", []), "'queries'"), "query")
-    privates = AuxiliarySet(_item_list(doc.get("privates", []), "'privates'"), "private")
+    ground = _read_role(doc["items"], "'items'", GroundSet)
+    queries = _read_role(doc.get("queries", []), "'queries'", partial(AuxiliarySet, role_tag="query"))
+    privates = _read_role(doc.get("privates", []), "'privates'", partial(AuxiliarySet, role_tag="private"))
     refs = id_lists(doc.get("references", []), "'references'")
     known = set(ground.ids)
     for ref in refs:
@@ -403,9 +421,11 @@ def load_collection(path) -> Collection:
         if not isinstance(cu, dict) or not isinstance(cu.get("concepts"), list):
             raise FormatError("concept_universe must be an object with a 'concepts' list")
         universe = ConceptUniverse([str(c) for c in cu["concepts"]], cu.get("weights"))
-        names = set(universe.index)
-        for it in (*ground, *queries, *privates):
-            unknown = sorted((set(it.concepts) | set(it.coverage)) - names)
+        for s in (ground, queries, privates):
+            rows = np.concatenate([s.counts.rows, s.cover.rows]).tolist()
+            unknown = [(r, n) for r, n in zip(rows, s.counts.names + s.cover.names) if n not in universe.index]
             if unknown:
-                raise FormatError(f"item {it.id!r}: concepts {unknown} not in concept_universe")
+                row = min(unknown)[0]
+                bad = sorted({n for r, n in unknown if r == row})
+                raise FormatError(f"item {s.ids[row]!r}: concepts {bad} not in concept_universe")
     return Collection(ground, queries, privates, refs, universe)

@@ -114,12 +114,11 @@ class EvalContext:
         aux_sets = aux_list(aux)
         kern = build_kernel(ground, aux_sets, metric=metric, jitter=jitter, sigma=sigma, universe=universe)
         all_sets = [ground, *aux_sets]
-        has_concepts = any(it.concepts or it.coverage for s in all_sets for it in s)
         counts = cover = weights = None
-        if has_concepts:
+        if any(s.counts.names or s.cover.names for s in all_sets):
             uni = universe or ConceptUniverse.from_items(*all_sets)
-            counts = np.concatenate([count_matrix(s, uni) for s in all_sets], axis=0)
-            cover = np.concatenate([coverage_matrix(s, uni) for s in all_sets], axis=0)
+            counts = count_matrix(all_sets, uni)
+            cover = coverage_matrix(all_sets, uni)
             weights = uni.weights
         roles: dict[str, tuple[int, ...]] = {}
         offset = len(ground)

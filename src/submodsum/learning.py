@@ -440,7 +440,9 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
                 continue
         step = np.zeros_like(theta)
         step[k] = h
-        numeric = (objective(theta + step) - objective(theta - step)) / (2.0 * h)
+        # forward difference where theta - h would leave the box at its lower bound 0
+        lo, span = (theta - step, 2.0 * h) if theta[k] >= h else (theta, h)
+        numeric = (objective(theta + step) - objective(lo)) / span
         worst = max(worst, abs(analytic[k] - numeric) / (abs(analytic[k]) + 1e-12))
     return float(worst)
 

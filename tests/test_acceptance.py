@@ -20,7 +20,6 @@ from conftest import relerr, seed_from
 from submodsum.bench import (
     SyntheticConfig,
     behavior_metrics,
-    feature_array,
     make_collection,
     random_instance,
     rouge_q,
@@ -317,7 +316,7 @@ def test_a6_seeded_behavior_studies():
     cfg = SyntheticConfig()
     ground, queries, privates = synth_generate(cfg)
     ctx = synth_context(cfg)
-    gxy, qxy, pxy = feature_array(ground), feature_array(queries), feature_array(privates)
+    gxy, qxy, pxy = ground.features, queries.features, privates.features
     Q = list(ctx.role_indices["query"])
     P = list(ctx.role_indices["private"])
 

@@ -7,7 +7,6 @@ from submodsum.bench import (
     BehaviorReport,
     SyntheticConfig,
     behavior_metrics,
-    feature_array,
     make_collection,
     random_instance,
     rouge_q,
@@ -90,8 +89,8 @@ def test_summary_counts_empty_selection():
 
 
 def test_synth_generate_is_deterministic():
-    a = feature_array(synth_generate(SyntheticConfig())[0])
-    b = feature_array(synth_generate(SyntheticConfig())[0])
+    a = synth_generate(SyntheticConfig())[0].features
+    b = synth_generate(SyntheticConfig())[0].features
     assert np.array_equal(a, b)
 
 
@@ -102,7 +101,7 @@ def test_synth_layout_shape():
     assert len(ground) == 102
     assert len(queries) == 2 and len(privates) == 2
     # cluster points stay near their centers; the outliers sit where configured
-    xy = feature_array(ground)
+    xy = ground.features
     centers = np.asarray(cfg.centers)
     spread = np.min(np.linalg.norm(xy[:100, None, :] - centers[None], axis=2), axis=1)
     assert spread.max() < 3.0 * cfg.cluster_std

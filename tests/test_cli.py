@@ -180,6 +180,20 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     assert not (out / "selection.json").exists()
 
 
+def test_summarize_empty_ground_set_with_feature_queries(tmp_path, capsys):
+    # an empty role adds no feature rows; stacking its (0, 0) matrix on the
+    # queries' (1, 1) rows used to end in a numpy traceback
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"items": [], "queries": [{"id": "q", "features": [1.0]}]}))
+    base = ["summarize", "--collection", str(path), "--flavor", "query", "--fn", "fl1"]
+    assert main(base + ["--budget", "0", "--out", str(tmp_path / "o0")]) == 0
+    sel = json.loads((tmp_path / "o0" / "selection.json").read_text())
+    assert sel["indices"] == [] and sel["value"] == 0.0
+    assert main(base + ["--budget", "1", "--out", str(tmp_path / "o1")]) == 2
+    assert capsys.readouterr().err == "error: budget 1 exceeds 0 available candidates\n"
+    assert not (tmp_path / "o1" / "selection.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_summarize_com_rejects_negative_similarities(tmp_path, capsys):
     # the dot kernel keeps negative cross similarities; sqrt of their sums

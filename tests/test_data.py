@@ -15,6 +15,7 @@ from submodsum.data import (
     load_collection,
     write_json,
 )
+from submodsum.cli import main
 from submodsum.errors import FormatError, NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec
 from submodsum.optimize import Flavor, master_solve
@@ -24,7 +25,7 @@ def test_ground_set_basic():
     gs = GroundSet([ItemRecord("a", features=[1.0, 0.0]), ItemRecord("b", features=[0.0, 1.0])])
     assert len(gs) == 2
     assert gs.ids == ("a", "b")
-    assert gs.dim == 2
+    assert gs.features.shape == (2, 2)
     assert gs.index_of("b") == 1
     with pytest.raises(LookupError):
         gs.index_of("zz")
@@ -167,3 +168,115 @@ def test_collection_lists_must_be_lists(tmp_path, key, value):
     path.write_text(json.dumps({"items": [{"id": "a", "concepts": {"x": 1}}], key: value}))
     with pytest.raises(FormatError, match=f"'{key}' must be a list"):
         load_collection(path)
+
+
+# ---------------------------------------------------------------------------
+# loading roles as columns
+
+
+def _role_doc():
+    def rec(prefix, i):
+        return {"id": f"{prefix}{i}", "features": [1.0 + i, 2.0, 0.5 * i],
+                "concepts": {"a": 1, "b": i + 1}, "coverage": {"a": 0.5, "c": 0.25}}
+    return {"items": [rec("g", i) for i in range(3)], "queries": [rec("q", i) for i in range(3)],
+            "privates": [rec("p", i) for i in range(3)]}
+
+
+# defect -> (mutation of one record, the message that names it or None where
+# the rest of the message is numpy's or Python's own text)
+DEFECTS = {
+    "ragged_features": (lambda r: r["features"].append(1.0), "inconsistent feature dimensions: [3, 4]"),
+    "text_feature": (lambda r: r["features"].__setitem__(1, "x"), None),
+    "nested_feature": (lambda r: r.__setitem__("features", [[1.0], [2.0], [3.0]]),
+                       "item {id!r}: features must be a flat vector"),
+    "fractional_count": (lambda r: r["concepts"].__setitem__("b", 1.5),
+                         "item {id!r}: concept 'b' count must be a nonnegative integer"),
+    "negative_count": (lambda r: r["concepts"].__setitem__("b", -1),
+                       "item {id!r}: concept 'b' count must be a nonnegative integer"),
+    "text_count": (lambda r: r["concepts"].__setitem__("b", "two"),
+                   "item {id!r}: concept 'b' count must be a nonnegative integer"),
+    "coverage_above_one": (lambda r: r["coverage"].__setitem__("c", 1.5),
+                           "item {id!r}: coverage 'c' must lie in [0, 1]"),
+    "coverage_below_zero": (lambda r: r["coverage"].__setitem__("c", -0.5),
+                            "item {id!r}: coverage 'c' must lie in [0, 1]"),
+    "coverage_text": (lambda r: r["coverage"].__setitem__("c", "lots"), None),
+    "no_id": (lambda r: r.pop("id"), "item record must be an object with an 'id': {rec!r}"),
+    "bare_item": (lambda r: [r.pop(k) for k in ("features", "concepts", "coverage")],
+                  "item {id!r}: needs features or concepts"),
+    "unknown_concept": (lambda r: r["concepts"].__setitem__("zz", 1),
+                        "item {id!r}: concepts ['zz'] not in concept_universe"),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("role", ["items", "queries", "privates"])
+@pytest.mark.parametrize("defect", [*DEFECTS, "not_an_object", "duplicate_id"])
+def test_load_names_the_first_offending_item(tmp_path, capsys, defect, role, k):
+    doc = _role_doc()
+    doc["concept_universe"] = {"concepts": ["a", "b", "c"]}
+    victim = doc[role][k]
+    item_id = victim["id"]
+    if defect == "not_an_object":
+        doc[role][k] = "oops"
+        want = "item record must be an object with an 'id': 'oops'"
+    elif defect == "duplicate_id":
+        victim["id"] = doc[role][1 - k // 2]["id"]
+        want = f"duplicate item ids: [{victim['id']!r}]"
+    else:
+        mutate, want = DEFECTS[defect]
+        mutate(victim)
+        want = want and want.format(id=item_id, rec=victim)
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        load_collection(path)
+    if want is None:
+        assert str(info.value).startswith(f"item {item_id!r}: ")
+    else:
+        assert str(info.value) == want
+    assert main(["summarize", "--collection", str(path), "--flavor", "generic", "--budget", "1",
+                 "--fn", "fl1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_loaded_columns_equal_those_of_the_records(tmp_path):
+    rows = [{"id": "a", "features": [1.0, 0.0], "concepts": {"x": 2, "y": 0}},
+            {"id": "b", "features": [0.5, float("nan")], "concepts": {"y": 1}, "coverage": {"y": 0.25}},
+            {"id": "c", "features": [0.0, 3.0], "coverage": {"x": 1.0, "z": 0.0}}]
+    queries = [{"id": "q", "concepts": {"z": 3}}]
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"items": rows, "queries": queries}))
+    coll = load_collection(path)  # NaN features load; the kernel rejects them only if it reads them
+    records = [ItemRecord(r["id"], features=r.get("features"), concepts=r.get("concepts"),
+                          coverage=r.get("coverage")) for r in rows]
+    for got, want in ((coll.ground, GroundSet(records)),
+                      (coll.queries, AuxiliarySet([ItemRecord("q", concepts={"z": 3})], "query"))):
+        assert got.ids == want.ids
+        assert (got.features is None) == (want.features is None)
+        if want.features is not None:
+            assert np.array_equal(got.features, want.features, equal_nan=True)
+        for column in ("counts", "cover"):
+            for g, w in zip(getattr(got, column), getattr(want, column)):
+                assert np.array_equal(g, w)
+    assert coll.ground.cover.names == ["y", "x", "z", "x", "y"]  # b and c give coverage, a falls back
+    # the query has no features, so the kernel comes from the concept counts
+    uni = ConceptUniverse.from_items(coll.ground, coll.queries)
+    counts = count_matrix([coll.ground, coll.queries], uni)
+    assert counts.tolist() == [[2, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 3]]
+    kern = build_kernel(coll.ground, coll.queries, metric="dot")
+    assert np.array_equal(kern.matrix, counts @ counts.T)
+
+
+def test_loading_and_building_make_no_item_records(tmp_path, monkeypatch):
+    doc = _role_doc()
+    doc["concept_universe"] = {"concepts": ["a", "b", "c"], "weights": [1.0, 2.0, 0.5]}
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ItemRecord was built")
+
+    monkeypatch.setattr(ItemRecord, "__init__", refuse)
+    coll = load_collection(path)
+    ctx = EvalContext.build(coll.ground, coll.aux_sets, universe=coll.universe)
+    assert ctx.kernel.shape == (9, 9) and ctx.counts.shape == (9, 3)

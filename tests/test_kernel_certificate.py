@@ -4,8 +4,8 @@ A cosine kernel carries a bound on its rounding error, and when that bound
 proves that Cholesky of kernel + jitter*I would succeed, build_kernel skips
 the factorization.  These tests pin the outcomes the factorization gives,
 check that the certificate never accepts a kernel the factorization would
-reject, and check the blockwise symmetrize against its dense form and that
-every kernel build_kernel returns is exactly symmetric.
+reject, and check that every kernel build_kernel returns is exactly
+symmetric and bit-equal to its dense form.
 """
 
 import contextlib
@@ -13,7 +13,6 @@ import contextlib
 import numpy as np
 import pytest
 
-from submodsum import data
 from submodsum.data import GroundSet, ItemRecord, build_kernel
 from submodsum.errors import NumericError
 
@@ -85,30 +84,37 @@ def test_certificate_replaces_the_factorization_for_cosine_only(rng):
     assert calls == [(300, 300)]
 
 
+def _dense(metric, feats, sigma=1.0):
+    """Each metric's similarity matrix, formed as a whole from the full product."""
+    if metric == "dot":
+        return feats @ feats.T
+    if metric == "rbf":
+        sq = np.sum(feats**2, axis=1)
+        return np.exp(-np.maximum(sq[:, None] + sq[None, :] - 2 * (feats @ feats.T), 0.0) / (2 * sigma**2))
+    norms = np.linalg.norm(feats, axis=1)
+    zero = norms == 0
+    unit = feats / np.where(zero, 1.0, norms)[:, None]
+    sim = np.clip(unit @ unit.T, -1.0, 1.0)
+    sim[zero, :] = 0.0
+    sim[:, zero] = 0.0
+    np.fill_diagonal(sim, 1.0)
+    return sim
+
+
 @pytest.mark.parametrize("metric", ["cosine", "rbf", "dot"])
-def test_tiled_symmetrize_and_asymmetry_match_the_dense_forms(rng, metric):
-    n = 2 * data._TILE + 37
-    mat, _ = data._pairwise(metric, rng.normal(size=(n, 5)), 1.0)
-    mat += 1e-13 * rng.normal(size=(n, n))  # the product itself may already be symmetric
-    assert np.max(np.abs(mat - mat.T)) > 0
-    expect = (mat + mat.T) / 2.0
-    data._symmetrize(mat)
-    assert np.array_equal(mat.view(np.int64), expect.view(np.int64))
-    assert np.array_equal(mat, mat.T)
-    # the kernel build_kernel returns is exactly symmetric too
-    kern = build_kernel(_feature_ground(rng.normal(size=(n, 5))), [], metric=metric).matrix
-    assert np.array_equal(kern, kern.T)
+def test_kernel_is_the_symmetrized_dense_form_bit_for_bit(rng, metric):
+    for n in (1, 255, 256, 257, 2 * 256 + 37):
+        feats = rng.normal(size=(n, 5))
+        if metric == "cosine":
+            feats[rng.integers(n, size=max(1, n // 50))] = 0.0
+        mat = _dense(metric, feats)
+        expect = (mat + mat.T) / 2.0
+        kern = build_kernel(_feature_ground(feats), [], metric=metric).matrix
+        assert np.array_equal(kern.view(np.int64), expect.view(np.int64)), (metric, n)
+        assert np.array_equal(kern, kern.T)
 
 
-# no max_examples here: the loaded profile (tests/conftest.py) sets it
-@settings(deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.integers(1, 6),
-       copies=st.integers(0, 10), zeros=st.integers(0, 3), scale=st.integers(-160, 150),
-       spread=st.integers(0, 4),
-       jitter=st.one_of(st.sampled_from([0.0, 1e-6, -1e-6]),
-                        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
-                                  st.floats(-16, -3))))
-def test_certified_cosine_kernel_factors(seed, n, dim, copies, zeros, scale, spread, jitter):
+def _check_certificate(seed, n, dim, copies, zeros, scale, spread, jitter):
     """Whenever the certificate skips the factorization, the factorization
     succeeds; every kernel returned is exactly symmetric and within [-1, 1]."""
     rng = np.random.default_rng(seed)
@@ -131,3 +137,27 @@ def test_certified_cosine_kernel_factors(seed, n, dim, copies, zeros, scale, spr
     assert -1.0 <= mat.min() and mat.max() <= 1.0
     if not calls:
         np.linalg.cholesky(kern.matrix + jitter * np.eye(n))
+
+
+JITTERS = st.one_of(st.sampled_from([0.0, 1e-6, -1e-6]),
+                    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                              st.floats(-16, -3)))
+
+
+# no max_examples here: the loaded profile (tests/conftest.py) sets it
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), dim=st.integers(1, 6),
+       copies=st.integers(0, 10), zeros=st.integers(0, 3), scale=st.integers(-160, 150),
+       spread=st.integers(0, 4), jitter=JITTERS)
+def test_certified_cosine_kernel_factors(seed, n, dim, copies, zeros, scale, spread, jitter):
+    _check_certificate(seed, n, dim, copies, zeros, scale, spread, jitter)
+
+
+# kernels past one BLAS block: n around 256 and 512, where the product's
+# blocking and its remainder rows change
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.one_of(st.integers(250, 260), st.integers(508, 516)),
+       dim=st.integers(1, 6), copies=st.integers(0, 10), zeros=st.integers(0, 3),
+       scale=st.integers(-160, 150), spread=st.integers(0, 4), jitter=JITTERS)
+def test_cosine_certificate_holds_on_large_kernels(seed, n, dim, copies, zeros, scale, spread, jitter):
+    _check_certificate(seed, n, dim, copies, zeros, scale, spread, jitter)

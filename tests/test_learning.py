@@ -182,6 +182,15 @@ def test_finite_difference_gap_small(example):
     assert finite_diff_check(model, example) < 1e-3
 
 
+def test_finite_difference_gap_small_with_a_weight_at_zero(example):
+    # train() projects weights onto the box, so a weight can sit at its bound 0
+    base = init_mixture(["sc", "gc", "fl1", "fl2", "logdet", "com"], seed=20)
+    weights = base.weights + 0.1
+    weights[1] = 0.0
+    model = MixtureModel(base.components, weights, reg_strength=base.reg_strength)
+    assert finite_diff_check(model, example) < 1e-3
+
+
 def test_zero_margin_matches_plain_greedy(example):
     model = init_mixture(["sc", "fl1"], seed=7)
     plain = summarize_with_mixture(model, example, Flavor.QUERY)
