@@ -53,9 +53,11 @@ from .learning import (
     train,
     write_training_log,
 )
-from .optimize import Flavor, master_solve, parse_flavor
+from .optimize import FLAVOR_TABLE, Flavor, master_solve, parse_flavor
 
-_QUERY_FLAVORS = (Flavor.QUERY, Flavor.QUERY_UPDATE, Flavor.QUERY_PRIVACY)
+# what to pass when a flavor's conditioning set (see FLAVOR_TABLE) is missing
+_COND_HINT = {"private": "--private or collection privates",
+              "previous": "--prev with previous summary items"}
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +173,11 @@ def cmd_summarize(args) -> int:
     P = _aux_indices(ctx, "private", _split_csv(args.private))
     prev = _ground_indices(coll, _split_csv(args.prev) or [])
 
-    if flavor in _QUERY_FLAVORS and not Q:
+    _, wants_q, cond_source = FLAVOR_TABLE[flavor]
+    if wants_q and not Q:
         raise ConfigError(f"flavor {flavor.value} needs --query or collection queries")
-    if flavor in (Flavor.PRIVACY, Flavor.IRRELEVANCE, Flavor.QUERY_PRIVACY) and not P:
-        raise ConfigError(f"flavor {flavor.value} needs --private or collection privates")
-    if flavor in (Flavor.UPDATE, Flavor.QUERY_UPDATE) and not prev:
-        raise ConfigError(f"flavor {flavor.value} needs --prev with previous summary items")
+    if cond_source and not {"private": P, "previous": prev}[cond_source]:
+        raise ConfigError(f"flavor {flavor.value} needs {_COND_HINT[cond_source]}")
 
     spec = parse_fn_spec(args.fn)
     sel = master_solve(flavor, spec, ctx, args.budget, Q=Q, P=P, previous=prev,

@@ -10,6 +10,9 @@ from .spec import MeasureMode
 # -- set handling ------------------------------------------------------------
 
 
+NO_ITEMS = np.zeros(0, dtype=int)
+
+
 def as_indices(S) -> np.ndarray:
     """Sorted unique int array; accepts any iterable of indices."""
     arr = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
@@ -82,18 +85,6 @@ def pair_scaled_block(K: np.ndarray, rows: np.ndarray, cols: np.ndarray, ctx, et
     return block
 
 
-def scaled_kernel_matrix(K: np.ndarray, ctx, eta_cols, eta: float, nu_cols, nu: float) -> np.ndarray:
-    """Full-kernel version of the pair scaling, used by the definitional oracle."""
-    out = K.copy()
-    idx = np.arange(out.shape[0])
-    for t, target in ((float(eta), eta_cols), (float(nu), nu_cols)):
-        members = _aux_members(ctx, target)
-        if t == 1.0 or not members:
-            continue
-        out = np.where(pair_membership_mask(idx, idx, members), out * t, out)
-    return out
-
-
 # -- concave transforms --------------------------------------------------------
 
 PSI = {
@@ -107,8 +98,19 @@ PSI = {
 
 
 class FamilyOps:
-    """One measure family: closed forms base/smi/cg/csmi for the modes in
-    MODES, an incremental state(), and gradients for PARAM_KEYS.
+    """One measure family: its closed form, incremental state and gradients.
+
+    value(ctx, spec, mode, A, Q, P) is the closed form of the measure in
+    any mode of MODES for a nonempty A in the ground set: f(A), I_f(A; Q),
+    f(A | P) or I_f(A; Q | P), with the sets the mode does not read empty.
+    base(ctx, spec, S) is f(S) for any S in the universe, the function the
+    definitional oracle builds every mode from; it defaults to
+    value(BASE, S), and a family overrides it where its f over a set that
+    holds auxiliary items needs code of its own.  state() starts the
+    incremental evaluator of a mode, and partials/near_kink give the
+    gradients for PARAM_KEYS and flag a max/min switch close by.  A family
+    computes the per-mode pieces these share (caps, masks, factors,
+    blocks) in one helper that all of them read.
 
     PARAM_MAX bounds a parameter from above where the measure stops being
     well defined; every parameter is bounded below by zero.  The defaults
@@ -119,6 +121,12 @@ class FamilyOps:
     MODES: frozenset = frozenset(MeasureMode)
     PARAM_KEYS: tuple[str, ...] = ()
     PARAM_MAX: dict[str, float] = {}
+
+    def value(self, ctx, spec, mode, A, Q, P) -> float:
+        raise NotImplementedError
+
+    def base(self, ctx, spec, S) -> float:
+        return self.value(ctx, spec, MeasureMode.BASE, S, NO_ITEMS, NO_ITEMS)
 
     def oracle_view(self, ctx, spec, mode, Q, P):
         """Context on which the bare definitions reproduce the closed forms."""

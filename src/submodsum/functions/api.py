@@ -102,11 +102,7 @@ def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> f
     ops = REGISTRY[spec.family]
     if mode == MeasureMode.BASE:
         return float(ops.base(ctx, spec, A))
-    if mode == MeasureMode.SMI:
-        return float(ops.smi(ctx, spec, A, Q))
-    if mode == MeasureMode.CG:
-        return float(ops.cg(ctx, spec, A, P))
-    return float(ops.csmi(ctx, spec, A, Q, P))
+    return float(ops.value(ctx, spec, mode, A, Q, P))
 
 
 class _ZeroState(MarginalState):

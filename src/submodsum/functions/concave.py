@@ -17,9 +17,12 @@ all derived from the restricted base
 with guard g = sqrt(|V|).  The identities assume the guard dominates the
 cross modular sums, which holds whenever cross rows sum to at most g, and
 psi needs nonnegative sums, so a kernel with negative cross similarities
-(possible with the dot metric) is rejected.  The marginal state
-recomputes every candidate's gain over its few query/auxiliary rows after
-each pick.
+(possible with the dot metric) is rejected.  Every mode, base over the
+ground set included, is dq * sum over a set of auxiliary rows of
+psi(sum_A x) plus da * sum over A of a per-item term; _terms gives that
+row set and item term, and the closed form, the marginal state and the
+eta partial read them.  The marginal state recomputes every candidate's
+gain over its few query/auxiliary rows after each pick.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def _cross(ctx) -> np.ndarray:
     """The cross-only view, checked for the nonnegative sums psi is defined on."""
     X = ctx.cross_nonneg
     n = ctx.n_ground
-    if n < ctx.size and min(X[:n, n:].min(), X[n:, :n].min()) < 0.0:
+    if min(X[:n, n:].min(initial=0.0), X[n:, :n].min(initial=0.0)) < 0.0:
         raise ConfigError(f"concave-over-modular needs nonnegative similarities, but the "
                           f"{ctx.metric} kernel has negative cross similarities")
     return X
@@ -49,6 +52,36 @@ def _sums(X, rows, cols):
     return X[np.ix_(rows, cols)].sum(axis=1)
 
 
+def _side(ctx, X, psi, rows, S):
+    """One side of the restricted base: the sum over rows i of
+    max(psi(sum of x_ij over the members j of S on the other side), psi(g * [i in S]))."""
+    other = S[np.isin(S, rows, invert=True)]
+    return np.maximum(psi(_sums(X, rows, other)), psi(np.sqrt(ctx.n_ground) * np.isin(rows, S))).sum()
+
+
+def _terms(ctx, spec, mode, Q, P):
+    """(X, rows, item_term) with the measure of A in this mode equal to
+
+        dq * sum_{i in rows} psi(sum_{j in A} x_ij) + da * sum_{j in A} item_term_j
+
+    rows being V', Q, V' \\ P and Q for BASE, SMI, CG and CSMI."""
+    require_aux(Q, ctx, "Q")
+    require_aux(P, ctx, "P")
+    X = _cross(ctx)
+    psi = PSI[spec.psi]
+    n = ctx.n_ground
+    g = np.sqrt(n)
+    ground = np.arange(n)
+    if mode == MeasureMode.BASE:
+        return X, np.arange(n, ctx.size), np.full(n, float(psi(g)))
+    if mode == MeasureMode.SMI:
+        return X, Q, psi(_sums(X, ground, Q))
+    ps = _sums(X, ground, P)
+    if mode == MeasureMode.CG:
+        return X, np.setdiff1d(np.arange(n, ctx.size), P), psi(g) - psi(ps)
+    return X, Q, psi(_sums(X, ground, Q) + ps) - psi(ps)
+
+
 class ConcaveOverModularOps(FamilyOps):
     PARAM_KEYS = ("eta",)
 
@@ -56,44 +89,13 @@ class ConcaveOverModularOps(FamilyOps):
         X = _cross(ctx)
         psi = PSI[spec.psi]
         da, dq = spec.com_deltas()
-        g = np.sqrt(ctx.n_ground)
-        Sv = S[S < ctx.n_ground]
-        Sa = S[S >= ctx.n_ground]
-        shadow = np.arange(ctx.n_ground, ctx.size)
-        ground = np.arange(ctx.n_ground)
-        in_Sa = np.isin(shadow, Sa)
-        in_Sv = np.isin(ground, Sv)
-        q_term = np.maximum(psi(_sums(X, shadow, Sv)), psi(g * in_Sa)).sum()
-        a_term = np.maximum(psi(_sums(X, ground, Sa)), psi(g * in_Sv)).sum()
-        return float(dq * q_term + da * a_term)
+        q_term = _side(ctx, X, psi, np.arange(ctx.n_ground, ctx.size), S)
+        return float(dq * q_term + da * _side(ctx, X, psi, np.arange(ctx.n_ground), S))
 
-    def smi(self, ctx, spec, A, Q):
-        require_aux(Q, ctx, "Q")
-        X = _cross(ctx)
-        psi = PSI[spec.psi]
+    def value(self, ctx, spec, mode, A, Q, P):
+        X, rows, item_term = _terms(ctx, spec, mode, Q, P)
         da, dq = spec.com_deltas()
-        return float(dq * psi(_sums(X, Q, A)).sum() + da * psi(_sums(X, A, Q)).sum())
-
-    def cg(self, ctx, spec, A, P):
-        require_aux(P, ctx, "P")
-        X = _cross(ctx)
-        psi = PSI[spec.psi]
-        da, dq = spec.com_deltas()
-        g = np.sqrt(ctx.n_ground)
-        rest = np.setdiff1d(np.arange(ctx.n_ground, ctx.size), P)
-        q_term = psi(_sums(X, rest, A)).sum()
-        a_term = (psi(g) - psi(_sums(X, A, P))).sum()
-        return float(dq * q_term + da * a_term)
-
-    def csmi(self, ctx, spec, A, Q, P):
-        require_aux(Q, ctx, "Q")
-        require_aux(P, ctx, "P")
-        X = _cross(ctx)
-        psi = PSI[spec.psi]
-        da, dq = spec.com_deltas()
-        qs = _sums(X, A, Q)
-        ps = _sums(X, A, P)
-        return float(dq * psi(_sums(X, Q, A)).sum() + da * (psi(qs + ps) - psi(ps)).sum())
+        return float(dq * PSI[spec.psi](_sums(X, rows, A)).sum() + da * item_term[A].sum())
 
     def state(self, ctx, spec, mode, Q, P):
         return _ComState(ctx, spec, mode, Q, P)
@@ -101,56 +103,19 @@ class ConcaveOverModularOps(FamilyOps):
     def partials(self, ctx, spec, mode, A, Q, P):
         if spec.com_weights is not None:
             return {}  # eta only acts through the default delta mapping
-        X = _cross(ctx)
-        psi = PSI[spec.psi]
-        g = np.sqrt(ctx.n_ground)
         if mode == MeasureMode.BASE:
-            ground = np.arange(ctx.n_ground)
-            Sa = A[A >= ctx.n_ground]
-            in_Sv = np.isin(ground, A[A < ctx.n_ground])
-            a_term = np.maximum(psi(_sums(X, ground, Sa)), psi(g * in_Sv)).sum()
-            return {"eta": float(a_term)}
-        if mode == MeasureMode.SMI:
-            return {"eta": float(psi(_sums(X, A, Q)).sum())}
-        if mode == MeasureMode.CG:
-            return {"eta": float((psi(g) - psi(_sums(X, A, P))).sum())}
-        qs = _sums(X, A, Q)
-        ps = _sums(X, A, P)
-        return {"eta": float((psi(qs + ps) - psi(ps)).sum())}
+            return {"eta": float(_side(ctx, _cross(ctx), PSI[spec.psi], np.arange(ctx.n_ground), A))}
+        return {"eta": float(_terms(ctx, spec, mode, Q, P)[2][A].sum())}
 
 
 class _ComState(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
-        X = _cross(ctx)
+        X, rows, self.item_term = _terms(ctx, spec, mode, Q, P)
         self.psi = PSI[spec.psi]
         self.da, self.dq = spec.com_deltas()
-        n = ctx.n_ground
-        g = np.sqrt(n)
-        if mode == MeasureMode.BASE:
-            rows = np.arange(n, ctx.size)
-        elif mode == MeasureMode.SMI:
-            require_aux(Q, ctx, "Q")
-            rows = Q
-        elif mode == MeasureMode.CG:
-            require_aux(P, ctx, "P")
-            rows = np.setdiff1d(np.arange(n, ctx.size), P)
-        else:
-            require_aux(Q, ctx, "Q")
-            require_aux(P, ctx, "P")
-            rows = Q
-        self.cross = X[rows, :n]
+        self.cross = X[rows, :ctx.n_ground]
         self.msum = np.zeros(rows.size)
-        qs = _sums(X, np.arange(n), Q)
-        ps = _sums(X, np.arange(n), P)
-        if mode == MeasureMode.BASE:
-            self.item_term = np.full(n, float(self.psi(g)))
-        elif mode == MeasureMode.SMI:
-            self.item_term = self.psi(qs)
-        elif mode == MeasureMode.CG:
-            self.item_term = self.psi(g) - self.psi(ps)
-        else:
-            self.item_term = self.psi(qs + ps) - self.psi(ps)
         self._refresh()
 
     def _refresh(self):

@@ -4,7 +4,10 @@ Set cover: f(S) = w(concepts covered by S).  Its information forms reduce to
 weighted intersections/differences of covered-concept sets.  Probabilistic
 set cover: f(S) = sum_i w_i (1 - prod_{j in S}(1 - p_ij)), the product being
 the probability that concept i stays uncovered by S.  Neither family has
-continuous parameters.
+continuous parameters.  The modes differ only per concept: set cover counts
+the concepts covered by Q and not by P (_active), probabilistic set cover
+multiplies by 1 - miss(Q) and then by miss(P) (_factors), and the closed
+form and the marginal state both read that one helper.
 
 Both marginal states keep every item's gain as a sum over its nonzero
 concepts of a per-concept weight (the weight of a concept still uncovered;
@@ -33,31 +36,24 @@ def _covered(gamma: np.ndarray, S: np.ndarray) -> np.ndarray:
     return gamma[S].any(axis=0)
 
 
+def _active(gamma: np.ndarray, mode, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Concepts the mode counts: covered by Q where it reads Q, not covered by P where it reads P."""
+    active = np.ones(gamma.shape[1], dtype=bool)
+    if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+        active &= _covered(gamma, Q)
+    if mode in (MeasureMode.CG, MeasureMode.CSMI):
+        active &= ~_covered(gamma, P)
+    return active
+
+
 class SetCoverOps(FamilyOps):
-    def base(self, ctx, spec, S):
+    def value(self, ctx, spec, mode, A, Q, P):
         g = _gamma(ctx)
-        return float(ctx.concept_weights @ _covered(g, S))
-
-    def smi(self, ctx, spec, A, Q):
-        g = _gamma(ctx)
-        return float(ctx.concept_weights @ (_covered(g, A) & _covered(g, Q)))
-
-    def cg(self, ctx, spec, A, P):
-        g = _gamma(ctx)
-        return float(ctx.concept_weights @ (_covered(g, A) & ~_covered(g, P)))
-
-    def csmi(self, ctx, spec, A, Q, P):
-        g = _gamma(ctx)
-        return float(ctx.concept_weights @ (_covered(g, A) & _covered(g, Q) & ~_covered(g, P)))
+        return float(ctx.concept_weights @ (_covered(g, A) & _active(g, mode, Q, P)))
 
     def state(self, ctx, spec, mode, Q, P):
         g = _gamma(ctx)
-        active = np.ones(g.shape[1], dtype=bool)
-        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
-            active &= _covered(g, Q)
-        if mode in (MeasureMode.CG, MeasureMode.CSMI):
-            active &= ~_covered(g, P)
-        return _CoverState(g, ctx.concept_weights, active)
+        return _CoverState(g, ctx.concept_weights, _active(g, mode, Q, P))
 
 
 class _CoverState(MarginalState):
@@ -90,30 +86,30 @@ def _miss(prob: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.prod(1.0 - prob[S], axis=0)
 
 
+def _factors(prob: np.ndarray, mode, Q: np.ndarray, P: np.ndarray) -> list[np.ndarray]:
+    """Per-concept factors the mode multiplies the coverage of A by, in order:
+    1 - miss(Q) where it reads Q, then miss(P) where it reads P."""
+    out = []
+    if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+        out.append(1.0 - _miss(prob, Q))
+    if mode in (MeasureMode.CG, MeasureMode.CSMI):
+        out.append(_miss(prob, P))
+    return out
+
+
 class ProbSetCoverOps(FamilyOps):
-    def base(self, ctx, spec, S):
+    def value(self, ctx, spec, mode, A, Q, P):
         p = _probs(ctx)
-        return float(ctx.concept_weights @ (1.0 - _miss(p, S)))
-
-    def smi(self, ctx, spec, A, Q):
-        p = _probs(ctx)
-        return float(ctx.concept_weights @ ((1.0 - _miss(p, A)) * (1.0 - _miss(p, Q))))
-
-    def cg(self, ctx, spec, A, P):
-        p = _probs(ctx)
-        return float(ctx.concept_weights @ ((1.0 - _miss(p, A)) * _miss(p, P)))
-
-    def csmi(self, ctx, spec, A, Q, P):
-        p = _probs(ctx)
-        return float(ctx.concept_weights @ ((1.0 - _miss(p, A)) * (1.0 - _miss(p, Q)) * _miss(p, P)))
+        x = 1.0 - _miss(p, A)
+        for factor in _factors(p, mode, Q, P):
+            x = x * factor
+        return float(ctx.concept_weights @ x)
 
     def state(self, ctx, spec, mode, Q, P):
         p = _probs(ctx)
         mult = np.ones(p.shape[1])
-        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
-            mult *= 1.0 - _miss(p, Q)
-        if mode in (MeasureMode.CG, MeasureMode.CSMI):
-            mult *= _miss(p, P)
+        for factor in _factors(p, mode, Q, P):
+            mult = mult * factor
         return _ProbCoverState(p, ctx.concept_weights, mult)
 
 

@@ -18,7 +18,7 @@ from .spec import MeasureMode
 class DisparitySumOps(FamilyOps):
     MODES = frozenset({MeasureMode.BASE})
 
-    def base(self, ctx, spec, S):
+    def value(self, ctx, spec, mode, S, Q, P):
         if S.size < 2:
             return 0.0
         D = 1.0 - ctx.nonneg[np.ix_(S, S)]
@@ -31,7 +31,7 @@ class DisparitySumOps(FamilyOps):
 class DisparityMinOps(FamilyOps):
     MODES = frozenset({MeasureMode.BASE})
 
-    def base(self, ctx, spec, S):
+    def value(self, ctx, spec, mode, S, Q, P):
         if S.size < 2:
             return 0.0
         D = 1.0 - ctx.nonneg[np.ix_(S, S)]

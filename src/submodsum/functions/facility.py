@@ -5,14 +5,19 @@ Variant 1 scores coverage of the ground set (rows U = V):
     query form      sum_i min(max_{j in A} s_ij, eta * max_{j in Q} s_ij)
     conditional     sum_i max(max_{j in A} s_ij - nu * max_{j in P} s_ij, 0)
     joint           sum_i max(min(max_A, eta max_Q) - nu max_P, 0)
-eta/nu scale V<->V' cross similarities only.
+eta/nu scale V<->V' cross similarities only.  Every mode clips
+max_{j in A} s_ij under a query cap and then above a conditioning floor;
+_caps gives both per ground row, and the closed form, the marginal state,
+partials and near_kink all read them from there.
 
 Variant 2 scores rows of the whole universe on the cross-only kernel:
     f_eta(S) = sum_{i in V'} max_{j in S} x_ij + eta * sum_{i in V} max_{j in S} x_ij
 whose pairwise information form is
-    sum_{i in Q} min(max_{j in A} s_ij, 1) + eta * sum_{i in A} min(max_{j in Q} s_ij, 1)
-(the min caps are inactive for similarities in [0, 1]).  Variant 2 has no
-conditional forms; those belong to variant 1.
+    sum_{i in Q} max_{j in A} x_ij + eta * sum_{i in A} max_{j in Q} x_ij
+when every cross similarity lies in [0, 1], as it does for cosine and rbf.
+The dot metric can leave that range, where the form is not the measure,
+so variant 2 rejects such a kernel.  Variant 2 has no conditional forms;
+those belong to variant 1.
 
 Both marginal states keep every candidate's gain as a sum of per-row
 contributions.  Variant 1 keeps partial sums over blocks of ground rows
@@ -24,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import FamilyOps, MarginalState, column_scale, require_aux, scaled_kernel_matrix
+from ..errors import ConfigError
+from ._common import FamilyOps, MarginalState, column_scale, pair_scaled_block, require_aux
 from .spec import MeasureMode
 
 _BLOCK = 1 << 17  # elements per temporary when a state sweeps kernel rows
@@ -41,31 +47,42 @@ def _colmax(F: np.ndarray, rows: np.ndarray, cols: np.ndarray, scale: np.ndarray
     return block.max(axis=1)
 
 
+def _caps(ctx, spec, mode, Q, P):
+    """(query cap, conditioning floor) per ground row, None where the mode
+    reads no such set: eta * max_Q s_ij and nu * max_P s_ij, with eta and
+    nu scaling only auxiliary columns."""
+    rows = np.arange(ctx.n_ground)
+    qcap = pcap = None
+    if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+        qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta))
+    if mode in (MeasureMode.CG, MeasureMode.CSMI):
+        pcap = _colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
+    return qcap, pcap
+
+
+def _dcap(ctx, S, t, cap):
+    """d cap / d t per ground row for a cap of S scaled by t: the best
+    auxiliary similarity where it attains the cap (auxiliary columns win
+    ties with ground ones), else 0."""
+    rows = np.arange(ctx.n_ground)
+    aux = S[S >= ctx.n_ground]
+    if not aux.size:
+        return np.zeros(rows.size)
+    best = _colmax(ctx.nonneg, rows, aux)
+    return np.where(t * best >= cap, best, 0.0)
+
+
 class FacilityLocation1Ops(FamilyOps):
     PARAM_KEYS = ("eta", "nu")
 
-    def base(self, ctx, spec, S):
-        rows = np.arange(ctx.n_ground)
-        return float(_colmax(ctx.nonneg, rows, S).sum())
-
-    def smi(self, ctx, spec, A, Q):
-        rows = np.arange(ctx.n_ground)
-        amax = _colmax(ctx.nonneg, rows, A)
-        qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta))
-        return float(np.minimum(amax, qcap).sum())
-
-    def cg(self, ctx, spec, A, P):
-        rows = np.arange(ctx.n_ground)
-        amax = _colmax(ctx.nonneg, rows, A)
-        pcap = _colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
-        return float(np.maximum(amax - pcap, 0.0).sum())
-
-    def csmi(self, ctx, spec, A, Q, P):
-        rows = np.arange(ctx.n_ground)
-        amax = _colmax(ctx.nonneg, rows, A)
-        qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta))
-        pcap = _colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
-        return float(np.maximum(np.minimum(amax, qcap) - pcap, 0.0).sum())
+    def value(self, ctx, spec, mode, A, Q, P):
+        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+        x = _colmax(ctx.nonneg, np.arange(ctx.n_ground), A)
+        if qcap is not None:
+            x = np.minimum(x, qcap)
+        if pcap is not None:
+            x = np.maximum(x - pcap, 0.0)
+        return float(x.sum())
 
     def state(self, ctx, spec, mode, Q, P):
         return _FL1State(ctx, spec, mode, Q, P)
@@ -73,56 +90,29 @@ class FacilityLocation1Ops(FamilyOps):
     def oracle_view(self, ctx, spec, mode, Q, P):
         eta_cols = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else ()
         nu_cols = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else ()
-        return ctx.copy_with(nonneg=scaled_kernel_matrix(ctx.nonneg, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
+        idx = np.arange(ctx.size)
+        return ctx.copy_with(nonneg=pair_scaled_block(ctx.nonneg, idx, idx, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
 
     def partials(self, ctx, spec, mode, A, Q, P):
-        rows = np.arange(ctx.n_ground)
-        F = ctx.nonneg
-        amax = _colmax(F, rows, A)
+        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+        amax = _colmax(ctx.nonneg, np.arange(ctx.n_ground), A)
+        inner = amax if qcap is None else np.minimum(amax, qcap)
+        alive = True if pcap is None else inner - pcap >= 0
         out: dict[str, float] = {}
-        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
-            qaux = Q[Q >= ctx.n_ground]
-            qground = Q[Q < ctx.n_ground]
-            qa = _colmax(F, rows, qaux)
-            qg = _colmax(F, rows, qground)
-            cap = np.maximum(spec.eta * qa, qg)
-            dcap = np.where(spec.eta * qa >= qg, qa, 0.0)
-            inner = np.minimum(amax, cap)
-            active = cap <= amax
-            if mode == MeasureMode.SMI:
-                out["eta"] = float((dcap * active).sum())
-            else:
-                pcap = _colmax(F, rows, P, column_scale(P, ctx, spec.nu))
-                alive = inner - pcap >= 0
-                out["eta"] = float((dcap * active * alive).sum())
-                paux = P[P >= ctx.n_ground]
-                pg = P[P < ctx.n_ground]
-                pa_max = _colmax(F, rows, paux)
-                pg_max = _colmax(F, rows, pg)
-                dpcap = np.where(spec.nu * pa_max >= pg_max, pa_max, 0.0)
-                out["nu"] = float((-dpcap * alive).sum())
-        elif mode == MeasureMode.CG:
-            paux = P[P >= ctx.n_ground]
-            pg = P[P < ctx.n_ground]
-            pa_max = _colmax(F, rows, paux)
-            pg_max = _colmax(F, rows, pg)
-            cap = np.maximum(spec.nu * pa_max, pg_max)
-            dcap = np.where(spec.nu * pa_max >= pg_max, pa_max, 0.0)
-            alive = amax - cap >= 0
-            out["nu"] = float((-dcap * alive).sum())
+        if qcap is not None:
+            out["eta"] = float((_dcap(ctx, Q, spec.eta, qcap) * (qcap <= amax) * alive).sum())
+        if pcap is not None:
+            out["nu"] = float((-_dcap(ctx, P, spec.nu, pcap) * alive).sum())
         return out
 
     def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        rows = np.arange(ctx.n_ground)
-        F = ctx.nonneg
-        amax = _colmax(F, rows, A)
-        qcap = _colmax(F, rows, Q, column_scale(Q, ctx, spec.eta))
-        pcap = _colmax(F, rows, P, column_scale(P, ctx, spec.nu))
-        flags = np.zeros(rows.size, dtype=bool)
-        if mode in (MeasureMode.SMI, MeasureMode.CSMI) and Q.size:
-            flags |= (np.abs(amax - qcap) < tol) & (qcap > 0)
-        if mode in (MeasureMode.CG, MeasureMode.CSMI) and P.size:
-            lhs = np.minimum(amax, qcap) if (mode == MeasureMode.CSMI and Q.size) else amax
+        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+        lhs = _colmax(ctx.nonneg, np.arange(ctx.n_ground), A)
+        flags = np.zeros(lhs.size, dtype=bool)
+        if qcap is not None:
+            flags |= (np.abs(lhs - qcap) < tol) & (qcap > 0)
+            lhs = np.minimum(lhs, qcap)
+        if pcap is not None:
             flags |= (np.abs(lhs - pcap) < tol) & (pcap > 0)
         return bool(flags.any())
 
@@ -145,14 +135,13 @@ class _FL1State(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
         n = ctx.n_ground
-        rows = np.arange(n)
         self.F = ctx.nonneg[:n, :]
         self.amax = np.zeros(n)
-        self.capped = mode in (MeasureMode.SMI, MeasureMode.CSMI)
+        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+        self.capped = qcap is not None
         unbounded = np.full(n, np.inf)
-        qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta)) if self.capped else unbounded
-        pcap = (_colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
-                if mode in (MeasureMode.CG, MeasureMode.CSMI) else -unbounded)
+        qcap = unbounded if qcap is None else qcap
+        pcap = -unbounded if pcap is None else pcap
         self.lo, self.hi = pcap, np.maximum(qcap, pcap)
         self.part = np.zeros((-(-n // _ROWS), self.F.shape[1]))
         self._recompute(np.arange(self.part.shape[0]))
@@ -183,43 +172,53 @@ class _FL1State(MarginalState):
         self._recompute(np.unique(rows // _ROWS))
 
 
+def _cross(ctx) -> np.ndarray:
+    """The cross-only view, checked to lie in [0, 1], where variant 2's
+    pairwise information form is the measure."""
+    X = ctx.cross_nonneg
+    n = ctx.n_ground
+    if any(b.min(initial=0.0) < 0.0 or b.max(initial=1.0) > 1.0 for b in (X[:n, n:], X[n:, :n])):
+        raise ConfigError(f"facility-location-2 needs cross similarities in [0, 1], but the "
+                          f"{ctx.metric} kernel has cross similarities outside it")
+    return X
+
+
 class FacilityLocation2Ops(FamilyOps):
     MODES = frozenset({MeasureMode.BASE, MeasureMode.SMI})
     PARAM_KEYS = ("eta",)
 
     def base(self, ctx, spec, S):
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         shadow = np.arange(ctx.n_ground, ctx.size)
         ground = np.arange(ctx.n_ground)
         return float(_colmax(X, shadow, S).sum() + spec.eta * _colmax(X, ground, S).sum())
 
-    def smi(self, ctx, spec, A, Q):
+    def value(self, ctx, spec, mode, A, Q, P):
+        if mode == MeasureMode.BASE:
+            return self.base(ctx, spec, A)
         require_aux(Q, ctx, "Q")
-        X = ctx.cross_nonneg
-        qside = np.minimum(_colmax(X, Q, A), 1.0).sum() if Q.size else 0.0
-        aside = np.minimum(_colmax(X, A, Q), 1.0).sum()
-        return float(qside + spec.eta * aside)
+        X = _cross(ctx)
+        return float(_colmax(X, Q, A).sum() + spec.eta * _colmax(X, A, Q).sum())
 
     def state(self, ctx, spec, mode, Q, P):
         return _FL2State(ctx, spec, mode, Q)
 
     def partials(self, ctx, spec, mode, A, Q, P):
-        X = ctx.cross_nonneg
+        X = _cross(ctx)
         if mode == MeasureMode.SMI:
-            return {"eta": float(np.minimum(_colmax(X, A, Q), 1.0).sum())}
+            return {"eta": float(_colmax(X, A, Q).sum())}
         return {"eta": float(_colmax(X, np.arange(ctx.n_ground), A).sum())}
 
 
 class _FL2State(MarginalState):
     def __init__(self, ctx, spec, mode, Q):
         super().__init__()
-        X = ctx.cross_nonneg
         n = ctx.n_ground
-        self.capped = mode == MeasureMode.SMI  # caps come from the pairwise-information algebra
+        require_aux(Q, ctx, "Q")  # Q is empty in base mode
+        X = _cross(ctx)
         if mode == MeasureMode.SMI:
-            require_aux(Q, ctx, "Q")
             rows = Q
-            qmax = np.minimum(_colmax(X, np.arange(n), Q), 1.0)
+            qmax = _colmax(X, np.arange(n), Q)
         else:
             rows = np.arange(n, ctx.size)
             qmax = np.full(n, 1.0)  # base mode: each pick adds eta * x_jj = eta
@@ -230,11 +229,7 @@ class _FL2State(MarginalState):
 
     def _refresh(self):
         old = self.rowmax[:, None]
-        new = np.maximum(self.cross, old)
-        if self.capped:
-            new = np.minimum(new, 1.0)
-            old = np.minimum(old, 1.0)
-        self.gains = (new - old).sum(axis=0) + self.item_term
+        self.gains = (np.maximum(self.cross, old) - old).sum(axis=0) + self.item_term
 
     def _push(self, j):
         self.rowmax = np.maximum(self.rowmax, self.cross[:, j])

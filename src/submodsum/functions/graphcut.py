@@ -2,8 +2,10 @@
 
 f(S) = sum_{i in V, j in S} s_ij - lam * sum_{i,j in S} s_ij.  The query form
 is modular, 2*lam*sum_{i in A, j in Q} s_ij; the conditional form discounts
-similarity to the conditioning set, with nu scaling only V<->V' cross pairs.
-A conditional-mutual-information form does not exist for this family.
+similarity to the conditioning set, with nu scaling only V<->V' cross pairs,
+and with P empty it is f itself, so one form serves f over any S and
+f(A | P).  A conditional-mutual-information form does not exist for this
+family.
 
 The marginal state keeps every candidate's gain: fixed in the query form,
 and recomputed from the running similarity to the selection after each
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import FamilyOps, MarginalState, column_scale, scaled_kernel_matrix
+from ._common import FamilyOps, MarginalState, column_scale, pair_scaled_block
 from .spec import MeasureMode
 
 
@@ -29,26 +31,21 @@ class GraphCutOps(FamilyOps):
     MODES = frozenset({MeasureMode.BASE, MeasureMode.SMI, MeasureMode.CG})
     PARAM_KEYS = ("lam", "nu")
 
-    def base(self, ctx, spec, S):
-        if not S.size:
-            return 0.0
+    def value(self, ctx, spec, mode, A, Q, P):
         K = ctx.kernel
-        rep = float(K[: ctx.n_ground, :][:, S].sum())
-        red = float(K[np.ix_(S, S)].sum())
-        return rep - spec.lam * red
-
-    def smi(self, ctx, spec, A, Q):
-        return 2.0 * spec.lam * _cross_sum(ctx.kernel, ctx, A, Q, 1.0)
-
-    def cg(self, ctx, spec, A, P):
-        return self.base(ctx, spec, A) - 2.0 * spec.lam * _cross_sum(ctx.kernel, ctx, A, P, spec.nu)
+        if mode == MeasureMode.SMI:
+            return 2.0 * spec.lam * _cross_sum(K, ctx, A, Q, 1.0)
+        rep = float(K[: ctx.n_ground, :][:, A].sum())
+        red = float(K[np.ix_(A, A)].sum())
+        return rep - spec.lam * red - 2.0 * spec.lam * _cross_sum(K, ctx, A, P, spec.nu)
 
     def state(self, ctx, spec, mode, Q, P):
         return _GraphCutState(ctx, spec, mode, Q, P)
 
     def oracle_view(self, ctx, spec, mode, Q, P):
         if mode == MeasureMode.CG:
-            return ctx.copy_with(kernel=scaled_kernel_matrix(ctx.kernel, ctx, (), 1.0, P, spec.nu))
+            idx = np.arange(ctx.size)
+            return ctx.copy_with(kernel=pair_scaled_block(ctx.kernel, idx, idx, ctx, (), 1.0, P, spec.nu))
         return ctx
 
     def partials(self, ctx, spec, mode, A, Q, P):

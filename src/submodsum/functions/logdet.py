@@ -3,15 +3,16 @@
 f(S) = log det D_S.  The query form discounts by the query-conditioned
 kernel, the conditional form conditions on P first:
 
-    smi(A, Q)  = log det D_A - log det(D_A - C_q D_Q^{-1} C_q^T)
-    cg(A, P)   = log det(D_A - C_p D_P^{-1} C_p^T)
-    csmi       = log det G_A - log det(G_A - G_AQ G_Q^{-1} G_AQ^T)
+    I(A; Q)     = log det D_A - log det(D_A - C_q D_Q^{-1} C_q^T)
+    f(A | P)    = log det(D_A - C_p D_P^{-1} C_p^T)
+    I(A; Q | P) = log det G_A - log det(G_A - G_AQ G_Q^{-1} G_AQ^T)
 
 where C_q/C_p are cross blocks with eta (resp. nu) applied to every pair
 having exactly one endpoint in Q (resp. P), and the G blocks are the
 P-conditioned kernel.  That pair rule keeps the scaled kernel positive
 semidefinite for weights in [0, 1].  Every mode reduces to log-dets of
-principal submatrices of fixed matrices over V, which is what makes the
+principal submatrices of fixed matrices over V (_blocks, which the
+closed form and the marginal state both read), which is what makes the
 rank-one incremental marginals exact: for each fixed matrix the state keeps
 the Cholesky row of every column against the current selection, so a
 candidate's gain is a read of its Schur complement and each pick updates
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from ..errors import NumericError
-from ._common import FamilyOps, MarginalState, pair_membership_mask, pair_scaled_block, scaled_kernel_matrix
+from ._common import FamilyOps, MarginalState, pair_membership_mask, pair_scaled_block
 from .spec import MeasureMode
 
 _ADVICE = "matrix not positive definite; increase the kernel jitter or reduce eta/nu toward [0, 1]"
@@ -175,17 +176,12 @@ class LogDetOps(FamilyOps):
     def base(self, ctx, spec, S):
         return _logdet_psd(_dblock(ctx, S))
 
-    def smi(self, ctx, spec, A, Q):
-        _, N, _ = self._blocks(ctx, spec, MeasureMode.SMI, Q, np.zeros(0, dtype=int))
-        return _logdet_psd(_dblock(ctx, A)) - _logdet_psd(N[np.ix_(A, A)])
-
-    def cg(self, ctx, spec, A, P):
-        M, _, _ = self._blocks(ctx, spec, MeasureMode.CG, np.zeros(0, dtype=int), P)
-        return _logdet_psd(M[np.ix_(A, A)])
-
-    def csmi(self, ctx, spec, A, Q, P):
-        M, N, _ = self._blocks(ctx, spec, MeasureMode.CSMI, Q, P)
-        return _logdet_psd(M[np.ix_(A, A)]) - _logdet_psd(N[np.ix_(A, A)])
+    def value(self, ctx, spec, mode, A, Q, P):
+        M, N, jitter = self._blocks(ctx, spec, mode, Q, P)
+        MA = M[np.ix_(A, A)]
+        MA.flat[:: A.size + 1] += jitter  # what _blocks leaves owed on M's diagonal
+        pos = _logdet_psd(MA)
+        return pos if N is None else pos - _logdet_psd(N[np.ix_(A, A)])
 
     def state(self, ctx, spec, mode, Q, P):
         return _LogDetState(*self._blocks(ctx, spec, mode, Q, P))
@@ -194,7 +190,8 @@ class LogDetOps(FamilyOps):
         # the pair scaling never touches the diagonal, so it commutes with the jitter
         eta_cols = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else ()
         nu_cols = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else ()
-        return ctx.copy_with(kernel=scaled_kernel_matrix(ctx.kernel, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
+        idx = np.arange(ctx.size)
+        return ctx.copy_with(kernel=pair_scaled_block(ctx.kernel, idx, idx, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
 
     def partials(self, ctx, spec, mode, A, Q, P):
         if mode == MeasureMode.BASE:

@@ -6,9 +6,11 @@ vector summed over T, split per side,
     f(S) = sum_c w_c * max(c(S intersect V), c(S intersect V'))
 
 Counts are additive within a side, so every derived measure reduces to
-vector algebra on side-split count sums.  For A in V and Q in V' the
-pairwise information is sum_c w_c * min(c(A), c(Q)), the count-overlap
-score of A against Q.
+vector algebra on side-split count sums: every mode is
+f(A u P) - f(P), plus f(Q u P) - f(A u Q u P) where it reads Q, with P
+empty where the mode reads none.  For A in V and Q in V' the pairwise
+information is sum_c w_c * min(c(A), c(Q)), the count-overlap score of A
+against Q.
 
 The marginal state keeps every item's gain as a weighted sum over the
 item's nonzero concepts of its per-concept count change.  Those changes
@@ -39,37 +41,16 @@ def _f(w, u, v):
 
 
 class RougeOps(FamilyOps):
-    def base(self, ctx, spec, S):
-        ctx.require_concepts("count overlap")
-        u, v = _side_counts(ctx, S)
-        return _f(ctx.concept_weights, u, v)
-
-    def smi(self, ctx, spec, A, Q):
-        ctx.require_concepts("count overlap")
-        w = ctx.concept_weights
-        ua, va = _side_counts(ctx, A)
-        uq, vq = _side_counts(ctx, Q)
-        return _f(w, ua, va) + _f(w, uq, vq) - _f(w, ua + uq, va + vq)
-
-    def cg(self, ctx, spec, A, P):
+    def value(self, ctx, spec, mode, A, Q, P):
         ctx.require_concepts("count overlap")
         w = ctx.concept_weights
         ua, va = _side_counts(ctx, A)
         up, vp = _side_counts(ctx, P)
-        return _f(w, ua + up, va + vp) - _f(w, up, vp)
-
-    def csmi(self, ctx, spec, A, Q, P):
-        ctx.require_concepts("count overlap")
-        w = ctx.concept_weights
-        ua, va = _side_counts(ctx, A)
-        uq, vq = _side_counts(ctx, Q)
-        up, vp = _side_counts(ctx, P)
-        return (
-            _f(w, ua + up, va + vp)
-            + _f(w, uq + up, vq + vp)
-            - _f(w, ua + uq + up, va + vq + vp)
-            - _f(w, up, vp)
-        )
+        out = _f(w, ua + up, va + vp)
+        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+            uq, vq = _side_counts(ctx, Q)
+            out = out + _f(w, uq + up, vq + vp) - _f(w, ua + uq + up, va + vq + vp)
+        return out - _f(w, up, vp)
 
     def state(self, ctx, spec, mode, Q, P):
         return _RougeState(ctx, mode, Q, P)
@@ -83,24 +64,15 @@ class _RougeState(MarginalState):
         ctx.require_concepts("count overlap")
         self.counts = ctx.counts
         self.w = ctx.concept_weights
-        m = ctx.counts.shape[1]
-        zeros = np.zeros(m)
-        uq, vq = _side_counts(ctx, Q) if Q is not None else (zeros, zeros)
-        up, vp = _side_counts(ctx, P) if P is not None else (zeros, zeros)
-        self.u = np.zeros(m)
-        # candidate j lives on the ground side; value as a function of uA:
-        #   BASE: f(uA, 0)
-        #   SMI:  f(uA,0) - f(uA+uq, vq)        (+ const)
-        #   CG:   f(uA+up, vp)                   (+ const)
-        #   CSMI: f(uA+up, vp) - f(uA+uq+up, vq+vp)  (+ const)
-        if mode == MeasureMode.BASE:
-            self.terms = [(1.0, zeros, zeros)]
-        elif mode == MeasureMode.SMI:
-            self.terms = [(1.0, zeros, zeros), (-1.0, uq, vq)]
-        elif mode == MeasureMode.CG:
-            self.terms = [(1.0, up, vp)]
-        else:
-            self.terms = [(1.0, up, vp), (-1.0, uq + up, vq + vp)]
+        up, vp = _side_counts(ctx, P)
+        self.u = np.zeros(ctx.counts.shape[1])
+        # candidate j lives on the ground side; as a function of uA the
+        # value is f(uA + up, vp), less f(uA + uq + up, vq + vp) where the
+        # mode reads Q (+ const), with P's counts zero where it reads no P
+        self.terms = [(1.0, up, vp)]
+        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+            uq, vq = _side_counts(ctx, Q)
+            self.terms.append((-1.0, uq + up, vq + vp))
         self.entries = SparseRows(ctx.counts)
         self._refresh()
 

@@ -109,16 +109,25 @@ def test_summarize_concept_query(coll_path, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_summarize_missing_role_material(tmp_path, capsys):
+_MISSING_ROLE = {
+    "query": "--query or collection queries",
+    "privacy": "--private or collection privates",
+    "irrelevance": "--private or collection privates",
+    "update": "--prev with previous summary items",
+    "query_update": "--query or collection queries",
+    "query_privacy": "--query or collection queries",
+}
+
+
+@pytest.mark.parametrize("flavor", list(_MISSING_ROLE))
+def test_summarize_missing_role_material(tmp_path, capsys, flavor):
     bare = tmp_path / "bare.json"
     doc = _collection_doc(with_privates=False)
     del doc["queries"]
     bare.write_text(json.dumps(doc))
     base = ["--collection", str(bare), "--budget", "2", "--fn", "fl1", "--out", str(tmp_path / "o")]
-    assert main(["summarize", "--flavor", "query"] + base) == 2
-    assert main(["summarize", "--flavor", "privacy"] + base) == 2
-    assert main(["summarize", "--flavor", "update"] + base) == 2
-    capsys.readouterr()
+    assert main(["summarize", "--flavor", flavor] + base) == 2
+    assert capsys.readouterr().err == f"error: flavor {flavor} needs {_MISSING_ROLE[flavor]}\n"
 
 
 def test_summarize_update_excludes_previous(coll_path, tmp_path):
@@ -182,16 +191,18 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
 
 def test_summarize_empty_ground_set_with_feature_queries(tmp_path, capsys):
     # an empty role adds no feature rows; stacking its (0, 0) matrix on the
-    # queries' (1, 1) rows used to end in a numpy traceback
+    # queries' (1, 1) rows used to end in a numpy traceback, and so did com's
+    # check of its empty cross block
     path = tmp_path / "coll.json"
     path.write_text(json.dumps({"items": [], "queries": [{"id": "q", "features": [1.0]}]}))
-    base = ["summarize", "--collection", str(path), "--flavor", "query", "--fn", "fl1"]
-    assert main(base + ["--budget", "0", "--out", str(tmp_path / "o0")]) == 0
-    sel = json.loads((tmp_path / "o0" / "selection.json").read_text())
-    assert sel["indices"] == [] and sel["value"] == 0.0
-    assert main(base + ["--budget", "1", "--out", str(tmp_path / "o1")]) == 2
-    assert capsys.readouterr().err == "error: budget 1 exceeds 0 available candidates\n"
-    assert not (tmp_path / "o1" / "selection.json").exists()
+    for fn in ("fl1", "fl2", "com"):
+        base = ["summarize", "--collection", str(path), "--flavor", "query", "--fn", fn]
+        assert main(base + ["--budget", "0", "--out", str(tmp_path / fn / "o0")]) == 0
+        sel = json.loads((tmp_path / fn / "o0" / "selection.json").read_text())
+        assert sel["indices"] == [] and sel["value"] == 0.0
+        assert main(base + ["--budget", "1", "--out", str(tmp_path / fn / "o1")]) == 2
+        assert capsys.readouterr().err == "error: budget 1 exceeds 0 available candidates\n"
+        assert not (tmp_path / fn / "o1" / "selection.json").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -209,6 +220,23 @@ def test_summarize_com_rejects_negative_similarities(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "nonnegative similarities" in err and "dot" in err
+    assert not (out / "selection.json").exists()
+
+
+def test_summarize_fl2_rejects_similarities_outside_unit_interval(tmp_path, capsys):
+    # with a cross similarity of -1 the pairwise form gave I({a}; Q) = -2.0
+    # where the definition gives -3.0
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({
+        "items": [{"id": "a", "features": [-1.0, -1.0]}, {"id": "b", "features": [-1.0, -1.0]}],
+        "queries": [{"id": "q0", "features": [0.0, 1.0]}],
+    }))
+    out = tmp_path / "o"
+    rc = main(["summarize", "--collection", str(path), "--flavor", "query", "--budget", "1",
+               "--fn", "fl2", "--metric", "dot", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "in [0, 1]" in err and "dot" in err
     assert not (out / "selection.json").exists()
 
 

@@ -419,6 +419,41 @@ def test_partials_match_finite_differences(rng):
         assert checked == 10
 
 
+def test_fl1_partials_match_finite_differences_on_dot_kernels():
+    """Negative similarities put a cap below the 0 an empty column max reads."""
+    from submodsum.functions import EvalContext
+
+    fl1 = Family.FACILITY_LOCATION_1
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -0.5]])
+    ctx = EvalContext(feats @ feats.T, 2, metric="dot")
+    spec = FunctionSpec(fl1, eta=0.5)
+    assert evaluate(spec, MeasureMode.SMI, ctx, (0,), (2,)) == pytest.approx(-0.75)
+    assert partials(spec, MeasureMode.SMI, ctx, (0,), (2,))["eta"] == pytest.approx(-1.5)
+
+    rng = np.random.default_rng(seed_from("fl1 dot partials"))
+    h = 1e-6
+    checked = 0
+    for _ in range(400):
+        n, naux = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        feats = rng.normal(size=(n + naux, 2))
+        ctx = EvalContext(feats @ feats.T, n, metric="dot")
+        A = (0,)
+        aux = list(range(n, n + naux))
+        Q, P = aux[:1] + ([1] if rng.random() < 0.5 else []), aux[1:]
+        spec = FunctionSpec(fl1, eta=float(rng.uniform(0.2, 0.9)), nu=float(rng.uniform(0.2, 0.9)))
+        for mode in (MeasureMode.SMI, MeasureMode.CG, MeasureMode.CSMI):
+            if near_kink(spec, mode, ctx, A, Q, P):
+                continue
+            grads = partials(spec, mode, ctx, A, Q, P)
+            for key in ("eta", "nu"):
+                up = dataclasses.replace(spec, **{key: getattr(spec, key) + h})
+                dn = dataclasses.replace(spec, **{key: getattr(spec, key) - h})
+                num = (evaluate(up, mode, ctx, A, Q, P) - evaluate(dn, mode, ctx, A, Q, P)) / (2 * h)
+                assert relerr(grads.get(key, 0.0), num) < 1e-6, (mode, key, grads, num)
+            checked += 1
+    assert checked > 1000
+
+
 def test_near_kink_detects_tie():
     # one ground, one query item with amax exactly at eta * qmax
     ctx = pair_ctx(0.5)
