@@ -24,7 +24,6 @@ from .data import (
     Collection,
     ConceptUniverse,
     GroundSet,
-    ItemRecord,
     SimilarityKernel,
     build_kernel,
     count_matrix,
@@ -86,7 +85,7 @@ __all__ = [
     "__version__",
     "SubmodsumError", "ConfigError", "FormatError",
     "NumericError", "SizeError", "UnsupportedError",
-    "ItemRecord", "GroundSet", "AuxiliarySet", "ConceptUniverse",
+    "GroundSet", "AuxiliarySet", "ConceptUniverse",
     "SimilarityKernel", "Collection", "build_kernel",
     "count_matrix", "coverage_matrix", "load_collection",
     "Family", "FunctionSpec", "MeasureMode", "FAMILY_ALIASES", "parse_family",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AuxiliarySet, GroundSet, ItemRecord
+from .data import AuxiliarySet, GroundSet
 from .errors import ConfigError, FormatError
 from .functions import EvalContext, Family, FunctionSpec, MeasureMode
 from .functions._common import as_indices
@@ -43,12 +43,9 @@ def rouge_q(counts_a, counts_q, weights=None) -> float:
 
 
 def summary_counts(ctx: EvalContext, S) -> np.ndarray:
-    """Total concept counts of the items indexed by S."""
-    ctx.require_concepts("count overlap scoring")
-    S = as_indices(S)
-    if S.size == 0:
-        return np.zeros(ctx.counts.shape[1])
-    return ctx.counts[S].sum(axis=0)
+    """Total concept counts of the items indexed by S (zeros for none)."""
+    ctx.require_counts("count overlap scoring")
+    return ctx.counts[as_indices(S)].sum(axis=0)
 
 
 def vrouge(Y, references, ctx: EvalContext) -> float:
@@ -104,15 +101,13 @@ class SyntheticConfig:
 def synth_generate(cfg: SyntheticConfig):
     """Deterministic (GroundSet, queries, privates) for the given config."""
     rng = np.random.default_rng(cfg.seed)
-    items = []
-    for c, center in enumerate(cfg.centers):
-        pts = np.asarray(center) + cfg.cluster_std * rng.standard_normal((cfg.per_cluster, 2))
-        for r, row in enumerate(pts):
-            items.append(ItemRecord(f"d{c}_{r:02d}", features=row.tolist()))
-    items += [ItemRecord(f"out{o}", features=pos) for o, pos in enumerate(cfg.outliers)]
-    queries = AuxiliarySet([ItemRecord(f"q{i}", features=xy) for i, xy in enumerate(cfg.queries)], "query")
-    privates = AuxiliarySet([ItemRecord(f"p{i}", features=xy) for i, xy in enumerate(cfg.privates)], "private")
-    return GroundSet(items), queries, privates
+    ids = [f"d{c}_{r:02d}" for c in range(len(cfg.centers)) for r in range(cfg.per_cluster)]
+    feats = [row for center in cfg.centers
+             for row in np.asarray(center) + cfg.cluster_std * rng.standard_normal((cfg.per_cluster, 2))]
+    ground = GroundSet(ids + [f"out{o}" for o in range(len(cfg.outliers))], feats + list(cfg.outliers))
+    queries = AuxiliarySet([f"q{i}" for i in range(len(cfg.queries))], cfg.queries, role_tag="query")
+    privates = AuxiliarySet([f"p{i}" for i in range(len(cfg.privates))], cfg.privates, role_tag="private")
+    return ground, queries, privates
 
 
 def synth_context(cfg: SyntheticConfig) -> EvalContext:
@@ -202,18 +197,21 @@ def random_instance(rng, n_range=(4, 8), nq_range=(1, 3), np_range=(1, 3),
     nq = int(rng.integers(nq_range[0], nq_range[1] + 1))
     npv = int(rng.integers(np_range[0], np_range[1] + 1))
 
-    def item(name):
+    def item():
         cc = cov = None
         if concepts:
             cc = {f"c{k}": int(v) for k, v in enumerate(rng.integers(0, 4, size=4)) if v}
             if not cc:
                 cc = {f"c{int(rng.integers(0, 4))}": 1}
             cov = {k: float(rng.uniform(0.05, 0.95)) for k in cc}
-        return ItemRecord(name, features=rng.normal(size=2).tolist(), concepts=cc, coverage=cov)
+        return rng.normal(size=2), cc, cov
 
-    ground = GroundSet([item(f"g{i}") for i in range(n)])
-    aux = [AuxiliarySet([item(f"q{i}") for i in range(nq)], "query"),
-           AuxiliarySet([item(f"p{i}") for i in range(npv)], "private")]
+    def items(prefix, count):
+        """The columns of count items: ids, then features, concepts and coverage."""
+        return [f"{prefix}{i}" for i in range(count)], *zip(*[item() for _ in range(count)])
+
+    ground = GroundSet(*items("g", n))
+    aux = [AuxiliarySet(*items("q", nq), role_tag="query"), AuxiliarySet(*items("p", npv), role_tag="private")]
     ctx = EvalContext.build(ground, aux, metric=metric, sigma=sigma)
     cross = ctx.cross_nonneg[:n, n:]
     guard = np.sqrt(n)
@@ -240,18 +238,17 @@ def make_collection(seed: int, budget: int = 4):
     """
     rng = np.random.default_rng(seed)
     centers = np.array([[-3, 3], [3, 3], [-3, -3], [3, -3]], dtype=float)
-    items = []
+    feats, counts = [], []
     for c in range(4):
         for r in range(6):
-            xy = centers[c] + 0.7 * rng.standard_normal(2)
+            feats.append(centers[c] + 0.7 * rng.standard_normal(2))
             cc = {f"c{2 * c}": int(rng.integers(1, 4)), f"c{2 * c + 1}": int(rng.integers(0, 3))}
             cc = {k: v for k, v in cc.items() if v}
             if rng.random() < 0.5:
                 cc["bg"] = int(rng.integers(1, 3))
-            items.append(ItemRecord(f"i{c}_{r}", features=xy.tolist(), concepts=cc))
-    ground = GroundSet(items)
-    q = AuxiliarySet([ItemRecord("q0", features=(centers[0] + 0.2 * rng.standard_normal(2)).tolist(),
-                                 concepts={"c0": 2, "c1": 1})], "query")
+            counts.append(cc)
+    ground = GroundSet([f"i{c}_{r}" for c in range(4) for r in range(6)], feats, counts)
+    q = AuxiliarySet(["q0"], [centers[0] + 0.2 * rng.standard_normal(2)], [{"c0": 2, "c1": 1}], role_tag="query")
     ctx = EvalContext.build(ground, [q], metric="rbf", sigma=2.0)
     Q = tuple(ctx.role_indices["query"])
     truth = CompositeObjective([

@@ -32,7 +32,7 @@ from .bench import (
     vrouge,
     write_plot_csv,
 )
-from .data import AuxiliarySet, ItemRecord, id_list, id_lists, load_collection, read_json, write_json
+from .data import AuxiliarySet, id_list, id_lists, load_collection, read_json, write_json
 from .errors import ConfigError, FormatError, NumericError, SubmodsumError
 from .functions import (
     EvalContext,
@@ -162,11 +162,11 @@ def cmd_summarize(args) -> int:
             raise ConfigError(
                 f"--query tokens {unknown} match neither query item ids nor concepts"
             )
-        synthesized = ItemRecord("query:" + ",".join(query_tokens),
-                                 concepts={t: 1 for t in query_tokens})
+        synthesized = AuxiliarySet(["query:" + ",".join(query_tokens)],
+                                   concepts=[{t: 1 for t in query_tokens}], role_tag="query")
         # right after the collection's queries, as one more of them
-        aux = [coll.queries, AuxiliarySet([synthesized], "query"), coll.privates]
-        query_tokens = [synthesized.id]
+        aux = [coll.queries, synthesized, coll.privates]
+        query_tokens = list(synthesized.ids)
     ctx = _context_from_collection(coll, args, aux)
     flavor = parse_flavor(args.flavor)
     Q = _aux_indices(ctx, "query", query_tokens)

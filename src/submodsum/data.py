@@ -7,13 +7,15 @@ objectives and the evaluation metrics.  Items carry dense feature vectors
 and/or sparse concept counts; kernels are built from features (falling back
 to concept-count vectors when features are absent).
 
-Item sets are held as columns: ids, a feature matrix and concept triplets.
+Item sets are held as columns (ids, a feature matrix and concept triplets),
+built from per-item columns by the one constructor that checks the item rules.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from pathlib import Path
@@ -34,39 +36,6 @@ def _gamma(m: int) -> float:
     return m * _U / (1 - m * _U)
 
 
-@dataclass
-class ItemRecord:
-    """One item: identifier plus features and/or concept annotations.
-
-    concepts maps concept name -> nonnegative integer count (ROUGE-style),
-    coverage maps concept name -> probability in [0, 1] (probabilistic
-    set cover).  Either features or concepts must be present.
-    """
-
-    id: str
-    features: np.ndarray | None = None
-    concepts: dict[str, int] = field(default_factory=dict)
-    coverage: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.concepts = dict(self.concepts) if self.concepts else {}
-        self.coverage = {name: float(p) for name, p in dict(self.coverage or {}).items()}
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=float)
-            if self.features.ndim != 1:
-                raise FormatError(f"item {self.id!r}: features must be a flat vector")
-        if self.features is None and not self.concepts and not self.coverage:
-            raise FormatError(f"item {self.id!r}: needs features or concepts")
-        for name, cnt in self.concepts.items():
-            whole = isinstance(cnt, (int, float, np.integer, np.floating)) and float(cnt).is_integer()
-            if not whole or cnt < 0:
-                raise FormatError(f"item {self.id!r}: concept {name!r} count must be a nonnegative integer")
-        self.concepts = {name: int(cnt) for name, cnt in self.concepts.items()}
-        for name, p in self.coverage.items():
-            if not (0.0 <= p <= 1.0):
-                raise FormatError(f"item {self.id!r}: coverage {name!r} must lie in [0, 1]")
-
-
 class Triplets(NamedTuple):
     """Per-item concept values as columns: item rows[k] holds values[k] of concept names[k]."""
 
@@ -75,44 +44,66 @@ class Triplets(NamedTuple):
     values: np.ndarray
 
     @classmethod
-    def of(cls, dicts: list[dict]) -> "Triplets":
-        """Per-item {name: value} dicts; a value that is no number or boolean raises ValueError."""
-        values = np.array([v for d in dicts for v in d.values()])
-        if values.dtype.kind not in "biuf":
+    def of(cls, dicts: list, dtype=None) -> "Triplets":
+        """Per-item {name: value} dicts, a falsy entry for none; a value that is no number or
+        boolean (with dtype=float, no value numpy reads as a float) raises ValueError."""
+        values = np.array([v for d in dicts if d for v in d.values()], dtype=dtype)
+        if values.ndim != 1 or values.dtype.kind not in "biuf":
             raise ValueError("concept values must be numbers")
-        rows = np.repeat(np.arange(len(dicts)), [len(d) for d in dicts])
-        return cls(rows, [k for d in dicts for k in d], values.astype(float))
+        rows = np.repeat(np.arange(len(dicts)), [len(d) if d else 0 for d in dicts])
+        return cls(rows, [k for d in dicts if d for k in d], values.astype(float))
+
+
+def _item_fault(ids, feats, concepts, coverage) -> str | None:
+    """'item <id>: <rule>' for the first item, in order, that breaks a per-item rule (its
+    features convert to a flat vector, it has some payload, its counts are nonnegative
+    integers and its coverage lies in [0, 1]), or None when every item keeps them."""
+    for item_id, f, cc, cov in zip(ids, feats, concepts, coverage):
+        try:
+            f = None if f is None else np.asarray(f, dtype=float)
+            cc, cov = list((cc or {}).items()), [(k, float(p)) for k, p in (cov or {}).items()]
+            if f is not None and f.ndim != 1:
+                return f"item {item_id!r}: features must be a flat vector"
+            if f is None and not cc and not cov:
+                return f"item {item_id!r}: needs features or concepts"
+            for k, x in cc:
+                if not (isinstance(x, (int, float, np.integer, np.floating)) and float(x).is_integer() and x >= 0):
+                    return f"item {item_id!r}: concept {k!r} count must be a nonnegative integer"
+            for k, p in cov:
+                if not 0.0 <= p <= 1.0:
+                    return f"item {item_id!r}: coverage {k!r} must lie in [0, 1]"
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            return f"item {item_id!r}: {exc}"
+    return None
 
 
 class GroundSet:
     """Ordered, id-unique items held as columns: features, the (m, d) matrix (None when some
     item has none), and counts and cover, Triplets of the concept counts and the coverage
-    probabilities (an item without coverage covers, surely, each concept it counts above 0)."""
+    probabilities (an item without coverage covers, surely, each concept it counts above 0).
 
-    def __init__(self, items: list[ItemRecord]):
-        ids = [it.id for it in items]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise FormatError(f"duplicate item ids: {dupes}")
-        dims = {it.features.shape[0] for it in items if it.features is not None}
-        if len(dims) > 1:
-            raise FormatError(f"inconsistent feature dimensions: {sorted(dims)}")
-        self._fill(ids, [it.features for it in items], [it.concepts for it in items],
-                   [it.coverage for it in items])
+    Built from per-item columns, each None or one entry per id: features (a flat vector or
+    None), concepts ({name: count}) and coverage ({name: probability}), checked in vectorized
+    form.  A failure raises FormatError with _item_fault's message, else _set_fault's."""
 
-    def _fill(self, ids: list[str], feats: list, concepts: list[dict], coverage: list[dict]) -> None:
-        """Columns of items given as lists, checked in vectorized form: features are flat lists
-        of numbers of one length or None, counts nonnegative integers, coverage in [0, 1], every
-        item has some payload and no id repeats; a failure raises a builtin exception."""
-        present = [f for f in feats if f is not None]
-        mat = np.array(present, dtype=float) if present else np.zeros((0, 0))
-        counts, given = Triplets.of(concepts), Triplets.of(coverage)
-        payload = np.array([f is not None for f in feats], dtype=bool)
-        payload[counts.rows] = payload[given.rows] = True
-        c, p = counts.values, given.values
-        if (mat.ndim != 2 or not payload.all() or len(set(ids)) != len(ids)
-                or not np.all(np.isfinite(c) & (c >= 0) & (c == np.floor(c))) or not np.all((p >= 0) & (p <= 1))):
-            raise ValueError("item values fail the format checks")
+    def __init__(self, ids, features=None, concepts=None, coverage=None):
+        ids = list(ids)
+        feats, concepts, coverage = ([None] * len(ids) if c is None else c for c in (features, concepts, coverage))
+        if not len(feats) == len(concepts) == len(coverage) == len(ids):
+            raise FormatError(f"each item column needs one entry per id ({len(ids)})")
+        try:
+            present = [f for f in feats if f is not None]
+            mat = np.array(present, dtype=float) if present else np.zeros((0, 0))
+            counts, given = Triplets.of(concepts), Triplets.of(coverage, float)
+            payload = np.array([f is not None for f in feats], dtype=bool)
+            payload[counts.rows] = payload[given.rows] = True
+            c, p = counts.values, given.values
+            valid = (mat.ndim == 2 and payload.all() and len(set(ids)) == len(ids)
+                     and np.all(np.isfinite(c) & (c >= 0) & (c == np.floor(c))) and np.all((p >= 0) & (p <= 1)))
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise FormatError(_item_fault(ids, feats, concepts, coverage) or _set_fault(ids, feats))
         self.ids = tuple(ids)
         self.features = mat if len(present) == len(feats) else None
         self.counts = counts
@@ -132,13 +123,22 @@ class GroundSet:
             raise LookupError(f"unknown item id {item_id!r}") from None
 
 
+def _set_fault(ids: list, feats: list) -> str:
+    """The message of columns whose items each keep the per-item rules: repeated ids, listed,
+    else mixed feature lengths, listed by length."""
+    dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
+    dims = sorted({len(f) for f in feats if f is not None})
+    return (f"duplicate item ids: {dupes}" if dupes else f"inconsistent feature dimensions: {dims}"
+            if len(dims) > 1 else "item values fail the format checks")
+
+
 class AuxiliarySet(GroundSet):
     """Items living in the shadow universe V' (queries, privates, previous summaries)."""
 
-    def __init__(self, items: list[ItemRecord], role_tag: str):
+    def __init__(self, ids, features=None, concepts=None, coverage=None, *, role_tag: str):
         if role_tag not in AUX_ROLES:
             raise FormatError(f"role_tag must be one of {AUX_ROLES}, got {role_tag!r}")
-        super().__init__(items)
+        super().__init__(ids, features, concepts, coverage)
         self.role_tag = role_tag
 
 
@@ -169,21 +169,34 @@ class ConceptUniverse:
         return cls(sorted(names), weights)
 
 
+def _universe_columns(s: GroundSet, universe: ConceptUniverse, column: str) -> list[int]:
+    """Universe column of each concept of one Triplets column of s; a concept outside the
+    universe, in either column, raises FormatError naming the first item that has one."""
+    try:
+        return list(map(universe.index.__getitem__, getattr(s, column).names))
+    except KeyError:
+        unknown = [(r, n) for t in (s.counts, s.cover) for r, n in zip(t.rows.tolist(), t.names)
+                   if n not in universe.index]
+    row = min(unknown)[0]
+    raise FormatError(f"item {s.ids[row]!r}: concepts {sorted({n for r, n in unknown if r == row})} "
+                      "not in concept_universe")
+
+
 def _scatter(sets, universe: ConceptUniverse, column: str) -> np.ndarray:
     """(n, L) matrix of one Triplets column of an item set, or of several
-    stacked in order; a concept outside the universe raises KeyError."""
+    stacked in order."""
     sets = [sets] if isinstance(sets, GroundSet) else sets
     out = np.zeros((sum(len(s) for s in sets), len(universe)))
     offset = 0
     for s in sets:
-        rows, names, values = getattr(s, column)
-        out[rows + offset, list(map(universe.index.__getitem__, names))] = values
+        rows, _, values = getattr(s, column)
+        out[rows + offset, _universe_columns(s, universe, column)] = values
         offset += len(s)
     return out
 
 
 def count_matrix(items: GroundSet | list[GroundSet], universe: ConceptUniverse) -> np.ndarray:
-    """(n, L) concept-count matrix, as floats; unknown concepts raise KeyError."""
+    """(n, L) concept-count matrix, as floats; a concept outside the universe raises FormatError."""
     return _scatter(items, universe, "counts")
 
 
@@ -338,33 +351,24 @@ def write_json(path, payload) -> None:
     Path(path).write_text(text + "\n")
 
 
-def _record_from_json(obj: dict) -> ItemRecord:
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise FormatError(f"item record must be an object with an 'id': {obj!r}")
-    try:
-        return ItemRecord(
-            id=str(obj["id"]),
-            features=None if obj.get("features") is None else np.asarray(obj["features"], dtype=float),
-            concepts={str(k): v for k, v in (obj.get("concepts") or {}).items()},
-            coverage={str(k): float(v) for k, v in (obj.get("coverage") or {}).items()},
-        )
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"item {obj['id']!r}: {exc}") from None
+def _columns(records: list) -> tuple[list, list, list, list]:
+    """The ids, features, concepts and coverage columns of JSON item records."""
+    return ([str(r["id"]) for r in records], [r.get("features") for r in records],
+            [r.get("concepts") for r in records], [r.get("coverage") for r in records])
 
 
 def _read_role(value, where: str, make) -> GroundSet:
-    """The item set (make builds it from records) of a JSON list of item records, read into
-    columns.  A list that fails a vectorized check is read again record by record, so that
-    the error names its first offending item in ItemRecord's words."""
+    """The item set make builds from the columns of a JSON list of item records.  A record
+    that is no object with an 'id' is named unless an item before it breaks an item rule."""
     if not isinstance(value, list):
         raise FormatError(f"{where} must be a list of item records, not {type(value).__name__}")
-    out = make([])
     try:
-        out._fill([str(r["id"]) for r in value], [r.get("features") for r in value],
-                  [r.get("concepts") or {} for r in value], [r.get("coverage") or {} for r in value])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-        return make([_record_from_json(r) for r in value])
-    return out
+        columns = _columns(value)
+    except (KeyError, TypeError):
+        bad = next(k for k, r in enumerate(value) if not isinstance(r, dict) or "id" not in r)
+        raise FormatError(_item_fault(*_columns(value[:bad]))
+                          or f"item record must be an object with an 'id': {value[bad]!r}") from None
+    return make(*columns)
 
 
 def id_list(value, where: str) -> tuple[str, ...]:
@@ -422,10 +426,6 @@ def load_collection(path) -> Collection:
             raise FormatError("concept_universe must be an object with a 'concepts' list")
         universe = ConceptUniverse([str(c) for c in cu["concepts"]], cu.get("weights"))
         for s in (ground, queries, privates):
-            rows = np.concatenate([s.counts.rows, s.cover.rows]).tolist()
-            unknown = [(r, n) for r, n in zip(rows, s.counts.names + s.cover.names) if n not in universe.index]
-            if unknown:
-                row = min(unknown)[0]
-                bad = sorted({n for r, n in unknown if r == row})
-                raise FormatError(f"item {s.ids[row]!r}: concepts {bad} not in concept_universe")
+            for column in ("counts", "cover"):
+                _universe_columns(s, universe, column)
     return Collection(ground, queries, privates, refs, universe)

@@ -57,18 +57,21 @@ class EvalContext:
             raise ConfigError("n_ground out of range")
         self.n_ground = n_ground
         self.ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(self.size))
+        if len(self.ids) != self.size:
+            raise ConfigError(f"ids must name the {self.size} items of the kernel, got {len(self.ids)}")
         self.metric = metric
         self.jitter = float(jitter)
         self.counts = None if counts is None else np.asarray(counts, dtype=float)
         self.cover_prob = None if cover_prob is None else np.asarray(cover_prob, dtype=float)
-        if concept_weights is not None:
-            self.concept_weights = np.asarray(concept_weights, dtype=float)
-        elif self.counts is not None:
-            self.concept_weights = np.ones(self.counts.shape[1])
-        elif self.cover_prob is not None:
-            self.concept_weights = np.ones(self.cover_prob.shape[1])
-        else:
-            self.concept_weights = None
+        shapes = {m.shape for m in (self.counts, self.cover_prob) if m is not None}
+        widths = {s[1] for s in shapes if len(s) == 2 and s[0] == self.size}
+        if len(shapes) > 1 or len(widths) < len(shapes):
+            raise ConfigError(f"counts and cover_prob must be matrices of one shape, one row per item "
+                              f"of the kernel ({self.size}), got {sorted(shapes)}")
+        w = np.ones(*widths) if concept_weights is None and widths else concept_weights
+        self.concept_weights = None if w is None else np.asarray(w, dtype=float)
+        if widths and self.concept_weights.shape != (*widths,):
+            raise ConfigError(f"concept_weights must have shape {(*widths,)}, got {self.concept_weights.shape}")
         self.role_indices = dict(role_indices or {})
         self._index = {i: k for k, i in enumerate(self.ids)}
 
@@ -175,3 +178,7 @@ class EvalContext:
     def require_concepts(self, what: str) -> None:
         if self.counts is None and self.cover_prob is None:
             raise ConfigError(f"{what} needs concept annotations, none present in the context")
+
+    def require_counts(self, what: str) -> None:
+        if self.counts is None:
+            raise ConfigError(f"{what} needs concept counts, none present in the context")

@@ -27,13 +27,8 @@ from .spec import MeasureMode
 
 
 def _side_counts(ctx, S):
-    """Count sums of S split into (ground side, shadow side)."""
-    counts = ctx.counts
-    ground = S[S < ctx.n_ground]
-    shadow = S[S >= ctx.n_ground]
-    u = counts[ground].sum(axis=0) if ground.size else np.zeros(counts.shape[1])
-    v = counts[shadow].sum(axis=0) if shadow.size else np.zeros(counts.shape[1])
-    return u, v
+    """Count sums of S split into (ground side, shadow side); an empty side sums to zeros."""
+    return ctx.counts[S[S < ctx.n_ground]].sum(axis=0), ctx.counts[S[S >= ctx.n_ground]].sum(axis=0)
 
 
 def _f(w, u, v):
@@ -42,7 +37,7 @@ def _f(w, u, v):
 
 class RougeOps(FamilyOps):
     def value(self, ctx, spec, mode, A, Q, P):
-        ctx.require_concepts("count overlap")
+        ctx.require_counts("count overlap")
         w = ctx.concept_weights
         ua, va = _side_counts(ctx, A)
         up, vp = _side_counts(ctx, P)
@@ -61,7 +56,7 @@ class _RougeState(MarginalState):
 
     def __init__(self, ctx, mode, Q, P):
         super().__init__()
-        ctx.require_concepts("count overlap")
+        ctx.require_counts("count overlap")
         self.counts = ctx.counts
         self.w = ctx.concept_weights
         up, vp = _side_counts(ctx, P)

@@ -228,9 +228,7 @@ class VRougeMargin(_Margin):
 class _VRougeMarginState(MarginalState):
     def __init__(self, ctx, ref):
         super().__init__()
-        if ctx.counts is None:
-            raise ConfigError("the one_minus_vrouge margin needs concept counts, "
-                              "none present in the context")
+        ctx.require_counts("the one_minus_vrouge margin")
         counts = ctx.counts[:ctx.n_ground]
         c_ref = counts[ref].sum(axis=0)
         w = ctx.concept_weights

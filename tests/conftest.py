@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from submodsum.data import AuxiliarySet, GroundSet, ItemRecord
+from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.functions import EvalContext
 from submodsum.functions._common import as_indices
 
@@ -39,13 +39,10 @@ def concept_ctx():
 
     Coverage sets: a -> {k1, k2}, b -> {k2, k3}, q -> {k2, k3}, p -> {k2}.
     """
-    ground = GroundSet([
-        ItemRecord("a", concepts={"k1": 1, "k2": 1}, coverage={"k1": 0.9, "k2": 0.8}),
-        ItemRecord("b", concepts={"k2": 1, "k3": 1}, coverage={"k2": 0.7, "k3": 0.6}),
-    ])
-    q = AuxiliarySet([ItemRecord("q", concepts={"k2": 1, "k3": 1},
-                                 coverage={"k2": 0.5, "k3": 0.4})], "query")
-    p = AuxiliarySet([ItemRecord("p", concepts={"k2": 1}, coverage={"k2": 0.3})], "private")
+    ground = GroundSet(["a", "b"], concepts=[{"k1": 1, "k2": 1}, {"k2": 1, "k3": 1}],
+                       coverage=[{"k1": 0.9, "k2": 0.8}, {"k2": 0.7, "k3": 0.6}])
+    q = AuxiliarySet(["q"], concepts=[{"k2": 1, "k3": 1}], coverage=[{"k2": 0.5, "k3": 0.4}], role_tag="query")
+    p = AuxiliarySet(["p"], concepts=[{"k2": 1}], coverage=[{"k2": 0.3}], role_tag="private")
     return EvalContext.build(ground, [q, p])
 
 

@@ -16,7 +16,7 @@ from submodsum.bench import (
     vrouge,
     write_plot_csv,
 )
-from submodsum.data import GroundSet, ItemRecord
+from submodsum.data import GroundSet
 from submodsum.errors import ConfigError, FormatError
 from submodsum.functions import EvalContext
 from submodsum.optimize import Selection
@@ -51,12 +51,8 @@ def test_rouge_q_monotone_in_summary_counts(rng):
 
 
 def _tiny_counts_ctx():
-    items = [
-        ItemRecord("a", concepts={"k1": 1, "k2": 1}),
-        ItemRecord("b", concepts={"k3": 2}),
-        ItemRecord("c", features=[0.0, 1.0]),
-    ]
-    return EvalContext.build(GroundSet(items), [], metric="rbf")
+    ground = GroundSet(["a", "b", "c"], [None, None, [0.0, 1.0]], [{"k1": 1, "k2": 1}, {"k3": 2}, None])
+    return EvalContext.build(ground, [], metric="rbf")
 
 
 def test_vrouge_identity_and_disjoint():

@@ -8,7 +8,6 @@ from submodsum.data import (
     AuxiliarySet,
     ConceptUniverse,
     GroundSet,
-    ItemRecord,
     build_kernel,
     count_matrix,
     coverage_matrix,
@@ -22,7 +21,7 @@ from submodsum.optimize import Flavor, master_solve
 
 
 def test_ground_set_basic():
-    gs = GroundSet([ItemRecord("a", features=[1.0, 0.0]), ItemRecord("b", features=[0.0, 1.0])])
+    gs = GroundSet(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
     assert len(gs) == 2
     assert gs.ids == ("a", "b")
     assert gs.features.shape == (2, 2)
@@ -32,50 +31,50 @@ def test_ground_set_basic():
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(FormatError):
-        GroundSet([ItemRecord("a", features=[1.0]), ItemRecord("a", features=[2.0])])
+    with pytest.raises(FormatError, match=re.escape("duplicate item ids: ['a']")):
+        GroundSet(["a", "a"], [[1.0], [2.0]])
 
 
 def test_feature_dim_mismatch_rejected():
-    with pytest.raises(FormatError):
-        GroundSet([ItemRecord("a", features=[1.0]), ItemRecord("b", features=[1.0, 2.0])])
+    with pytest.raises(FormatError, match=re.escape("inconsistent feature dimensions: [1, 2]")):
+        GroundSet(["a", "b"], [[1.0], [1.0, 2.0]])
 
 
 def test_record_requires_some_payload():
-    with pytest.raises(FormatError):
-        ItemRecord("empty")
+    with pytest.raises(FormatError, match="item 'empty': needs features or concepts"):
+        GroundSet(["a", "empty"], [[1.0], None], [{"x": 1}, {}])
+    with pytest.raises(FormatError, match="item 'empty': needs features or concepts"):
+        GroundSet(["empty"])
+
+
+def test_columns_need_one_entry_per_id():
+    with pytest.raises(FormatError, match=re.escape("each item column needs one entry per id (2)")):
+        GroundSet(["a", "b"], concepts=[{"x": 1}])
 
 
 def test_count_and_coverage_matrices():
-    gs = GroundSet([
-        ItemRecord("a", concepts={"x": 2}, coverage={"x": 0.5}),
-        ItemRecord("b", concepts={"y": 1}, coverage={"y": 0.25}),
-    ])
+    gs = GroundSet(["a", "b"], concepts=[{"x": 2}, {"y": 1}], coverage=[{"x": 0.5}, {"y": 0.25}])
     uni = ConceptUniverse(["x", "y"])
     assert count_matrix(gs, uni).tolist() == [[2, 0], [0, 1]]
     assert coverage_matrix(gs, uni).tolist() == [[0.5, 0.0], [0.0, 0.25]]
 
 
 def test_cosine_kernel_values():
-    gs = GroundSet([
-        ItemRecord("a", features=[1.0, 0.0]),
-        ItemRecord("b", features=[2.0, 0.0]),
-        ItemRecord("c", features=[0.0, 3.0]),
-    ])
+    gs = GroundSet(["a", "b", "c"], [[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
     kern = build_kernel(gs, [], metric="cosine")
     assert kern.matrix[0, 1] == pytest.approx(1.0)
     assert kern.matrix[0, 2] == pytest.approx(0.0)
 
 
 def test_cosine_zero_vector_maps_to_zero_similarity():
-    gs = GroundSet([ItemRecord("a", features=[0.0, 0.0]), ItemRecord("b", features=[1.0, 0.0])])
+    gs = GroundSet(["a", "b"], [[0.0, 0.0], [1.0, 0.0]])
     kern = build_kernel(gs, [], metric="cosine")
     assert kern.matrix[0, 0] == pytest.approx(1.0)
     assert kern.matrix[0, 1] == pytest.approx(0.0)
 
 
 def test_rbf_kernel_factorizes(rng):
-    gs = GroundSet([ItemRecord(f"i{k}", features=rng.normal(size=3).tolist()) for k in range(10)])
+    gs = GroundSet([f"i{k}" for k in range(10)], rng.normal(size=(10, 3)))
     kern = build_kernel(gs, [], metric="rbf", sigma=1.0, jitter=1e-6)
     np.linalg.cholesky(kern.matrix + kern.psd_jitter * np.eye(10))
 
@@ -85,11 +84,11 @@ def test_empty_auxiliary_set_adds_no_rows_and_no_role(rng, features):
     # an empty set is dropped the way a collection drops its empty roles,
     # instead of failing to stack its zero feature rows
     def items(prefix, count):
-        return [ItemRecord(f"{prefix}{k}", features=rng.normal(size=3) if features else None,
-                           concepts={f"c{k % 3}": 1 + k % 2}) for k in range(count)]
+        return ([f"{prefix}{k}" for k in range(count)], rng.normal(size=(count, 3)) if features else None,
+                [{f"c{k % 3}": 1 + k % 2} for k in range(count)])
 
-    ground, queries = GroundSet(items("g", 8)), AuxiliarySet(items("q", 2), "query")
-    empty = AuxiliarySet([], "query")
+    ground, queries = GroundSet(*items("g", 8)), AuxiliarySet(*items("q", 2), role_tag="query")
+    empty = AuxiliarySet([], role_tag="query")
     fl1 = FunctionSpec(Family.FACILITY_LOCATION_1)
     for aux in ([], [queries]):
         want = EvalContext.build(ground, aux)
@@ -208,10 +207,10 @@ DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("role", ["items", "queries", "privates"])
-@pytest.mark.parametrize("defect", [*DEFECTS, "not_an_object", "duplicate_id"])
-def test_load_names_the_first_offending_item(tmp_path, capsys, defect, role, k):
+def _defective_doc(defect, role, k):
+    """(document, message, id): a role document under a concept universe with one defect
+    in record k of role, and the message that names it (None where the rest of the message
+    is numpy's or Python's own text)."""
     doc = _role_doc()
     doc["concept_universe"] = {"concepts": ["a", "b", "c"]}
     victim = doc[role][k]
@@ -226,6 +225,14 @@ def test_load_names_the_first_offending_item(tmp_path, capsys, defect, role, k):
         mutate, want = DEFECTS[defect]
         mutate(victim)
         want = want and want.format(id=item_id, rec=victim)
+    return doc, want, item_id
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("role", ["items", "queries", "privates"])
+@pytest.mark.parametrize("defect", [*DEFECTS, "not_an_object", "duplicate_id"])
+def test_load_names_the_first_offending_item(tmp_path, capsys, defect, role, k):
+    doc, want, item_id = _defective_doc(defect, role, k)
     path = tmp_path / "coll.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError) as info:
@@ -239,6 +246,105 @@ def test_load_names_the_first_offending_item(tmp_path, capsys, defect, role, k):
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+def _columns(records):
+    """The ids, features, concepts and coverage columns of JSON item records."""
+    return ([r["id"] for r in records], [r.get("features") for r in records],
+            [r.get("concepts") for r in records], [r.get("coverage") for r in records])
+
+
+def _build_from_columns(doc) -> EvalContext:
+    """The roles of a collection document built through the item-set constructors from
+    their columns, then the context over them under the document's concept universe."""
+    ground = GroundSet(*_columns(doc["items"]))
+    aux = [AuxiliarySet(*_columns(doc["queries"]), role_tag="query"),
+           AuxiliarySet(*_columns(doc["privates"]), role_tag="private")]
+    return EvalContext.build(ground, aux, universe=ConceptUniverse(doc["concept_universe"]["concepts"]))
+
+
+def _messages(tmp_path, doc) -> tuple[str, str]:
+    """The FormatError texts of loading doc and of building it from its columns."""
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as loaded:
+        load_collection(path)
+    with pytest.raises(FormatError) as built:
+        _build_from_columns(json.loads(path.read_text()))
+    return str(loaded.value), str(built.value)
+
+
+# a column holds no record that could lack an 'id' or be no object
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("role", ["items", "queries", "privates"])
+@pytest.mark.parametrize("defect", [*(d for d in DEFECTS if d != "no_id"), "duplicate_id"])
+def test_constructor_and_loader_give_one_message(tmp_path, defect, role, k):
+    doc, _, _ = _defective_doc(defect, role, k)
+    loaded, built = _messages(tmp_path, doc)
+    assert built == loaded
+
+
+# two defects in one role: an item rule broken by the first offending item, in
+# order, comes before a later item's defect, and before repeated ids and
+# mixed feature lengths; each message is the one the record-by-record reader
+# gave for the same document
+TWO_DEFECTS = {
+    "bad_coverage_g0_nested_features_g2": ((("coverage_above_one", 0), ("nested_feature", 2)),
+                                           "item 'g0': coverage 'c' must lie in [0, 1]"),
+    "negative_count_g0_text_feature_g2": ((("negative_count", 0), ("text_feature", 2)),
+                                          "item 'g0': concept 'b' count must be a nonnegative integer"),
+    "bad_count_g2_repeated_id": ((("fractional_count", 2), ("repeat_g0", 1)),
+                                 "item 'g2': concept 'b' count must be a nonnegative integer"),
+    "ragged_features_g0_bad_coverage_g2": ((("ragged_features", 0), ("coverage_above_one", 2)),
+                                           "item 'g2': coverage 'c' must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_DEFECTS))
+def test_first_offending_item_wins_over_later_defects(tmp_path, case):
+    defects, want = TWO_DEFECTS[case]
+    doc = _role_doc()
+    doc["concept_universe"] = {"concepts": ["a", "b", "c"]}
+    for defect, k in defects:
+        if defect == "repeat_g0":
+            doc["items"][k]["id"] = "g0"
+        else:
+            DEFECTS[defect][0](doc["items"][k])
+    assert _messages(tmp_path, doc) == (want, want)
+
+
+def test_record_that_is_no_object_comes_after_an_earlier_item_defect(tmp_path):
+    doc = _role_doc()
+    DEFECTS["coverage_above_one"][0](doc["items"][0])
+    doc["items"][2] = "oops"
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape("item 'g0': coverage 'c' must lie in [0, 1]")):
+        load_collection(path)
+
+
+def test_count_beyond_numpy_integers_is_a_format_error(tmp_path, capsys):
+    # a whole count keeps the item rules but no numpy integer holds it
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"items": [{"id": "a", "concepts": {"x": 2**64}}]}))
+    assert main(["summarize", "--collection", str(path), "--flavor", "generic", "--budget", "1",
+                 "--fn", "sc", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: item values fail the format checks\n"
+
+
+def test_concept_outside_the_universe_is_a_format_error_when_building(tmp_path):
+    ground = GroundSet(["a", "b"], concepts=[{"x": 1}, {"y": 2, "x": 1}])
+    universe = ConceptUniverse(["x"])
+    want = re.escape("item 'b': concepts ['y'] not in concept_universe")
+    for build in (EvalContext.build, build_kernel, count_matrix, coverage_matrix):
+        with pytest.raises(FormatError, match=want):
+            build(ground, universe=universe)
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps({"items": [{"id": "a", "concepts": {"x": 1}},
+                                          {"id": "b", "concepts": {"y": 2, "x": 1}}],
+                                "concept_universe": {"concepts": ["x"]}}))
+    with pytest.raises(FormatError, match=want):
+        load_collection(path)
+
+
 def test_loaded_columns_equal_those_of_the_records(tmp_path):
     rows = [{"id": "a", "features": [1.0, 0.0], "concepts": {"x": 2, "y": 0}},
             {"id": "b", "features": [0.5, float("nan")], "concepts": {"y": 1}, "coverage": {"y": 0.25}},
@@ -247,10 +353,8 @@ def test_loaded_columns_equal_those_of_the_records(tmp_path):
     path = tmp_path / "coll.json"
     path.write_text(json.dumps({"items": rows, "queries": queries}))
     coll = load_collection(path)  # NaN features load; the kernel rejects them only if it reads them
-    records = [ItemRecord(r["id"], features=r.get("features"), concepts=r.get("concepts"),
-                          coverage=r.get("coverage")) for r in rows]
-    for got, want in ((coll.ground, GroundSet(records)),
-                      (coll.queries, AuxiliarySet([ItemRecord("q", concepts={"z": 3})], "query"))):
+    for got, want in ((coll.ground, GroundSet(*_columns(rows))),
+                      (coll.queries, AuxiliarySet(["q"], concepts=[{"z": 3}], role_tag="query"))):
         assert got.ids == want.ids
         assert (got.features is None) == (want.features is None)
         if want.features is not None:
@@ -265,18 +369,3 @@ def test_loaded_columns_equal_those_of_the_records(tmp_path):
     assert counts.tolist() == [[2, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 3]]
     kern = build_kernel(coll.ground, coll.queries, metric="dot")
     assert np.array_equal(kern.matrix, counts @ counts.T)
-
-
-def test_loading_and_building_make_no_item_records(tmp_path, monkeypatch):
-    doc = _role_doc()
-    doc["concept_universe"] = {"concepts": ["a", "b", "c"], "weights": [1.0, 2.0, 0.5]}
-    path = tmp_path / "coll.json"
-    path.write_text(json.dumps(doc))
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("an ItemRecord was built")
-
-    monkeypatch.setattr(ItemRecord, "__init__", refuse)
-    coll = load_collection(path)
-    ctx = EvalContext.build(coll.ground, coll.aux_sets, universe=coll.universe)
-    assert ctx.kernel.shape == (9, 9) and ctx.counts.shape == (9, 3)

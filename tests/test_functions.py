@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import concept_ctx, pair_ctx, psd_ctx, relerr, seed_from, with_copies
-from submodsum.bench import random_instance
+from submodsum.bench import random_instance, vrouge
 from submodsum.errors import ConfigError, NumericError, UnsupportedError
 from submodsum.functions import (
+    EvalContext,
     Family,
     FunctionSpec,
     MeasureMode,
@@ -156,6 +157,37 @@ def test_copy_with_view_is_what_the_oracle_sees(family, view, rng):
     got = evaluate(spec, MeasureMode.CSMI, swapped, A, Q, P)
     assert got != pytest.approx(evaluate(spec, MeasureMode.CSMI, ctx, A, Q, P))
     assert relerr(got, definitional_oracle(spec, MeasureMode.CSMI, swapped, A, Q, P)) < 1e-8
+
+
+def test_count_overlap_needs_counts_not_only_coverage():
+    cover = np.array([[0.5, 0.3], [0.2, 0.9], [0.0, 0.4]])
+    ctx = EvalContext(np.eye(3), 2, metric="dot", cover_prob=cover)
+    rouge = FunctionSpec(Family.ROUGE)
+    calls = {
+        "evaluate": lambda: evaluate(rouge, MeasureMode.SMI, ctx, (0,), (2,)),
+        "make_state": lambda: make_state(rouge, MeasureMode.SMI, ctx, (2,)),
+        "oracle": lambda: definitional_oracle(rouge, MeasureMode.SMI, ctx, (0,), (2,)),
+        "vrouge": lambda: vrouge([0], [[1]], ctx),
+    }
+    for call in calls.values():
+        with pytest.raises(ConfigError, match="needs concept counts, none present in the context"):
+            call()
+    # set cover and probabilistic set cover read the coverage alone
+    for family in (Family.SET_COVER, Family.PROB_SET_COVER):
+        assert evaluate(FunctionSpec(family), MeasureMode.SMI, ctx, (0,), (2,)) > 0
+
+
+@pytest.mark.parametrize("inputs", [
+    dict(counts=np.ones((2, 2))),
+    dict(counts=np.ones((3, 2)), concept_weights=np.ones(3)),
+    dict(cover_prob=np.full((4, 2), 0.5)),
+    dict(counts=np.ones((3, 2)), cover_prob=np.full((3, 3), 0.5)),
+    dict(counts=np.ones(3)),
+    dict(ids=("a",)),
+], ids=["count_rows", "weight_length", "cover_rows", "concept_columns", "flat_counts", "id_count"])
+def test_context_rejects_inputs_that_do_not_fit_its_kernel(inputs):
+    with pytest.raises(ConfigError):
+        EvalContext(np.eye(3), 2, metric="dot", **inputs)
 
 
 def test_parse_family_aliases():

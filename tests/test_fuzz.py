@@ -18,7 +18,22 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from submodsum.bench import random_instance
 from submodsum.cli import main
+from submodsum.errors import SubmodsumError
+from submodsum.functions import (
+    EvalContext,
+    Family,
+    FunctionSpec,
+    definitional_oracle,
+    evaluate,
+    make_state,
+    modes_supported,
+    partials,
+)
+from submodsum.functions.api import near_kink
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -172,6 +187,47 @@ def test_eval_exits_cleanly_on_generated_input(data, coll, as_object, own_refs, 
         assert (rc == 0) == report.exists()
         if report.exists():
             assert 0.0 <= _strict(report)["vrouge"] <= 1.0
+
+
+# the library boundary: each entry point of every family and mode, on contexts
+# built by hand with counts, coverage, both or neither
+
+
+def _answers(call):
+    """call()'s result, checked finite, or None where it raised a typed error."""
+    try:
+        out = call()
+    except SubmodsumError:
+        return None
+    values = list(out.values()) if isinstance(out, dict) else out
+    assert np.all(np.isfinite(np.asarray(values, dtype=float)))
+    return out
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(("rbf", "cosine", "dot")),
+       with_counts=st.booleans(), with_cover=st.booleans(), size=st.integers(0, 8))
+def test_library_entry_points_answer_or_raise_typed_errors(seed, metric, with_counts, with_cover, size):
+    rng = np.random.default_rng(seed)
+    base, Q, P = random_instance(rng, metric=metric)
+    ctx = EvalContext(base.kernel, base.n_ground, ids=base.ids, metric=metric, jitter=base.jitter,
+                      counts=base.counts if with_counts else None,
+                      cover_prob=base.cover_prob if with_cover else None,
+                      role_indices=base.role_indices)
+    A = tuple(rng.permutation(ctx.n_ground)[:size].tolist())
+    for family in Family:
+        spec = FunctionSpec(family)
+        for mode in modes_supported(family):
+            _answers(lambda: evaluate(spec, mode, ctx, A, Q, P))
+            _answers(lambda: partials(spec, mode, ctx, A, Q, P))
+            _answers(lambda: near_kink(spec, mode, ctx, A, Q, P))
+            _answers(lambda: definitional_oracle(spec, mode, ctx, A, Q, P))
+            try:
+                state = make_state(spec, mode, ctx, Q, P)
+            except SubmodsumError:
+                continue
+            _answers(lambda: state.gain(np.arange(ctx.n_ground)))
+            _answers(lambda: state.add(int(rng.integers(ctx.n_ground))))
 
 
 def _run(argv, out) -> int:

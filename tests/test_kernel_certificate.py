@@ -13,7 +13,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from submodsum.data import GroundSet, ItemRecord, build_kernel
+from submodsum.data import GroundSet, build_kernel
 from submodsum.errors import NumericError
 
 pytest.importorskip("hypothesis")
@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 def _feature_ground(feats):
-    return GroundSet([ItemRecord(f"i{k}", features=row) for k, row in enumerate(feats)])
+    return GroundSet([f"i{k}" for k in range(len(feats))], feats)
 
 
 def test_cosine_zero_jitter_with_more_items_than_dims_is_not_definite(rng):

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from submodsum.data import AuxiliarySet, GroundSet, ItemRecord
+from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, make_state
 from submodsum.functions._common import pair_scaled_block
@@ -135,10 +135,10 @@ def instances(draw):
     for _ in range(draw(st.integers(0, 4))):  # copied items
         feats[rng.integers(size)] = feats[rng.integers(size)]
     feats[rng.integers(size, size=draw(st.integers(0, 2)))] = 0.0  # zero feature rows
-    items = [ItemRecord(f"i{k}", features=row) for k, row in enumerate(feats)]
-    aux = [AuxiliarySet(part, role) for part, role in ((items[n:n + nq], "query"), (items[n + nq:], "private"))
-           if part]
-    ctx = EvalContext.build(GroundSet(items[:n]), aux, metric=draw(st.sampled_from(["cosine", "dot"])))
+    ids = [f"i{k}" for k in range(size)]
+    aux = [AuxiliarySet(ids[part], feats[part], role_tag=role)
+           for part, role in ((slice(n, n + nq), "query"), (slice(n + nq, size), "private")) if ids[part]]
+    ctx = EvalContext.build(GroundSet(ids[:n], feats[:n]), aux, metric=draw(st.sampled_from(["cosine", "dot"])))
     # Q and P are usually the auxiliary roles; a ground item in one of them
     # puts a shared item, and so a jittered entry, into the cross blocks
     members = rng.permutation(size)[:draw(st.integers(0, 3))]
@@ -220,10 +220,10 @@ def big_ctx():
     n, aux = 600, 4
 
     def items(prefix, count):
-        return [ItemRecord(f"{prefix}{k}", features=row) for k, row in enumerate(rng.normal(size=(count, 16)))]
+        return [f"{prefix}{k}" for k in range(count)], rng.normal(size=(count, 16))
 
-    return EvalContext.build(GroundSet(items("g", n)),
-                             [AuxiliarySet(items("q", aux), "query"), AuxiliarySet(items("p", aux), "private")])
+    return EvalContext.build(GroundSet(*items("g", n)), [AuxiliarySet(*items("q", aux), role_tag="query"),
+                                                         AuxiliarySet(*items("p", aux), role_tag="private")])
 
 
 def cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
@@ -239,8 +239,9 @@ def cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
 @pytest.mark.parametrize("metric", ["cosine", "dot", "rbf"])
 def test_cross_nonneg_is_cross_only_of_nonneg_without_building_it(rng, metric):
     feats = rng.normal(size=(9, 3))
-    items = [ItemRecord(f"i{k}", features=row) for k, row in enumerate(feats)]
-    ctx = EvalContext.build(GroundSet(items[:6]), [AuxiliarySet(items[6:], "query")], metric=metric)
+    ids = [f"i{k}" for k in range(9)]
+    ctx = EvalContext.build(GroundSet(ids[:6], feats[:6]), [AuxiliarySet(ids[6:], feats[6:], role_tag="query")],
+                            metric=metric)
     got = ctx.cross_nonneg
     assert "nonneg" not in vars(ctx)
     assert np.array_equal(got, cross_only(ctx.nonneg, ctx.n_ground))
