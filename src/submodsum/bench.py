@@ -190,8 +190,8 @@ def random_instance(rng, n_range=(4, 8), nq_range=(1, 3), np_range=(1, 3),
 
     Items carry 2-D features; with concepts=True every item gets counts over
     four concepts (at least one nonzero) plus matching coverage probabilities.
-    The auxiliary cross block is rescaled when needed so concave-over-modular's
-    sqrt(n) guard holds on the cross-similarity view.
+    The context's cross block (the mapped V' x V similarities) is rescaled
+    when needed so concave-over-modular's sqrt(n) guard holds on it.
     """
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     nq = int(rng.integers(nq_range[0], nq_range[1] + 1))
@@ -213,14 +213,11 @@ def random_instance(rng, n_range=(4, 8), nq_range=(1, 3), np_range=(1, 3),
     ground = GroundSet(*items("g", n))
     aux = [AuxiliarySet(*items("q", nq), role_tag="query"), AuxiliarySet(*items("p", npv), role_tag="private")]
     ctx = EvalContext.build(ground, aux, metric=metric, sigma=sigma)
-    cross = ctx.cross_nonneg[:n, n:]
+    cross = ctx.cross.T.copy()  # n x m in C order: its sums round as they always have
     guard = np.sqrt(n)
     worst = max(cross.sum(axis=1).max(), cross.sum(axis=0).max()) if cross.size else 0.0
     if worst > guard:
-        scaled = ctx.cross_nonneg.copy()
-        scaled[:n, n:] *= 0.99 * guard / worst
-        scaled[n:, :n] *= 0.99 * guard / worst
-        ctx = ctx.copy_with(cross_nonneg=scaled)
+        ctx = ctx.copy_with(cross=ctx.cross * (0.99 * guard / worst))
     Q = tuple(ctx.role_indices.get("query", ()))
     P = tuple(ctx.role_indices.get("private", ()))
     return ctx, Q, P

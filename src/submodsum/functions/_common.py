@@ -43,6 +43,23 @@ def require_aux(S: np.ndarray, ctx, label: str) -> None:
         raise ConfigError(f"{label} must live in the auxiliary universe for this family")
 
 
+def cross_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows x cols of the cross-only kernel: ctx.cross between V and V',
+    the identity within a side.  Rows on one side and cols on the other, as
+    the states and closed forms read it, index ctx.cross once.  C-ordered,
+    so its row sums round the same whichever side the rows come from."""
+    n = ctx.n_ground
+    if rows.min(initial=n) >= n > cols.max(initial=-1):  # V' x V, as ctx.cross holds it
+        return ctx.cross[(rows - n)[:, None], cols]
+    if cols.min(initial=n) >= n > rows.max(initial=-1):  # V x V'
+        return ctx.cross[(cols - n)[:, None], rows].T.copy()
+    ra, ca = rows >= n, cols >= n
+    out = (rows[:, None] == cols).astype(float)
+    out[np.ix_(ra, ~ca)] = ctx.cross[np.ix_(rows[ra] - n, cols[~ca])]
+    out[np.ix_(~ra, ca)] = ctx.cross[np.ix_(cols[ca] - n, rows[~ra])].T
+    return out
+
+
 # -- scaling -----------------------------------------------------------------
 
 

@@ -1,24 +1,25 @@
 """Evaluation context: one kernel plus concept matrices over V union V'.
 
 Items are indexed 0..n-1 for the ground set V and n..N-1 for auxiliary
-items (V').  Families read the view they need:
+items (V').  The context holds the N x N kernel, the concept matrices and
+one m x n array; families read what they need:
 
-* raw kernel               graph-cut, log-determinant (which reads blocks
+* kernel                   graph-cut, log-determinant (which reads blocks
                            of it and adds the jitter to their diagonals)
-* nonneg kernel            facility-location, disparity (cosine gets the (s+1)/2 shift)
-* cross-only nonneg kernel second facility-location variant, concave-over-modular
+* similarity(rows, cols)   facility-location, disparity: a kernel block
+                           mapped into [0, 1] (cosine gets the (s+1)/2 shift)
+* cross                    second facility-location variant,
+                           concave-over-modular: the mapped V' x V block
 * counts / cover_prob      set-cover, probabilistic set-cover, rouge
 
-The two derived N x N views are built on first use, each straight from
-the kernel, and then cached on the context, so a solve holds only the
-views its family reads.  The copy_with hook swaps the kernel or
-individual views; the definitional oracle uses it to evaluate base
+The kernel is finite and exactly symmetric (checked here unless it comes
+from build_kernel, which builds it so), so cross serves both directions:
+the V x V' block is its transpose.  The copy_with hook swaps the kernel
+or the cross block; the definitional oracle uses it to evaluate base
 functions on transformed kernels.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from ..data import (
     AuxiliarySet,
     ConceptUniverse,
     GroundSet,
+    SimilarityKernel,
     aux_list,
     build_kernel,
     count_matrix,
@@ -33,13 +35,11 @@ from ..data import (
 )
 from ..errors import ConfigError
 
-_VIEWS = ("nonneg", "cross_nonneg")
-
 
 class EvalContext:
     def __init__(
         self,
-        kernel: np.ndarray,
+        kernel: np.ndarray | SimilarityKernel,
         n_ground: int,
         ids: tuple[str, ...] | None = None,
         metric: str = "cosine",
@@ -49,10 +49,13 @@ class EvalContext:
         concept_weights: np.ndarray | None = None,
         role_indices: dict[str, tuple[int, ...]] | None = None,
     ):
-        self.kernel = np.asarray(kernel, dtype=float)
+        built = isinstance(kernel, SimilarityKernel)
+        self.kernel = kernel.matrix if built else np.asarray(kernel, dtype=float)
         self.size = self.kernel.shape[0]
         if self.kernel.shape != (self.size, self.size):
             raise ConfigError("kernel must be square")
+        if not (built or (np.isfinite(self.kernel).all() and np.array_equal(self.kernel, self.kernel.T))):
+            raise ConfigError("kernel must be finite and symmetric")
         if not (0 <= n_ground <= self.size):
             raise ConfigError("n_ground out of range")
         self.n_ground = n_ground
@@ -74,32 +77,17 @@ class EvalContext:
             raise ConfigError(f"concept_weights must have shape {(*widths,)}, got {self.concept_weights.shape}")
         self.role_indices = dict(role_indices or {})
         self._index = {i: k for k, i in enumerate(self.ids)}
+        self.cross = self.similarity(slice(n_ground, None), slice(n_ground))
 
-    # -- views built on first use -------------------------------------------
-
-    @cached_property
-    def nonneg(self) -> np.ndarray:
-        """Kernel mapped into [0, 1]: (s + 1) / 2 for cosine, unchanged otherwise."""
+    def similarity(self, rows, cols) -> np.ndarray:
+        """Kernel block rows x cols mapped into [0, 1]: (s + 1) / 2 for cosine,
+        the kernel's own entries otherwise.  Two index arrays select through
+        np.ix_, an int or a slice as numpy does: never write to the block."""
+        block = self.kernel[np.ix_(rows, cols) if np.ndim(rows) and np.ndim(cols) else (rows, cols)]
         if self.metric != "cosine":
-            return self.kernel
-        out = self.kernel + 1.0
+            return block
+        out = block + 1.0
         out /= 2.0
-        return out
-
-    @cached_property
-    def cross_nonneg(self) -> np.ndarray:
-        """nonneg with identity diagonal blocks: only V <-> V' similarity.
-
-        Built from the kernel's two cross blocks, without the nonneg view.
-        """
-        n = self.n_ground
-        out = np.zeros((self.size, self.size))
-        np.fill_diagonal(out, 1.0)
-        for blk in (np.s_[:n, n:], np.s_[n:, :n]):
-            out[blk] = self.kernel[blk]
-            if self.metric == "cosine":
-                out[blk] += 1.0
-                out[blk] /= 2.0
         return out
 
     # -- construction ------------------------------------------------------
@@ -130,7 +118,7 @@ class EvalContext:
             roles[s.role_tag] = roles.get(s.role_tag, ()) + idx
             offset += len(s)
         return cls(
-            kern.matrix,
+            kern,
             len(ground),
             ids=kern.ids,
             metric=metric,
@@ -142,12 +130,12 @@ class EvalContext:
         )
 
     def copy_with(self, **kw) -> "EvalContext":
-        """Copy with selected fields or views replaced.
+        """Copy with selected fields replaced.
 
-        A view passed here is fixed on the copy; every other view is built
-        again from the copy's own kernel on first use.
+        A cross block passed here is fixed on the copy; otherwise the copy
+        builds it again from its own kernel.
         """
-        views = {name: np.asarray(kw.pop(name), dtype=float) for name in _VIEWS if name in kw}
+        cross = kw.pop("cross", None)
         base = dict(
             kernel=self.kernel,
             n_ground=self.n_ground,
@@ -161,7 +149,10 @@ class EvalContext:
         )
         base.update(kw)
         out = EvalContext(**base)
-        out.__dict__.update(views)
+        if cross is not None:
+            if np.shape(cross) != out.cross.shape:
+                raise ConfigError(f"cross must have shape {out.cross.shape}, got {np.shape(cross)}")
+            out.cross = np.asarray(cross, dtype=float)
         return out
 
     # -- index helpers -----------------------------------------------------

@@ -1,10 +1,10 @@
-"""Diversity measures on pairwise dissimilarity 1 - s_ij.
+"""Diversity measures on pairwise dissimilarity 1 - s_ij, s mapped into [0, 1].
 
 Base-mode only; information and conditional modes are not defined for
 these. Disparity-min is not submodular, so greedy on it is heuristic.
-Both marginal states recompute every item's gain from the running
-similarity sum (resp. minimum dissimilarity) to the selection after each
-pick, O(N) per pick.
+Both marginal states read the picked item's similarity row and recompute
+every item's gain from the running similarity sum (resp. minimum
+dissimilarity) to the selection, O(N) per pick.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class DisparitySumOps(FamilyOps):
     def value(self, ctx, spec, mode, S, Q, P):
         if S.size < 2:
             return 0.0
-        D = 1.0 - ctx.nonneg[np.ix_(S, S)]
+        D = 1.0 - ctx.similarity(S, S)
         return float(np.triu(D, k=1).sum())
 
     def state(self, ctx, spec, mode, Q, P):
@@ -34,7 +34,7 @@ class DisparityMinOps(FamilyOps):
     def value(self, ctx, spec, mode, S, Q, P):
         if S.size < 2:
             return 0.0
-        D = 1.0 - ctx.nonneg[np.ix_(S, S)]
+        D = 1.0 - ctx.similarity(S, S)
         iu = np.triu_indices(S.size, k=1)
         return float(D[iu].min())
 
@@ -45,13 +45,13 @@ class DisparityMinOps(FamilyOps):
 class _DispSumState(MarginalState):
     def __init__(self, ctx):
         super().__init__()
-        self.sim = ctx.nonneg
+        self.ctx = ctx
         self.sim_to_A = np.zeros(ctx.size)
         self.count = 0
         self.gains = np.zeros(ctx.size)
 
     def _push(self, j):
-        self.sim_to_A = self.sim_to_A + self.sim[j]
+        self.sim_to_A = self.sim_to_A + self.ctx.similarity(j, slice(None))
         self.count += 1
         self.gains = self.count - self.sim_to_A
 
@@ -59,7 +59,7 @@ class _DispSumState(MarginalState):
 class _DispMinState(MarginalState):
     def __init__(self, ctx):
         super().__init__()
-        self.sim = ctx.nonneg
+        self.ctx = ctx
         self.min_to_A = np.full(ctx.size, np.inf)  # min_{i in A} (1 - s_ij)
         self.cur = None  # None until |A| >= 2
         self.gains = np.zeros(ctx.size)  # a single item has no pair yet
@@ -68,6 +68,6 @@ class _DispMinState(MarginalState):
         if self.selected:  # j pairs with every prior pick
             prev = self.min_to_A[j]
             self.cur = float(min(self.cur, prev)) if self.cur is not None else float(prev)
-        self.min_to_A = np.minimum(self.min_to_A, 1.0 - self.sim[j])
+        self.min_to_A = np.minimum(self.min_to_A, 1.0 - self.ctx.similarity(j, slice(None)))
         # min_to_A is rebound, never written in place, so gains may share it
         self.gains = self.min_to_A if self.cur is None else np.minimum(self.cur, self.min_to_A) - self.cur

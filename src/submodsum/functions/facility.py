@@ -1,4 +1,4 @@
-"""Facility-location measures on the nonnegative kernel view.
+"""Facility-location measures on the kernel mapped into [0, 1].
 
 Variant 1 scores coverage of the ground set (rows U = V):
     f(S) = sum_{i in V} max_{j in S} s_ij
@@ -10,7 +10,8 @@ max_{j in A} s_ij under a query cap and then above a conditioning floor;
 _caps gives both per ground row, and the closed form, the marginal state,
 partials and near_kink all read them from there.
 
-Variant 2 scores rows of the whole universe on the cross-only kernel:
+Variant 2 scores rows of the whole universe on the cross-only kernel
+(the mapped V <-> V' similarities, the identity within a side):
     f_eta(S) = sum_{i in V'} max_{j in S} x_ij + eta * sum_{i in V} max_{j in S} x_ij
 whose pairwise information form is
     sum_{i in Q} max_{j in A} x_ij + eta * sum_{i in A} max_{j in Q} x_ij
@@ -30,33 +31,36 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ._common import FamilyOps, MarginalState, column_scale, pair_scaled_block, require_aux
+from ._common import FamilyOps, MarginalState, column_scale, cross_block, pair_scaled_block, require_aux
 from .spec import MeasureMode
 
 _BLOCK = 1 << 17  # elements per temporary when a state sweeps kernel rows
 _ROWS = 16  # ground rows per partial sum of the fl1 gains
 
 
-def _colmax(F: np.ndarray, rows: np.ndarray, cols: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """max over cols per row, optionally with per-column scaling; empty cols -> 0."""
-    if not cols.size:
-        return np.zeros(rows.size)
-    block = F[np.ix_(rows, cols)]
+def _colmax(block: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """max over a block's columns per row, optionally per-column scaled; no columns -> 0."""
+    if not block.shape[1]:
+        return np.zeros(block.shape[0])
     if scale is not None:
         block = block * scale
     return block.max(axis=1)
+
+
+def _best(ctx, cols, scale=None) -> np.ndarray:
+    """max_{j in cols} s_ij per ground row i of the mapped kernel."""
+    return _colmax(ctx.similarity(slice(ctx.n_ground), cols), scale)
 
 
 def _caps(ctx, spec, mode, Q, P):
     """(query cap, conditioning floor) per ground row, None where the mode
     reads no such set: eta * max_Q s_ij and nu * max_P s_ij, with eta and
     nu scaling only auxiliary columns."""
-    rows = np.arange(ctx.n_ground)
     qcap = pcap = None
     if mode in (MeasureMode.SMI, MeasureMode.CSMI):
-        qcap = _colmax(ctx.nonneg, rows, Q, column_scale(Q, ctx, spec.eta))
+        qcap = _best(ctx, Q, column_scale(Q, ctx, spec.eta))
     if mode in (MeasureMode.CG, MeasureMode.CSMI):
-        pcap = _colmax(ctx.nonneg, rows, P, column_scale(P, ctx, spec.nu))
+        pcap = _best(ctx, P, column_scale(P, ctx, spec.nu))
     return qcap, pcap
 
 
@@ -64,11 +68,10 @@ def _dcap(ctx, S, t, cap):
     """d cap / d t per ground row for a cap of S scaled by t: the best
     auxiliary similarity where it attains the cap (auxiliary columns win
     ties with ground ones), else 0."""
-    rows = np.arange(ctx.n_ground)
     aux = S[S >= ctx.n_ground]
     if not aux.size:
-        return np.zeros(rows.size)
-    best = _colmax(ctx.nonneg, rows, aux)
+        return np.zeros(ctx.n_ground)
+    best = _best(ctx, aux)
     return np.where(t * best >= cap, best, 0.0)
 
 
@@ -77,7 +80,7 @@ class FacilityLocation1Ops(FamilyOps):
 
     def value(self, ctx, spec, mode, A, Q, P):
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
-        x = _colmax(ctx.nonneg, np.arange(ctx.n_ground), A)
+        x = _best(ctx, A)
         if qcap is not None:
             x = np.minimum(x, qcap)
         if pcap is not None:
@@ -91,11 +94,12 @@ class FacilityLocation1Ops(FamilyOps):
         eta_cols = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else ()
         nu_cols = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else ()
         idx = np.arange(ctx.size)
-        return ctx.copy_with(nonneg=pair_scaled_block(ctx.nonneg, idx, idx, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
+        scaled = pair_scaled_block(ctx.similarity(idx, idx), idx, idx, ctx, eta_cols, spec.eta, nu_cols, spec.nu)
+        return ctx.copy_with(kernel=scaled, metric="dot")  # already mapped: a metric that maps nothing
 
     def partials(self, ctx, spec, mode, A, Q, P):
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
-        amax = _colmax(ctx.nonneg, np.arange(ctx.n_ground), A)
+        amax = _best(ctx, A)
         inner = amax if qcap is None else np.minimum(amax, qcap)
         alive = True if pcap is None else inner - pcap >= 0
         out: dict[str, float] = {}
@@ -107,7 +111,7 @@ class FacilityLocation1Ops(FamilyOps):
 
     def near_kink(self, ctx, spec, mode, A, Q, P, tol):
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
-        lhs = _colmax(ctx.nonneg, np.arange(ctx.n_ground), A)
+        lhs = _best(ctx, A)
         flags = np.zeros(lhs.size, dtype=bool)
         if qcap is not None:
             flags |= (np.abs(lhs - qcap) < tol) & (qcap > 0)
@@ -135,7 +139,7 @@ class _FL1State(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
         n = ctx.n_ground
-        self.F = ctx.nonneg[:n, :]
+        self.F = ctx.similarity(slice(n), slice(None))
         self.amax = np.zeros(n)
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
         self.capped = qcap is not None
@@ -172,15 +176,14 @@ class _FL1State(MarginalState):
         self._recompute(np.unique(rows // _ROWS))
 
 
-def _cross(ctx) -> np.ndarray:
-    """The cross-only view, checked to lie in [0, 1], where variant 2's
-    pairwise information form is the measure."""
-    X = ctx.cross_nonneg
-    n = ctx.n_ground
-    if any(b.min(initial=0.0) < 0.0 or b.max(initial=1.0) > 1.0 for b in (X[:n, n:], X[n:, :n])):
+def _cross(ctx, rows, cols) -> np.ndarray:
+    """rows x cols of the cross-only kernel, whose cross similarities are
+    checked to lie in [0, 1], where variant 2's pairwise information form
+    is the measure."""
+    if ctx.cross.min(initial=0.0) < 0.0 or ctx.cross.max(initial=1.0) > 1.0:
         raise ConfigError(f"facility-location-2 needs cross similarities in [0, 1], but the "
                           f"{ctx.metric} kernel has cross similarities outside it")
-    return X
+    return cross_block(ctx, rows, cols)
 
 
 class FacilityLocation2Ops(FamilyOps):
@@ -188,26 +191,23 @@ class FacilityLocation2Ops(FamilyOps):
     PARAM_KEYS = ("eta",)
 
     def base(self, ctx, spec, S):
-        X = _cross(ctx)
         shadow = np.arange(ctx.n_ground, ctx.size)
         ground = np.arange(ctx.n_ground)
-        return float(_colmax(X, shadow, S).sum() + spec.eta * _colmax(X, ground, S).sum())
+        return float(_colmax(_cross(ctx, shadow, S)).sum() + spec.eta * _colmax(_cross(ctx, ground, S)).sum())
 
     def value(self, ctx, spec, mode, A, Q, P):
         if mode == MeasureMode.BASE:
             return self.base(ctx, spec, A)
         require_aux(Q, ctx, "Q")
-        X = _cross(ctx)
-        return float(_colmax(X, Q, A).sum() + spec.eta * _colmax(X, A, Q).sum())
+        return float(_colmax(_cross(ctx, Q, A)).sum() + spec.eta * _colmax(_cross(ctx, A, Q)).sum())
 
     def state(self, ctx, spec, mode, Q, P):
         return _FL2State(ctx, spec, mode, Q)
 
     def partials(self, ctx, spec, mode, A, Q, P):
-        X = _cross(ctx)
         if mode == MeasureMode.SMI:
-            return {"eta": float(_colmax(X, A, Q).sum())}
-        return {"eta": float(_colmax(X, np.arange(ctx.n_ground), A).sum())}
+            return {"eta": float(_colmax(_cross(ctx, A, Q)).sum())}
+        return {"eta": float(_colmax(_cross(ctx, np.arange(ctx.n_ground), A)).sum())}
 
 
 class _FL2State(MarginalState):
@@ -215,14 +215,13 @@ class _FL2State(MarginalState):
         super().__init__()
         n = ctx.n_ground
         require_aux(Q, ctx, "Q")  # Q is empty in base mode
-        X = _cross(ctx)
         if mode == MeasureMode.SMI:
             rows = Q
-            qmax = _colmax(X, np.arange(n), Q)
+            qmax = _colmax(_cross(ctx, np.arange(n), Q))
         else:
             rows = np.arange(n, ctx.size)
             qmax = np.full(n, 1.0)  # base mode: each pick adds eta * x_jj = eta
-        self.cross = X[rows, :n]
+        self.cross = _cross(ctx, rows, np.arange(n))
         self.item_term = spec.eta * qmax
         self.rowmax = np.zeros(rows.size)
         self._refresh()

@@ -298,7 +298,10 @@ def test_a5_count_overlap_identities():
                             psi=("sqrt", "log1p", "identity")[int(rng.integers(0, 3))],
                             com_weights=((0.3, 0.7) if rng.random() < 0.5 else None))
         got = evaluate(spec, MeasureMode.SMI, ctx, A, Q)
-        X = ctx.cross_nonneg
+        idx = np.arange(ctx.size)
+        X = np.where(idx[:, None] == idx, 1.0, 0.0)  # the dense cross-only kernel
+        X[ctx.n_ground:, :ctx.n_ground] = ctx.cross
+        X[:ctx.n_ground, ctx.n_ground:] = ctx.cross.T
         psi = _PSI[spec.psi]
         da, dq = spec.com_deltas()
         qrows = np.asarray(Q, dtype=int)

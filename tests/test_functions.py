@@ -121,42 +121,57 @@ def test_overlapping_sets_rejected(rng):
 
 
 # ---------------------------------------------------------------------------
-# context views
+# context: one kernel, one cross block
 
 
-_VIEWS = {"nonneg", "cross_nonneg"}
-
-
-@pytest.mark.parametrize("alias, built", [
-    ("sc", set()), ("rouge", set()), ("gc", set()), ("fl1", {"nonneg"}),
-    ("fl2", {"cross_nonneg"}), ("logdet", set()),
-])
-def test_solve_builds_only_the_views_it_reads(alias, built):
+@pytest.mark.parametrize("alias", ["sc", "rouge", "gc", "fl1", "fl2", "logdet", "com"])
+def test_solve_leaves_the_context_as_built(alias):
+    """A solve adds nothing to the context, whose only N x N array is its kernel."""
     ctx = concept_ctx()
+    before = dict(vars(ctx))
     master_solve(Flavor.QUERY, FunctionSpec(parse_family(alias)), ctx, 1,
                  Q=ctx.role_indices["query"])
-    assert _VIEWS & set(vars(ctx)) == built
+    assert vars(ctx).keys() == before.keys()
+    assert all(vars(ctx)[k] is v for k, v in before.items())
+    assert [k for k, v in vars(ctx).items() if np.shape(v) == (ctx.size, ctx.size)] == ["kernel"]
 
 
-def test_copy_with_kernel_drops_cached_views(rng):
+def test_copy_with_builds_cross_again_unless_given(rng):
     ctx, Q, P = random_instance(rng)
-    ctx.nonneg  # random_instance already built cross_nonneg
+    n = ctx.n_ground
     moved = ctx.copy_with(kernel=ctx.kernel * 0.5)
-    assert not _VIEWS & set(vars(moved))
-    np.testing.assert_array_equal(moved.nonneg, ctx.kernel * 0.5)  # rbf: nonneg is the kernel
+    np.testing.assert_array_equal(moved.cross, ctx.kernel[n:, :n] * 0.5)  # rbf maps nothing
+    fixed = ctx.copy_with(cross=ctx.cross * 0.5)
+    assert fixed.kernel is ctx.kernel
+    np.testing.assert_array_equal(fixed.cross, ctx.cross * 0.5)
+    with pytest.raises(ConfigError, match="cross must have shape"):
+        ctx.copy_with(cross=np.ones((1, 1)))
 
 
-@pytest.mark.parametrize("family, view", [
-    (Family.FACILITY_LOCATION_1, "nonneg"), (Family.LOG_DET, "kernel"),
+@pytest.mark.parametrize("family, field", [
+    (Family.FACILITY_LOCATION_1, "kernel"), (Family.LOG_DET, "kernel"), (Family.CONCAVE_OVER_MODULAR, "cross"),
 ])
-def test_copy_with_view_is_what_the_oracle_sees(family, view, rng):
+def test_copy_with_view_is_what_the_oracle_sees(family, field, rng):
     ctx, Q, P = random_instance(rng)
-    swapped = ctx.copy_with(**{view: 0.5 * getattr(ctx, view) + 0.1 * np.eye(ctx.size)})
+    old = getattr(ctx, field)
+    swapped = ctx.copy_with(**{field: 0.5 * old + (0.1 * np.eye(ctx.size) if field == "kernel" else 0.0)})
     spec = FunctionSpec(family, eta=0.6, nu=0.4)
     A = (0, 1)
     got = evaluate(spec, MeasureMode.CSMI, swapped, A, Q, P)
     assert got != pytest.approx(evaluate(spec, MeasureMode.CSMI, ctx, A, Q, P))
     assert relerr(got, definitional_oracle(spec, MeasureMode.CSMI, swapped, A, Q, P)) < 1e-8
+
+
+@pytest.mark.parametrize("kernel", [
+    np.full((3, 3), np.nan),
+    np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[1.0, np.inf, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+], ids=["nan", "asymmetric", "infinite"])
+def test_context_rejects_a_kernel_that_is_not_finite_and_symmetric(kernel):
+    """No measure reads a bare kernel that is not finite and exactly
+    symmetric: the cross block stands for both cross directions."""
+    with pytest.raises(ConfigError, match="finite and symmetric"):
+        EvalContext(kernel, 2, metric="dot")
 
 
 def test_count_overlap_needs_counts_not_only_coverage():

@@ -344,10 +344,12 @@ def test_convex_in_weights_reaches_same_objective(example):
 
 
 def test_divergence_raises_numeric_error(example):
-    bad = np.full((4, 4), np.nan)
+    # finite and symmetric but indefinite: log-det fails to factor at epoch 1
+    bad = np.full((4, 4), 2.0)
+    np.fill_diagonal(bad, 1.0)
     ctx = EvalContext(bad, 3, metric="dot")
     ex = TrainingExample(ctx, [(0, 1)], 2, Q=(3,))
-    model0 = MixtureModel([FunctionSpec(Family.GRAPH_CUT)], np.array([1.0]))
+    model0 = MixtureModel([FunctionSpec(Family.LOG_DET)], np.array([1.0]))
     with pytest.raises(NumericError) as err:
         train([ex], model0, TrainConfig(epochs=2, margin="zero_one"))
     assert getattr(err.value, "last_model", None) is not None

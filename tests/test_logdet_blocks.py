@@ -1,11 +1,14 @@
-"""Log-det and the cross-only view read the kernel instead of N x N copies.
+"""Log-det and the cross-only kernel read the kernel instead of N x N copies.
 
 Log-det reads every block it needs from the kernel and adds the jitter
 where a row and a column are the same item, instead of reading a stored
 D = K + jitter * I.  The property test below keeps the earlier dense code
 as its reference and asks for the same bits: the blocks, every gain of a
-greedy run, the closed forms and the parameter gradients.  The memory test
-bounds what a state allocates on top of the kernel.
+greedy run, the closed forms and the parameter gradients.  The cross-only
+kernel of fl2 and com is read block by block from the context's m x n
+cross block, and its property test asks for the bits of the dense N x N
+matrix.  The memory test bounds what a state allocates on top of the
+kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import pytest
 from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, make_state
-from submodsum.functions._common import pair_scaled_block
+from submodsum.functions._common import cross_block, pair_scaled_block
 from submodsum.functions.logdet import LogDetOps, _logdet_psd, _solve_psd
 
 pytest.importorskip("hypothesis")
@@ -236,15 +239,53 @@ def cross_only(matrix: np.ndarray, n_ground: int) -> np.ndarray:
     return out
 
 
+def _mapped_kernel(ctx):
+    idx = np.arange(ctx.size)
+    return ctx.similarity(idx, idx)
+
+
 @pytest.mark.parametrize("metric", ["cosine", "dot", "rbf"])
-def test_cross_nonneg_is_cross_only_of_nonneg_without_building_it(rng, metric):
+def test_cross_is_the_mapped_cross_block(rng, metric):
     feats = rng.normal(size=(9, 3))
     ids = [f"i{k}" for k in range(9)]
     ctx = EvalContext.build(GroundSet(ids[:6], feats[:6]), [AuxiliarySet(ids[6:], feats[6:], role_tag="query")],
                             metric=metric)
-    got = ctx.cross_nonneg
-    assert "nonneg" not in vars(ctx)
-    assert np.array_equal(got, cross_only(ctx.nonneg, ctx.n_ground))
+    n, K = ctx.n_ground, ctx.kernel
+    assert np.array_equal(ctx.cross, (K[n:, :n] + 1.0) / 2.0 if metric == "cosine" else K[n:, :n])
+    # the kernel is symmetric, so the block serves the V x V' direction too
+    assert np.array_equal(ctx.cross.T, _mapped_kernel(ctx)[:n, n:])
+
+
+@st.composite
+def cross_reads(draw):
+    """A context and rows and cols that mix both sides, sit on one side or are empty."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = rng.normal(size=(n + m, 2))
+    ids = [f"i{k}" for k in range(n + m)]
+    aux = [AuxiliarySet(ids[n:], feats[n:], role_tag="query")] if m else []
+    ctx = EvalContext.build(GroundSet(ids[:n], feats[:n]), aux, metric=draw(st.sampled_from(["cosine", "dot", "rbf"])))
+    sides = {"both": range(n + m), "ground": range(n), "aux": range(n, n + m)}
+
+    def index():
+        side = draw(st.sampled_from([k for k, r in sides.items() if len(r)] + ["empty"]))
+        picks = [] if side == "empty" else draw(st.lists(st.sampled_from(sides[side]), min_size=1, max_size=6))
+        return np.array(picks, dtype=int)
+
+    return ctx, index(), index()
+
+
+# no max_examples here: the loaded profile (tests/conftest.py) sets it
+@settings(deadline=None)
+@given(read=cross_reads())
+def test_cross_block_is_the_dense_cross_only_kernel(read):
+    ctx, rows, cols = read
+    event(f"rows on {len(set((rows >= ctx.n_ground).tolist()))} side(s)")
+    got = cross_block(ctx, rows, cols)
+    want = cross_only(_mapped_kernel(ctx), ctx.n_ground)[np.ix_(rows, cols)]
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.sum(axis=1), want.sum(axis=1))
 
 
 @pytest.mark.parametrize("family, mode, bound", [
@@ -252,14 +293,17 @@ def test_cross_nonneg_is_cross_only_of_nonneg_without_building_it(rng, metric):
     (Family.LOG_DET, MeasureMode.SMI, 1.25),
     (Family.LOG_DET, MeasureMode.CG, 1.25),
     (Family.LOG_DET, MeasureMode.CSMI, 2.25),
-    (Family.FACILITY_LOCATION_2, MeasureMode.SMI, 1.25),
-    (Family.CONCAVE_OVER_MODULAR, MeasureMode.SMI, 1.25),
+    (Family.FACILITY_LOCATION_2, MeasureMode.SMI, 0.25),
+    (Family.CONCAVE_OVER_MODULAR, MeasureMode.SMI, 0.25),
+    (Family.DISPARITY_SUM, MeasureMode.BASE, 0.25),
+    (Family.DISPARITY_MIN, MeasureMode.BASE, 0.25),
 ])
 def test_state_peak_memory_in_kernel_sizes(big_ctx, family, mode, bound):
     """Peak bytes a state allocates while built and over 5 picks, in units
     of one N x N float array: log-det holds at most its conditioned n x n
-    blocks, fl2 and com only the cross-only view."""
-    ctx = big_ctx.copy_with()  # no cached view
+    blocks; fl2 and com hold rows of the cross block, the disparities a
+    few length-N vectors."""
+    ctx = big_ctx
     tracemalloc.start()
     try:
         state = make_state(FunctionSpec(family), mode, ctx,
