@@ -13,7 +13,8 @@ one m x n array; families read what they need:
 * counts / cover_prob      set-cover, probabilistic set-cover, rouge
 
 The kernel is finite and exactly symmetric (checked here unless it comes
-from build_kernel, which builds it so), so cross serves both directions:
+as a SimilarityKernel: from build_kernel, which builds it so, or from
+copy_with, which hands on a checked one), so cross serves both directions:
 the V x V' block is its transpose.  The copy_with hook swaps the kernel
 or the cross block; the definitional oracle uses it to evaluate base
 functions on transformed kernels.
@@ -130,14 +131,14 @@ class EvalContext:
         )
 
     def copy_with(self, **kw) -> "EvalContext":
-        """Copy with selected fields replaced.
-
-        A cross block passed here is fixed on the copy; otherwise the copy
-        builds it again from its own kernel.
+        """Copy with selected fields replaced.  A copy that keeps the kernel
+        gets it as the checked SimilarityKernel it is, so it is not checked
+        again; a bare kernel passed here is.  A cross block passed here is
+        fixed on the copy; otherwise the copy builds it again from its kernel.
         """
         cross = kw.pop("cross", None)
         base = dict(
-            kernel=self.kernel,
+            kernel=SimilarityKernel(self.kernel, self.ids, self.metric, self.jitter),
             n_ground=self.n_ground,
             ids=self.ids,
             metric=self.metric,

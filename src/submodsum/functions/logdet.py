@@ -10,24 +10,32 @@ kernel, the conditional form conditions on P first:
 where C_q/C_p are cross blocks with eta (resp. nu) applied to every pair
 having exactly one endpoint in Q (resp. P), and the G blocks are the
 P-conditioned kernel.  That pair rule keeps the scaled kernel positive
-semidefinite for weights in [0, 1].  Every mode reduces to log-dets of
-principal submatrices of fixed matrices over V (_blocks, which the
-closed form and the marginal state both read), which is what makes the
-rank-one incremental marginals exact: for each fixed matrix the state keeps
-the Cholesky row of every column against the current selection, so a
-candidate's gain is a read of its Schur complement and each pick updates
-all candidates in O(n k) ("Fast Greedy MAP Inference for Determinantal
-Point Processes", Chen, Zhang & Zhou, NeurIPS 2018).
+semidefinite for weights in [0, 1].
 
-D is never formed: every block is read from the kernel with the jitter
-added where a row and a column are the same item (_dblock), the base
-matrix over V is the kernel's V x V block read in place, and each
-conditioned n x n block is formed in the storage of its own product.
+Each conditioned matrix is D_V less a low-rank term, so every mode reduces
+to log-dets of principal submatrices of fixed matrices D_V - W W^T, with W
+an n x r factor (r <= |P| + |Q|) built from Cholesky factors of the small
+conditioning blocks (_blocks):
+
+    I(A; Q)     W = none (r = 0)           and  W = C_q L_Q^{-T}
+    f(A | P)    W = C_p L_P^{-T}
+    I(A; Q | P) W = W_1 = B_1 L_P^{-T}     and  W = [W_1, G_VQ L_GQ^{-T}]
+
+with X_2 = L_P^{-1} B_2, G_Q = D_Q - X_2^T X_2 = L_GQ L_GQ^T and
+G_VQ = B_3 - W_1 X_2.  No n x n matrix is formed, nor D itself: blocks are
+read from the kernel with the jitter added where a row and a column are the
+same item (_dblock).  The marginal state keeps the Cholesky row of every
+column against the current selection and reads a row of D_V - W W^T only
+when it pushes it, so a gain is a read of a Schur complement and each pick
+updates all candidates in O(n (k + r)) ("Fast Greedy MAP Inference for
+Determinantal Point Processes", Chen, Zhang & Zhou, NeurIPS 2018); the
+closed forms read the |A| x |A| block alone.  Every product with a factor
+adds elementwise products one factor column at a time (_dots), not through
+BLAS, so the closed form's block is the state's rows bit for bit and copies
+of an item keep equal rows.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,48 +46,64 @@ from .spec import MeasureMode
 _ADVICE = "matrix not positive definite; increase the kernel jitter or reduce eta/nu toward [0, 1]"
 
 
-def _logdet_psd(M: np.ndarray) -> float:
-    if M.shape[0] == 0:
-        return 0.0
+def _cholesky(M: np.ndarray) -> np.ndarray:
     try:
-        L = np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NumericError(_ADVICE) from exc
-    return float(2.0 * np.sum(np.log(np.diag(L))))
+
+
+def _logdet_psd(M: np.ndarray) -> float:
+    return float(2.0 * np.sum(np.log(np.diag(_cholesky(M)))))
 
 
 def _solve_psd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if M.shape[0] == 0:
-        return np.zeros((0, B.shape[1] if B.ndim > 1 else 0))
     try:
         return np.linalg.solve(M, B)
     except np.linalg.LinAlgError as exc:
         raise NumericError(_ADVICE) from exc
 
 
-class GrowingCholesky:
-    """Cholesky rows of every column of a fixed matrix M + jitter * I against a growing selection S.
+def _dots(X: np.ndarray, Y: np.ndarray):
+    """sum_c X[..., c] * Y[..., c], X and Y broadcast, added one c at a time
+    from 0.0: no BLAS or numpy reduction, so equal rows give equal sums and a
+    subset of rows sums as in the whole, bit for bit."""
+    out = 0.0
+    for c in range(X.shape[-1]):
+        out = out + X[..., c] * Y[..., c]
+    return out
 
-    With k items selected, C[:k] is the Cholesky factor L of (M + jitter I)_SS
-    (rows in pick order) extended to all n columns: C[:k, j] solves
-    L c = (M + jitter I)_Sj, so d2[j] = M_jj + jitter - |C[:k, j]|^2 is the
-    Schur complement of j given S.  Selecting i appends
-    e = ((M + jitter I)_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers
-    d2 by e^2, O(n k) per pick.  The jitter is added to the one diagonal entry
-    of each row read, so M may be a block of the kernel read in place.
+
+def _lower_solve(C: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """C L^{-T} for a lower-triangular L, by forward substitution one column
+    at a time; each row is solved alone through _dots."""
+    W = np.empty(C.shape)
+    for k in range(C.shape[1]):
+        W[:, k] = (C[:, k] - _dots(W[:, :k], L[k, :k])) / L[k, k]
+    return W
+
+
+class GrowingCholesky:
+    """Cholesky rows of every column of M = K_V + jitter * I - W W^T against a growing selection S.
+
+    K_V is the kernel's V x V block, read in place, and W an n x r factor,
+    so M is never formed.  With k items selected, C[:k] is the Cholesky
+    factor L of M_SS (rows in pick order) extended to all n columns:
+    C[:k, j] solves L c = M_Sj, so d2[j] = M_jj - |C[:k, j]|^2 is the Schur
+    complement of j given S.  d2 starts as diag(K_V) + jitter - _dots(W, W).
+    Selecting i reads row i of M as K_V[i] - _dots(W, W[i]), with the
+    jitter added at i before the subtraction, appends
+    e = (M_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers d2 by e^2,
+    O(n (k + r)) per pick.
     """
 
-    def __init__(self, mat: np.ndarray, jitter: float = 0.0):
-        self.mat = mat
+    def __init__(self, kv: np.ndarray, W: np.ndarray, jitter: float):
+        self.kv = kv
+        self.W = W
         self.jitter = jitter
-        self.d2 = np.diagonal(mat) + jitter
-        self.C = np.zeros((0, mat.shape[0]))
+        self.d2 = (np.diagonal(kv) + jitter) - _dots(W, W)
+        self.C = np.zeros((0, kv.shape[0]))
         self.k = 0
-
-    def quad(self, j):
-        """Schur complement d^2 of entry j against the current selection;
-        for an index array, those of each entry."""
-        return self.d2[j]
 
     def push(self, i: int) -> None:
         d2 = self.d2[i]
@@ -91,8 +115,9 @@ class GrowingCholesky:
             grown[:k] = self.C
             self.C = grown
         rows = self.C[:k]
-        row = self.mat[i].copy()
-        row[i] += self.jitter  # before the subtraction, as in a row of M + jitter I
+        row = self.kv[i].copy()
+        row[i] += self.jitter  # before the subtraction, as in d2
+        row -= _dots(self.W, self.W[i])
         # an elementwise product summed down the rows in a fixed order, not a
         # BLAS product, so equal columns (copies of an item) stay bit-equal
         e = (row - (rows[:, i, None] * rows).sum(axis=0)) / np.sqrt(d2)
@@ -124,67 +149,45 @@ def _scaled(ctx, rows, cols, eta_cols, eta, nu_cols, nu) -> np.ndarray:
     return _jitter_at(ctx, block, rows, cols)
 
 
-def _minus_dv(ctx, prod: np.ndarray) -> np.ndarray:
-    """D_V - prod for an n x n product, formed in prod's own storage.
-
-    Entry for entry this is the same subtraction as D_V - prod, with
-    (k_ii + jitter) - p_ii on the diagonal.
-    """
-    n = prod.shape[0]
-    diag = (np.diagonal(ctx.kernel)[:n] + ctx.jitter) - np.diagonal(prod)
-    np.subtract(ctx.kernel[:n, :n], prod, out=prod)
-    np.fill_diagonal(prod, diag)
-    return prod
-
-
 class LogDetOps(FamilyOps):
     PARAM_KEYS = ("eta", "nu")
     PARAM_MAX = {"eta": 1.0, "nu": 1.0}  # past 1 the scaled kernel can lose definiteness
 
-    def _blocks(self, ctx, spec, mode, Q, P):
-        """(M, N, jitter) over V with value(A) = logdet (M + jitter I)_A - logdet N_A.
+    def _blocks(self, ctx, spec, mode, Q, P, rows):
+        """Factors (W, U) over the ground items `rows`, with
+        value(A) = logdet (D_V - W W^T)_A - logdet (D_V - U U^T)_A.
 
-        BASE and SMI read M in place as the kernel's V x V block, so its
-        jitter is still owed; a conditioned M is formed with it and owes
-        none.  N may be None.
+        U is None where the mode has no negative term.  Every row of a
+        factor is computed alone, so the rows of A are those of V bit for
+        bit and a closed form needs only A's rows.
         """
-        n = ctx.n_ground
-        V = np.arange(n)
-        KV = ctx.kernel[:n, :n]
+        empty = np.zeros((rows.size, 0))
         if mode == MeasureMode.BASE:
-            return KV, None, ctx.jitter
+            return empty, None
         if mode == MeasureMode.SMI:
-            Cq = _scaled(ctx, V, Q, Q, spec.eta, (), 1.0)
-            N = _minus_dv(ctx, Cq @ _solve_psd(_dblock(ctx, Q), Cq.T))
-            return KV, N, ctx.jitter
+            return empty, _lower_solve(_scaled(ctx, rows, Q, Q, spec.eta, (), 1.0), _cholesky(_dblock(ctx, Q)))
+        LP = _cholesky(_dblock(ctx, P))
         if mode == MeasureMode.CG:
-            Cp = _scaled(ctx, V, P, (), 1.0, P, spec.nu)
-            M = _minus_dv(ctx, Cp @ _solve_psd(_dblock(ctx, P), Cp.T))
-            return M, None, 0.0
-        B1 = _scaled(ctx, V, P, Q, spec.eta, P, spec.nu)
-        B2 = _scaled(ctx, P, Q, Q, spec.eta, P, spec.nu)
-        B3 = _scaled(ctx, V, Q, Q, spec.eta, P, spec.nu)
-        DP = _dblock(ctx, P)
-        DQ = _dblock(ctx, Q)
-        M = _minus_dv(ctx, B1 @ _solve_psd(DP, B1.T))
-        GQ = DQ - B2.T @ _solve_psd(DP, B2)
-        GVQ = B3 - B1 @ _solve_psd(DP, B2)
-        N = GVQ @ _solve_psd(GQ, GVQ.T)
-        np.subtract(M, N, out=N)
-        return M, N, 0.0
+            return _lower_solve(_scaled(ctx, rows, P, (), 1.0, P, spec.nu), LP), None
+        W1 = _lower_solve(_scaled(ctx, rows, P, Q, spec.eta, P, spec.nu), LP)
+        X2t = _lower_solve(_scaled(ctx, Q, P, Q, spec.eta, P, spec.nu), LP)  # X_2^T = B_2^T L_P^{-T}
+        GQ = _dblock(ctx, Q) - _dots(X2t[:, None], X2t[None])
+        GVQ = _scaled(ctx, rows, Q, Q, spec.eta, P, spec.nu) - _dots(W1[:, None], X2t[None])
+        return W1, np.hstack([W1, _lower_solve(GVQ, _cholesky(GQ))])
 
     def base(self, ctx, spec, S):
         return _logdet_psd(_dblock(ctx, S))
 
     def value(self, ctx, spec, mode, A, Q, P):
-        M, N, jitter = self._blocks(ctx, spec, mode, Q, P)
-        MA = M[np.ix_(A, A)]
-        MA.flat[:: A.size + 1] += jitter  # what _blocks leaves owed on M's diagonal
-        pos = _logdet_psd(MA)
-        return pos if N is None else pos - _logdet_psd(N[np.ix_(A, A)])
+        W, U = self._blocks(ctx, spec, mode, Q, P, A)
+        DA = _dblock(ctx, A)
+        pos = _logdet_psd(DA - _dots(W[:, None], W[None]))
+        return pos if U is None else pos - _logdet_psd(DA - _dots(U[:, None], U[None]))
 
     def state(self, ctx, spec, mode, Q, P):
-        return _LogDetState(*self._blocks(ctx, spec, mode, Q, P))
+        n = ctx.n_ground
+        W, U = self._blocks(ctx, spec, mode, Q, P, np.arange(n))
+        return _LogDetState(ctx.kernel[:n, :n], W, U, ctx.jitter)
 
     def oracle_view(self, ctx, spec, mode, Q, P):
         # the pair scaling never touches the diagonal, so it commutes with the jitter
@@ -253,30 +256,24 @@ class LogDetOps(FamilyOps):
         return out
 
 
-def _log(d2):
-    """math.log of a positive Schur complement, or of each entry of an array.
-
-    The array form maps math.log too, since numpy's vectorized log can
-    round an entry differently and a gain read must not depend on its form.
-    """
-    if isinstance(d2, np.ndarray):
-        if not (d2 > 0).all():
-            raise NumericError(_ADVICE)
-        return np.fromiter(map(math.log, d2.tolist()), float, d2.size)
-    if not d2 > 0:
+def _log(d2: np.ndarray) -> np.ndarray:
+    """np.log of Schur complements that must all be positive."""
+    if not (d2 > 0).all():
         raise NumericError(_ADVICE)
-    return math.log(d2)
+    return np.log(d2)
 
 
 class _LogDetState(MarginalState):
-    def __init__(self, M, N, jitter):
+    def __init__(self, kv, W, U, jitter):
         super().__init__()
-        self.pos = GrowingCholesky(M, jitter)
-        self.neg = GrowingCholesky(N) if N is not None else None
+        self.pos = GrowingCholesky(kv, W, jitter)
+        self.neg = None if U is None else GrowingCholesky(kv, U, jitter)
 
     def gain(self, j):
-        g = _log(self.pos.quad(j))
-        return g if self.neg is None else g - _log(self.neg.quad(j))
+        if not isinstance(j, np.ndarray):  # through the array read, so both give the same bits
+            return float(self.gain(np.array([j]))[0])
+        g = _log(self.pos.d2[j])
+        return g if self.neg is None else g - _log(self.neg.d2[j])
 
     def _push(self, j):
         self.pos.push(j)

@@ -174,6 +174,20 @@ def test_context_rejects_a_kernel_that_is_not_finite_and_symmetric(kernel):
         EvalContext(kernel, 2, metric="dot")
 
 
+def test_copy_that_keeps_the_kernel_does_not_check_it_again(rng):
+    """The kernel was checked when the context was built; a copy that keeps
+    it shares it unchecked, so an entry written after the check shows
+    through, while a bare kernel handed to a copy is checked."""
+    ctx = random_instance(rng)[0]
+    ctx.kernel[0, 1] = np.nan
+    for kw in ({}, {"ids": tuple(f"x{i}" for i in range(ctx.size))}, {"cross": ctx.cross}, {"jitter": 1e-3}):
+        assert ctx.copy_with(**kw).kernel is ctx.kernel
+    ctx.kernel[0, 1] = ctx.kernel[1, 0]
+    for bad in (np.full(ctx.kernel.shape, np.nan), ctx.kernel + np.triu(np.ones(ctx.kernel.shape), 1)):
+        with pytest.raises(ConfigError, match="finite and symmetric"):
+            ctx.copy_with(kernel=bad)
+
+
 def test_count_overlap_needs_counts_not_only_coverage():
     cover = np.array([[0.5, 0.3], [0.2, 0.9], [0.0, 0.4]])
     ctx = EvalContext(np.eye(3), 2, metric="dot", cover_prob=cover)
@@ -403,9 +417,9 @@ def test_logdet_add_rejects_nonpositive_schur_complement():
     state.add(0)
     with pytest.raises(NumericError):
         state.add(1)
-    chol = GrowingCholesky(ctx.kernel, ctx.jitter)
+    chol = GrowingCholesky(ctx.kernel, np.zeros((2, 0)), ctx.jitter)
     chol.push(0)
-    assert chol.quad(1) < 0
+    assert chol.d2[1] < 0
     with pytest.raises(NumericError):
         chol.push(1)
 

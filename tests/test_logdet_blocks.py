@@ -1,27 +1,31 @@
 """Log-det and the cross-only kernel read the kernel instead of N x N copies.
 
-Log-det reads every block it needs from the kernel and adds the jitter
-where a row and a column are the same item, instead of reading a stored
-D = K + jitter * I.  The property test below keeps the earlier dense code
-as its reference and asks for the same bits: the blocks, every gain of a
-greedy run, the closed forms and the parameter gradients.  The cross-only
-kernel of fl2 and com is read block by block from the context's m x n
-cross block, and its property test asks for the bits of the dense N x N
-matrix.  The memory test bounds what a state allocates on top of the
-kernel.
+Log-det writes every fixed matrix as D_V - W W^T for an n x r factor W and
+reads its rows and its |A| x |A| blocks on demand.  The first property test
+builds that matrix densely from the same factor, with the same sums in the
+same order, and asks for the same bits: every gain and Schur complement of a
+greedy run, every pushed Cholesky row, the closed forms and the parameter
+gradients.  The second keeps the earlier dense formula D_V - C D^{-1} C^T
+as its reference and asks for the same matrices and Schur complements
+within a stated tolerance, since the factor rounds apart from it.  The
+cross-only kernel of fl2 and com is read block by block from the context's
+m x n cross block, and its property test asks for the bits of the dense
+N x N matrix.  The memory tests bound what a state and a closed form
+allocate on top of the kernel.
 """
 
 from __future__ import annotations
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import with_copies
+from submodsum.bench import random_instance
 from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
-from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, make_state
+from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate, make_state
 from submodsum.functions._common import cross_block, pair_scaled_block
 from submodsum.functions.logdet import LogDetOps, _logdet_psd, _solve_psd
 
@@ -33,38 +37,23 @@ OPS = LogDetOps()
 NONE = np.zeros(0, dtype=int)
 
 
-# -- the dense reference: the code that formed D = K + jitter * I ------------
-
-
 def _dense(ctx):
     D = ctx.kernel.copy()
     D[np.diag_indices_from(D)] += ctx.jitter
     return D
 
 
-def _ref_blocks(ctx, spec, mode, Q, P):
-    """(M, N) over V with value(A) = logdet M_A - logdet N_A (N may be None)."""
-    D = _dense(ctx)
+# -- the factored reference: D_V - W W^T formed densely from the same factor ---
+
+
+def _factored(ctx, W):
+    """D_V - W W^T as one dense n x n matrix, W W^T added up one outer
+    product per factor column, in column order."""
     n = ctx.n_ground
-    V = np.arange(n)
-    DV = D[:n, :n]
-    if mode == MeasureMode.BASE:
-        return DV, None
-    if mode == MeasureMode.SMI:
-        Cq = pair_scaled_block(D, V, Q, ctx, Q, spec.eta, (), 1.0)
-        return DV, DV - Cq @ _solve_psd(D[np.ix_(Q, Q)], Cq.T)
-    if mode == MeasureMode.CG:
-        Cp = pair_scaled_block(D, V, P, ctx, (), 1.0, P, spec.nu)
-        return DV - Cp @ _solve_psd(D[np.ix_(P, P)], Cp.T), None
-    B1 = pair_scaled_block(D, V, P, ctx, Q, spec.eta, P, spec.nu)
-    B2 = pair_scaled_block(D, P, Q, ctx, Q, spec.eta, P, spec.nu)
-    B3 = pair_scaled_block(D, V, Q, ctx, Q, spec.eta, P, spec.nu)
-    DP = D[np.ix_(P, P)]
-    DQ = D[np.ix_(Q, Q)]
-    M = DV - B1 @ _solve_psd(DP, B1.T)
-    GQ = DQ - B2.T @ _solve_psd(DP, B2)
-    GVQ = B3 - B1 @ _solve_psd(DP, B2)
-    return M, M - GVQ @ _solve_psd(GQ, GVQ.T)
+    WWt = np.zeros((n, n))
+    for c in range(W.shape[1]):
+        WWt = WWt + np.outer(W[:, c], W[:, c])
+    return _dense(ctx)[:n, :n] - WWt
 
 
 class _RefCholesky:
@@ -95,16 +84,14 @@ class _RefState:
         self.pos = _RefCholesky(M)
         self.neg = None if N is None else _RefCholesky(N)
 
-    def gain(self, j):
-        d2 = self.pos.d2[j]
-        if not d2 > 0:
-            raise NumericError("not positive definite")
-        if self.neg is None:
-            return math.log(d2)
-        e2 = self.neg.d2[j]
-        if not e2 > 0:
-            raise NumericError("not positive definite")
-        return math.log(d2) - math.log(e2)
+    def gain(self, j: int):
+        """log d2 - log e2 of one candidate, read from the whole array."""
+        d2, e2 = self.pos.d2, None if self.neg is None else self.neg.d2
+        if not (d2[j] > 0 and (e2 is None or e2[j] > 0)):
+            return NumericError
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log(d2) if e2 is None else np.log(d2) - np.log(e2)
+        return float(g[j])
 
     def add(self, j):
         self.pos.push(j)
@@ -125,7 +112,42 @@ def _outcome(fn, *args):
         return NumericError
 
 
-# -- the property ------------------------------------------------------------
+# -- the earlier dense formula: D_V - C D^{-1} C^T through n x n products ------
+
+
+def _old_blocks(ctx, spec, mode, Q, P):
+    """(M, N, solved) over V with value(A) = logdet M_A - logdet N_A (N may
+    be None), and the blocks the formula solves against."""
+    solved = []
+
+    def solve(M, B):
+        solved.append(M)
+        return _solve_psd(M, B)
+
+    D = _dense(ctx)
+    n = ctx.n_ground
+    V = np.arange(n)
+    DV = D[:n, :n]
+    if mode == MeasureMode.BASE:
+        return DV, None, solved
+    if mode == MeasureMode.SMI:
+        Cq = pair_scaled_block(D, V, Q, ctx, Q, spec.eta, (), 1.0)
+        return DV, DV - Cq @ solve(D[np.ix_(Q, Q)], Cq.T), solved
+    if mode == MeasureMode.CG:
+        Cp = pair_scaled_block(D, V, P, ctx, (), 1.0, P, spec.nu)
+        return DV - Cp @ solve(D[np.ix_(P, P)], Cp.T), None, solved
+    B1 = pair_scaled_block(D, V, P, ctx, Q, spec.eta, P, spec.nu)
+    B2 = pair_scaled_block(D, P, Q, ctx, Q, spec.eta, P, spec.nu)
+    B3 = pair_scaled_block(D, V, Q, ctx, Q, spec.eta, P, spec.nu)
+    DP = D[np.ix_(P, P)]
+    DQ = D[np.ix_(Q, Q)]
+    M = DV - B1 @ solve(DP, B1.T)
+    GQ = DQ - B2.T @ solve(DP, B2)
+    GVQ = B3 - B1 @ solve(DP, B2)
+    return M, M - GVQ @ solve(GQ, GVQ.T), solved
+
+
+# -- the properties --------------------------------------------------------------
 
 
 @st.composite
@@ -152,10 +174,13 @@ def instances(draw):
     return ctx, spec, Q, P
 
 
-def _effective(M, jitter):
-    out = np.array(M)
-    out[np.diag_indices_from(out)] += jitter
-    return out
+def _modes(Q, P):
+    """(mode, Q, P) for every mode whose sets are nonempty, with the sets it does not read empty."""
+    for mode in MeasureMode:
+        q = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else NONE
+        p = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else NONE
+        if not ((q is Q and not Q.size) or (p is P and not P.size)):
+            yield mode, q, p
 
 
 # no max_examples here: the loaded profile (tests/conftest.py) sets it
@@ -164,29 +189,35 @@ def _effective(M, jitter):
 def test_logdet_blocks_bit_equal_to_dense_reference(inst):
     ctx, spec, Q, P = inst
     cand = np.setdiff1d(np.arange(ctx.n_ground), np.union1d(Q, P))
+    V = np.arange(ctx.n_ground)
     dense = ctx.copy_with(kernel=_dense(ctx), jitter=0.0)
-    for mode in MeasureMode:
-        q = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else NONE
-        p = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else NONE
-        if (q is Q and not Q.size) or (p is P and not P.size):
-            continue
+    for mode, q, p in _modes(Q, P):
         try:
-            ref_M, ref_N = _ref_blocks(ctx, spec, mode, q, p)
-        except NumericError:
+            W, U = OPS._blocks(ctx, spec, mode, q, p, V)
+        except NumericError:  # a conditioning block that is not positive definite
             with pytest.raises(NumericError):
-                OPS._blocks(ctx, spec, mode, q, p)
+                OPS.state(ctx, spec, mode, q, p)
             continue
-        M, N, jitter = OPS._blocks(ctx, spec, mode, q, p)
-        assert np.array_equal(_effective(M, jitter), ref_M)
-        assert (N is None and ref_N is None) or np.array_equal(N, ref_N)
+        # each row of a factor is computed alone
+        for sub in (cand, cand[::2], cand[-1:]):
+            Ws, Us = OPS._blocks(ctx, spec, mode, q, p, sub)
+            assert np.array_equal(Ws, W[sub]) and (U is None or np.array_equal(Us, U[sub]))
+        M, N = _factored(ctx, W), None if U is None else _factored(ctx, U)
+        ref, state = _RefState(M, N), OPS.state(ctx, spec, mode, q, p)
+        assert np.array_equal(state.pos.d2, ref.pos.d2)
+        assert ref.neg is None or np.array_equal(state.neg.d2, ref.neg.d2)
 
-        ref, state = _RefState(ref_M, ref_N), OPS.state(ctx, spec, mode, q, p)
         picks = []
         for _ in range(min(8, cand.size)):
-            rest = [int(j) for j in cand if j not in picks]
-            gains = [_outcome(state.gain, j) for j in rest]
-            assert gains == [_outcome(ref.gain, j) for j in rest]
-            finite = [(g, j) for g, j in zip(gains, rest) if g is not NumericError]
+            rest = np.array([j for j in cand if j not in picks], dtype=int)
+            gains = [_outcome(state.gain, j) for j in rest.tolist()]
+            assert gains == [ref.gain(j) for j in rest.tolist()]
+            finite = [(g, j) for g, j in zip(gains, rest.tolist()) if g is not NumericError]
+            if len(finite) < rest.size:
+                with pytest.raises(NumericError):
+                    state.gain(rest)
+            else:
+                assert state.gain(rest).tolist() == gains
             if not finite:
                 break
             j = max(finite)[1]
@@ -196,22 +227,118 @@ def test_logdet_blocks_bit_equal_to_dense_reference(inst):
                 break
             state.add(j)
             picks.append(j)
-            # the picked items' own Schur complements too, which no later gain reads
+            # the pushed rows, and the picked items' own Schur complements,
+            # which no later gain reads
+            assert np.array_equal(state.pos.C[:len(picks)], ref.pos.C[:len(picks)])
             assert np.array_equal(state.pos.d2, ref.pos.d2)
+            assert ref.neg is None or np.array_equal(state.neg.C[:len(picks)], ref.neg.C[:len(picks)])
             assert ref.neg is None or np.array_equal(state.neg.d2, ref.neg.d2)
 
         A = np.array(sorted(picks), dtype=int)
         if not A.size:
             continue
         event(f"{mode.value} compared")
-        want = _outcome(_ref_closed, ref_M, ref_N, A)
+        want = _outcome(_ref_closed, M, N, A)
         assert _outcome(OPS.value, ctx, spec, mode, A, q, p) == want
         if mode == MeasureMode.BASE:
             assert _outcome(OPS.base, ctx, spec, A) == want
-        # partials changed only in where they read D, so on a context whose
-        # kernel is D and whose jitter is zero they run the dense code
+        # partials read D only through _dblock, so on a context whose kernel
+        # is D and whose jitter is zero they run the dense code
         assert (_outcome(OPS.partials, ctx, spec, mode, A, q, p)
                 == _outcome(OPS.partials, dense, spec, mode, A, q, p))
+
+
+# The factor and the earlier formula round apart by a few units of the last
+# place of the largest entry of D or of W W^T, times the condition number of
+# the blocks the earlier formula solves against; each pick then divides by
+# its Schur complement.  On 3,000 drawn instances the gap stayed under 1e-15
+# of that for the matrices and 2e-13 along the greedy paths.
+TOL = 1e-9
+
+
+# no max_examples here: the loaded profile (tests/conftest.py) sets it
+@settings(deadline=None)
+@given(inst=instances())
+def test_logdet_factors_match_the_earlier_dense_formula(inst):
+    """D_V - W W^T is the earlier D_V - C D^{-1} C^T, and so are the Schur
+    complements d2 (e2) along a greedy path, within TOL * scale * kappa /
+    min(1, p)^2, with p the smallest Schur complement picked so far; a gain
+    log d2 - log e2 moves by at most that over d2 (e2).
+
+    The factor takes a Cholesky factor of every block the earlier formula
+    solves against, so it declines where one is indefinite, which the
+    earlier formula solved through.  That happens where Q or P holds a
+    ground item: the pair scaling reaches the cross blocks but not D_Q or
+    D_P.
+    """
+    ctx, spec, Q, P = inst
+    cand = np.setdiff1d(np.arange(ctx.n_ground), np.union1d(Q, P))
+    for mode, q, p in _modes(Q, P):
+        try:
+            old_M, old_N, solved = _old_blocks(ctx, spec, mode, q, p)
+        except NumericError:
+            with pytest.raises(NumericError):
+                OPS.state(ctx, spec, mode, q, p)
+            continue
+        eig = [np.linalg.eigvalsh(B) for B in solved]
+        scale = max(1.0, np.abs(_dense(ctx)).max())
+        try:
+            W, U = OPS._blocks(ctx, spec, mode, q, p, np.arange(ctx.n_ground))
+        except NumericError:
+            assert min(e.min() for e in eig) <= TOL * scale
+            assert np.union1d(q, p).min() < ctx.n_ground
+            event(f"{mode.value} declined")
+            continue
+        if eig and min(e.min() for e in eig) <= TOL * scale:
+            continue  # no condition number bounds the earlier formula's rounding
+        scale = max(scale, *((F * F).sum(axis=1).max(initial=0.0) for F in (W, U) if F is not None))
+        kappa = max((np.abs(e).max() / e.min() for e in eig), default=1.0)
+
+        def close(a, b, pivot=1.0):
+            return np.allclose(a, b, rtol=0.0, atol=TOL * scale * kappa / min(1.0, pivot) ** 2)
+
+        assert close(_factored(ctx, W), old_M)
+        assert U is None or close(_factored(ctx, U), old_N)
+
+        old, state = _RefState(old_M, old_N), OPS.state(ctx, spec, mode, q, p)
+        rest, pivot = cand, 1.0
+        for _ in range(min(8, cand.size)):
+            assert close(state.pos.d2[rest], old.pos.d2[rest], pivot)
+            assert old.neg is None or close(state.neg.d2[rest], old.neg.d2[rest], pivot)
+            gains = [(g, j) for j in rest.tolist() if (g := _outcome(state.gain, j)) is not NumericError]
+            if not gains:
+                break
+            j = max(gains)[1]
+            pivot = min(pivot, state.pos.d2[j], np.inf if state.neg is None else state.neg.d2[j])
+            if _outcome(state.add, j) is NumericError or _outcome(old.add, j) is NumericError:
+                break
+            rest = rest[rest != j]
+            event(f"{mode.value} compared")
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["cosine", "dot", "rbf"]))
+def test_logdet_int_read_bit_equal_to_array_read(seed, metric):
+    """In every mode an int read is its entry of the array read, bit for bit,
+    and item i + n, a copy of item i, ties with it exactly until one is picked."""
+    rng = np.random.default_rng(seed)
+    ctx, Q, P = random_instance(rng, n_range=(4, 8), metric=metric)
+    n = ctx.n_ground
+    ctx = with_copies(ctx, np.arange(n), np.arange(n, ctx.size))
+    Q, P = tuple(q + n for q in Q), tuple(p + n for p in P)
+    spec = FunctionSpec(Family.LOG_DET, eta=float(rng.uniform(0, 1)), nu=float(rng.uniform(0, 1)))
+    for mode in MeasureMode:
+        state = make_state(spec, mode, ctx, Q=Q, P=P)
+        picks = []
+        for _ in range(n):
+            rest = np.array([j for j in range(2 * n) if j not in picks])
+            gains = state.gain(rest)
+            assert [state.gain(int(j)) for j in rest] == gains.tolist()
+            read = dict(zip(rest.tolist(), gains.tolist()))
+            assert all(read[i] == read[i + n] for i in range(n) if i in read and i + n in read)
+            j = int(rest[np.argmax(gains)])
+            state.add(j)
+            picks.append(j)
 
 
 # -- memory --------------------------------------------------------------------
@@ -290,9 +417,9 @@ def test_cross_block_is_the_dense_cross_only_kernel(read):
 
 @pytest.mark.parametrize("family, mode, bound", [
     (Family.LOG_DET, MeasureMode.BASE, 0.25),
-    (Family.LOG_DET, MeasureMode.SMI, 1.25),
-    (Family.LOG_DET, MeasureMode.CG, 1.25),
-    (Family.LOG_DET, MeasureMode.CSMI, 2.25),
+    (Family.LOG_DET, MeasureMode.SMI, 0.25),
+    (Family.LOG_DET, MeasureMode.CG, 0.25),
+    (Family.LOG_DET, MeasureMode.CSMI, 0.25),
     (Family.FACILITY_LOCATION_2, MeasureMode.SMI, 0.25),
     (Family.CONCAVE_OVER_MODULAR, MeasureMode.SMI, 0.25),
     (Family.DISPARITY_SUM, MeasureMode.BASE, 0.25),
@@ -300,9 +427,9 @@ def test_cross_block_is_the_dense_cross_only_kernel(read):
 ])
 def test_state_peak_memory_in_kernel_sizes(big_ctx, family, mode, bound):
     """Peak bytes a state allocates while built and over 5 picks, in units
-    of one N x N float array: log-det holds at most its conditioned n x n
-    blocks; fl2 and com hold rows of the cross block, the disparities a
-    few length-N vectors."""
+    of one N x N float array: log-det holds its n x r factors and the
+    Cholesky rows of its picks; fl2 and com hold rows of the cross block,
+    the disparities a few length-N vectors."""
     ctx = big_ctx
     tracemalloc.start()
     try:
@@ -314,3 +441,21 @@ def test_state_peak_memory_in_kernel_sizes(big_ctx, family, mode, bound):
     finally:
         tracemalloc.stop()
     assert peak / (ctx.size**2 * 8) <= bound
+
+
+@pytest.mark.parametrize("mode", [MeasureMode.SMI, MeasureMode.CG, MeasureMode.CSMI], ids=lambda m: m.value)
+def test_closed_form_peak_memory_in_kernel_sizes(big_ctx, mode):
+    """Peak bytes one log-det closed form allocates over 5 items, after a
+    warm-up call, in units of one N x N float array: it reads the 5 x 5
+    block and the 5 x r factor rows, never an n x n product."""
+    ctx, A = big_ctx, np.arange(5)
+    sets = dict(Q=ctx.role_indices["query"], P=ctx.role_indices["private"])
+    spec = FunctionSpec(Family.LOG_DET)
+    evaluate(spec, mode, ctx, A, **sets)
+    tracemalloc.start()
+    try:
+        evaluate(spec, mode, ctx, A, **sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (ctx.size**2 * 8) <= 0.25
