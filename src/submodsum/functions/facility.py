@@ -21,9 +21,13 @@ so variant 2 rejects such a kernel.  Variant 2 has no conditional forms;
 those belong to variant 1.
 
 Both marginal states keep every candidate's gain as a sum of per-row
-contributions.  Variant 1 keeps partial sums over blocks of ground rows
-and, on a pick, recomputes only the blocks where a row's best similarity
-changed; variant 2 recomputes its few query/auxiliary rows outright.
+contributions.  Variant 1 keeps partial sums over blocks of ground rows,
+on the ground columns only (auxiliary items are never candidates), and on
+a pick recomputes only the blocks holding a row whose clipped best moved:
+a row's contributions depend on that alone.  Before the first pick a row's
+best is the empty max, -inf, so a first pick scores its clipped
+similarities as the closed form does, negative dot similarities included.
+Variant 2 recomputes its few query/auxiliary rows outright.
 """
 
 from __future__ import annotations
@@ -124,55 +128,62 @@ class FacilityLocation1Ops(FamilyOps):
 class _FL1State(MarginalState):
     """Ground row i adds score(max(amax_i, F_ij)) - score(amax_i) to candidate j's gain.
 
-    Every mode's score is a clip of amax to a per-row band [lo, hi] (the
-    query cap and the conditioning floor), so row i adds
-    min(max(F_ij - c_i, 0), hi_i - c_i) with c_i = clip(amax_i, lo_i, hi_i).
+    Every mode's score is a clip of amax, the best similarity to a pick, to
+    a per-row band [lo, hi] (the conditioning floor and the query cap), so
+    row i's contributions depend on its clipped best c_i = clip(amax_i, lo_i,
+    hi_i) alone: row i adds min(max(F_ij - c_i, low), hi_i - c_i) with
+    low = 0.  Before the first pick amax is the empty max, -inf, so c is the
+    floor, or -inf in a mode without one.  There row i must add
+    min(F_ij, hi_i), as the closed form scores a first pick, negative
+    similarities included: c holds 0 in place of -inf and low is -inf until
+    that pick moves every row.
 
-    part[b] sums, for every candidate, the contributions of the _ROWS rows
-    of block b; a pick recomputes only the blocks holding a row whose best
-    similarity changed, and gains is the fixed-order sum of the parts.  The
-    gains thus depend on the current selection alone, not on the order it
-    grew in: candidates with equal per-row contributions tie exactly, and
-    a candidate that improves no row reads exactly 0.0.
+    F holds the ground columns only, since auxiliary items are never
+    candidates.  part[b] sums, for every candidate, the contributions of
+    the _ROWS rows of block b; a pick recomputes only the blocks holding a
+    row whose clipped best moved, and gains is the fixed-order sum of the
+    parts.  The gains thus depend on the current selection alone, not on
+    the order it grew in: candidates with equal per-row contributions tie
+    exactly, and a candidate that improves no row reads exactly 0.0.
     """
 
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
         n = ctx.n_ground
-        self.F = ctx.similarity(slice(n), slice(None))
-        self.amax = np.zeros(n)
+        self.F = ctx.similarity(slice(n), slice(n))
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
         self.capped = qcap is not None
-        unbounded = np.full(n, np.inf)
-        qcap = unbounded if qcap is None else qcap
-        pcap = -unbounded if pcap is None else pcap
-        self.lo, self.hi = pcap, np.maximum(qcap, pcap)
-        self.part = np.zeros((-(-n // _ROWS), self.F.shape[1]))
+        qcap = np.full(n, np.inf) if qcap is None else qcap
+        self.c, self.low = (np.zeros(n), -np.inf) if pcap is None else (pcap, 0.0)
+        self.hi = qcap if pcap is None else np.maximum(qcap, pcap)
+        self.part = np.zeros((-(-n // _ROWS), n))
         self._recompute(np.arange(self.part.shape[0]))
 
     def _recompute(self, blocks):
         """Rebuild the parts of the given (ascending) blocks, a few blocks per pass."""
-        n, width = self.F.shape
-        step = max(1, _BLOCK // (_ROWS * width))
+        n = self.F.shape[0]
+        step = max(1, _BLOCK // max(1, _ROWS * n))
         for s in range(0, blocks.size, step):
             b = blocks[s:s + step]
             r = (b[:, None] * _ROWS + np.arange(_ROWS)).ravel()
             short = r >= n  # rows past the end pad the last block with zeros
             r[short] = n - 1
-            c = np.clip(self.amax[r], self.lo[r], self.hi[r])[:, None]
+            c = self.c[r, None]
             d = self.F[r]
             d -= c
-            np.maximum(d, 0.0, out=d)
+            np.maximum(d, self.low, out=d)
             if self.capped:
                 np.minimum(d, self.hi[r, None] - c, out=d)
             d[short] = 0.0
-            self.part[b] = d.reshape(b.size, _ROWS, width).sum(axis=1)
+            self.part[b] = d.reshape(b.size, _ROWS, n).sum(axis=1)
         self.gains = self.part.sum(axis=0)
 
     def _push(self, j):
-        col = self.F[:, j]
-        rows = np.flatnonzero(col > self.amax)  # every other row keeps its contributions
-        self.amax[rows] = col[rows]
+        best = np.minimum(self.F[j], self.hi)  # row j is column j: the kernel is exactly symmetric
+        # the first pick moves every row off the empty max; a later one, the rows whose clipped best it raises
+        rows = np.arange(best.size) if self.low < 0 else np.flatnonzero(best > self.c)
+        self.c[rows] = best[rows]
+        self.low = 0.0
         self._recompute(np.unique(rows // _ROWS))
 
 

@@ -325,23 +325,36 @@ def test_restricted_submodularity_of_count_families(rng):
 # incremental states
 
 
+METRICS = ("rbf", "cosine", "dot")
+# their measures are forms only on nonnegative (fl2: [0, 1]) cross
+# similarities, which a dot kernel of random_instance's features leaves
+REJECTS_DOT = (Family.FACILITY_LOCATION_2, Family.CONCAVE_OVER_MODULAR)
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_states_track_evaluate(family):
+    """State values track the closed form on every metric; the families
+    that reject a dot kernel raise ConfigError for it in every mode."""
     rng = np.random.default_rng(seed_from(family.value + "state"))
-    for _ in range(10):
-        ctx, Q, P = random_instance(rng, n_range=(5, 8))
-        spec = _draw_spec(rng, family)
-        for mode in modes_supported(family):
-            state = make_state(spec, mode, ctx, Q=Q, P=P)
-            order = rng.permutation(ctx.n_ground)[:4]
-            picked = []
-            for j in order:
-                g = state.gain(int(j))
-                added = state.add(int(j))
-                assert g == pytest.approx(added, abs=1e-10)
-                picked.append(int(j))
-                want = evaluate(spec, mode, ctx, tuple(sorted(picked)), Q, P)
-                assert state.value == pytest.approx(want, abs=1e-8)
+    for metric in METRICS:
+        for _ in range(10):
+            ctx, Q, P = random_instance(rng, n_range=(5, 8), metric=metric)
+            spec = _draw_spec(rng, family)
+            for mode in modes_supported(family):
+                if metric == "dot" and family in REJECTS_DOT:
+                    with pytest.raises(ConfigError):
+                        make_state(spec, mode, ctx, Q=Q, P=P)
+                    continue
+                state = make_state(spec, mode, ctx, Q=Q, P=P)
+                order = rng.permutation(ctx.n_ground)[:4]
+                picked = []
+                for j in order:
+                    g = state.gain(int(j))
+                    added = state.add(int(j))
+                    assert g == pytest.approx(added, abs=1e-10)
+                    picked.append(int(j))
+                    want = evaluate(spec, mode, ctx, tuple(sorted(picked)), Q, P)
+                    assert state.value == pytest.approx(want, abs=1e-8), (metric, mode)
 
 
 FAMILY_MODES = [(f, m) for f in Family for m in MeasureMode if m in modes_supported(f)]
@@ -350,29 +363,36 @@ FAMILY_MODES = [(f, m) for f in Family for m in MeasureMode if m in modes_suppor
 @pytest.mark.parametrize("family,mode", FAMILY_MODES, ids=lambda v: v.value)
 def test_state_gains_match_from_scratch(family, mode):
     """Every remaining candidate's state gain equals the closed-form
-    difference at every step, over 8 picks (eta/nu scale the cross pairs)."""
+    difference at every step, over 8 picks (eta/nu scale the cross pairs),
+    on every metric; the families that reject a dot kernel raise
+    ConfigError for it."""
     rng = np.random.default_rng(seed_from(f"{family.value}-{mode.value}-gains"))
-    if family is Family.LOG_DET:  # a well-conditioned kernel keeps factorizations exact
-        n = 14
-        ctx = psd_ctx(rng, n + 6, n_ground=n)
-        Q, P = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
-    else:
-        ctx, Q, P = random_instance(rng, n_range=(12, 12))
-        n = ctx.n_ground
     spec = FunctionSpec(family, lam=0.4, eta=0.7, nu=0.6)
-    state = make_state(spec, mode, ctx, Q=Q, P=P)
-    picked: list[int] = []
-    before = 0.0
-    for step in range(8):
-        rest = [j for j in range(n) if j not in picked]
-        for j in rest:
-            want = evaluate(spec, mode, ctx, picked + [j], Q, P) - before
-            assert state.gain(j) == pytest.approx(want, abs=1e-9), (step, j)
-        j = rest[(5 * step) % len(rest)]
-        state.add(j)
-        picked.append(j)
-        before = evaluate(spec, mode, ctx, picked, Q, P)
-        assert state.value == pytest.approx(before, abs=1e-9)
+    for metric in METRICS:
+        if family is Family.LOG_DET:  # reads the raw kernel, which a well-conditioned draw keeps exact
+            n = 14
+            ctx = psd_ctx(rng, n + 6, n_ground=n)
+            Q, P = (n, n + 1, n + 2), (n + 3, n + 4, n + 5)
+        else:
+            ctx, Q, P = random_instance(rng, n_range=(12, 12), metric=metric)
+            n = ctx.n_ground
+        if metric == "dot" and family in REJECTS_DOT:
+            with pytest.raises(ConfigError):
+                make_state(spec, mode, ctx, Q=Q, P=P)
+            continue
+        state = make_state(spec, mode, ctx, Q=Q, P=P)
+        picked: list[int] = []
+        before = 0.0
+        for step in range(8):
+            rest = [j for j in range(n) if j not in picked]
+            for j in rest:
+                want = evaluate(spec, mode, ctx, picked + [j], Q, P) - before
+                assert state.gain(j) == pytest.approx(want, abs=1e-9), (metric, step, j)
+            j = rest[(5 * step) % len(rest)]
+            state.add(j)
+            picked.append(j)
+            before = evaluate(spec, mode, ctx, picked, Q, P)
+            assert state.value == pytest.approx(before, abs=1e-9), metric
 
 
 @pytest.mark.parametrize("mode", list(MeasureMode), ids=lambda m: m.value)
