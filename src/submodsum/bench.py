@@ -141,13 +141,11 @@ def behavior_metrics(
     query_xy=None,
     private_xy=None,
     delta: float = 1.0,
-    eps_sat: float | None = None,
-    gains=None,
 ) -> BehaviorReport:
     """Condense a selection over 2-D items into the study quantities.
 
-    delta is the match radius in coordinate units.  eps_sat defaults to
-    1e-3 times the first-step gain, making the saturation test scale-free.
+    delta is the match radius in coordinate units.  A pick saturates when
+    its gain falls under 1e-3 times the first pick's, a scale-free test.
     """
     if delta <= 0:
         raise ConfigError("match radius delta must be positive")
@@ -164,9 +162,9 @@ def behavior_metrics(
         report.query_match_count = counts
         report.fairness = min(counts)
 
-    gains = list(sel.gains if gains is None else gains)
+    gains = list(sel.gains)
     if gains:
-        thresh = eps_sat if eps_sat is not None else 1e-3 * abs(gains[0])
+        thresh = 1e-3 * abs(gains[0])
         if thresh <= 0:
             raise ConfigError("saturation threshold must be positive")
         for t, g in enumerate(gains, start=1):
@@ -221,6 +219,14 @@ def random_instance(rng, n_range=(4, 8), nq_range=(1, 3), np_range=(1, 3),
     Q = tuple(ctx.role_indices.get("query", ()))
     P = tuple(ctx.role_indices.get("private", ()))
     return ctx, Q, P
+
+
+def with_ground_members(rng, ctx, Q, P):
+    """(A, Q, P) with Q and P each holding one more, distinct, ground item
+    and A a nonempty set of the ground items left (the ground set needs 3)."""
+    gq, gp, *rest = rng.permutation(ctx.n_ground).tolist()
+    A = tuple(sorted(rest[:int(rng.integers(1, len(rest) + 1))]))
+    return A, (*Q, gq), (*P, gp)
 
 
 def make_collection(seed: int, budget: int = 4):

@@ -30,11 +30,13 @@ from .bench import (
     synth_context,
     synth_generate,
     vrouge,
+    with_ground_members,
     write_plot_csv,
 )
 from .data import AuxiliarySet, id_list, id_lists, load_collection, read_json, write_json
 from .errors import ConfigError, FormatError, NumericError, SubmodsumError
 from .functions import (
+    REGISTRY,
     EvalContext,
     Family,
     FunctionSpec,
@@ -367,10 +369,13 @@ _CHECK_FORMS = [(family, mode) for family in Family for mode in MeasureMode
 
 
 def _check_closed_forms(seed: int, trials: int = 25, tol: float = 1e-8) -> list[str]:
+    """Each trial checks auxiliary Q and P, and again Q and P that each also
+    hold a ground item where the family accepts them."""
     failures = []
     rng = np.random.default_rng(seed)
     for family, mode in _CHECK_FORMS:
         metric = "cosine" if family in (Family.GRAPH_CUT, Family.LOG_DET) else "rbf"
+        before = len(failures)
         for t in range(trials):
             ctx, Q, P = random_instance(rng, metric=metric)
             hi = 1.0 if family is Family.LOG_DET else 2.0
@@ -378,12 +383,16 @@ def _check_closed_forms(seed: int, trials: int = 25, tol: float = 1e-8) -> list[
                                 eta=float(rng.uniform(0.0, hi)),
                                 nu=float(rng.uniform(0.0, hi)))
             size = int(rng.integers(1, ctx.n_ground + 1))
-            A = tuple(sorted(rng.choice(ctx.n_ground, size=size, replace=False).tolist()))
-            got = evaluate(spec, mode, ctx, A, Q, P)
-            want = definitional_oracle(spec, mode, ctx, A, Q, P)
-            rel = abs(got - want) / max(1.0, abs(got), abs(want))
-            if rel > tol:
-                failures.append(f"{family.value} {mode.value}: rel {rel:.2e} at trial {t}")
+            draws = {"": (tuple(sorted(rng.choice(ctx.n_ground, size=size, replace=False).tolist())), Q, P)}
+            if not REGISTRY[family].AUX_ONLY:
+                draws[" with ground members"] = with_ground_members(rng, ctx, Q, P)
+            for label, sets in draws.items():
+                got = evaluate(spec, mode, ctx, *sets)
+                want = definitional_oracle(spec, mode, ctx, *sets)
+                rel = abs(got - want) / max(1.0, abs(got), abs(want))
+                if rel > tol:
+                    failures.append(f"{family.value} {mode.value}{label}: rel {rel:.2e} at trial {t}")
+            if len(failures) > before:
                 break
     return failures
 

@@ -1,4 +1,5 @@
-"""Shared plumbing for measure families: set handling, scaling, marginal states."""
+"""Shared plumbing for measure families: set handling, the eta/nu pair
+weighting every weighted kernel read goes through, marginal states."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ def check_disjoint(a: np.ndarray, b: np.ndarray, la: str, lb: str) -> None:
 
 
 def require_aux(S: np.ndarray, ctx, label: str) -> None:
-    """Restricted families define their measures only against shadow-universe sets."""
+    """AUX_ONLY families define their measures only against shadow-universe sets."""
     if S.size and S.min() < ctx.n_ground:
         raise ConfigError(f"{label} must live in the auxiliary universe for this family")
 
@@ -60,46 +61,44 @@ def cross_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- scaling -----------------------------------------------------------------
+# -- the eta/nu pair weighting -------------------------------------------------
 
 
-def column_scale(cols: np.ndarray, ctx, t: float) -> np.ndarray:
-    """Per-column factor seen from a ground-set row: t on auxiliary columns, 1 inside V.
+def _reach(ctx, rows, cols, S):
+    """rows x cols mask of the pairs with exactly one endpoint an auxiliary
+    member of S, or None where no pair is such."""
+    S = np.asarray(S, dtype=int)
+    aux = S[S >= ctx.n_ground]
+    if not aux.size:
+        return None
+    member = np.zeros(ctx.size, dtype=bool)
+    member[aux] = True
+    mask = member[rows][:, None] ^ member[cols]
+    return mask if mask.any() else None
 
-    Cross-similarity weighting applies only to V <-> V' pairs.
+
+def pair_weighted(ctx, spec, block, rows, cols, Q=NO_ITEMS, P=NO_ITEMS):
+    """block, read at the index arrays rows x cols, under the eta/nu rule of
+    graph cut, facility location 1 and log-det.
+
+    spec.eta weights each pair with exactly one endpoint an auxiliary member
+    of Q, then spec.nu each such pair for P: only V <-> V' similarities are
+    weighted, and Q and P may hold ground items.  This two-class pattern
+    keeps a positive semidefinite kernel so for weights in [0, 1].  Where no
+    weight applies (a weight of 1, or no pair reached) block itself comes
+    back, so never write to the result.
     """
-    return np.where(cols >= ctx.n_ground, float(t), 1.0)
-
-
-def pair_membership_mask(rows: np.ndarray, cols: np.ndarray, members: set) -> np.ndarray:
-    """Boolean mask over rows x cols: True where exactly one endpoint is a member.
-
-    Pairs with both endpoints in the member set stay unscaled, as does the
-    diagonal, so a symmetric kernel keeps its diagonal under scaling.
-    """
-    rin = np.array([int(r) in members for r in rows], dtype=bool)
-    cin = np.array([int(c) in members for c in cols], dtype=bool)
-    return rin[:, None] ^ cin[None, :]
-
-
-def _aux_members(ctx, target) -> set:
-    """Only auxiliary-universe members induce cross-pair scaling."""
-    return set(int(c) for c in target if int(c) >= ctx.n_ground)
-
-
-def pair_scaled_block(K: np.ndarray, rows: np.ndarray, cols: np.ndarray, ctx, eta_cols, eta: float, nu_cols, nu: float) -> np.ndarray:
-    """K[rows, cols] with each pair weighted by eta^[one endpoint in eta set]
-    * nu^[one endpoint in nu set]; the two-class pattern keeps the scaled
-    kernel positive semidefinite for weights in [0, 1]."""
-    block = K[np.ix_(rows, cols)].copy() if rows.size and cols.size else np.zeros((rows.size, cols.size))
-    if not block.size:
-        return block
-    for t, target in ((float(eta), eta_cols), (float(nu), nu_cols)):
-        members = _aux_members(ctx, target)
-        if t == 1.0 or not members:
-            continue
-        block = np.where(pair_membership_mask(rows, cols, members), block * t, block)
+    for S, t in ((Q, spec.eta), (P, spec.nu)):
+        if t != 1.0 and (mask := _reach(ctx, rows, cols, S)) is not None:
+            block = np.where(mask, block * t, block)
     return block
+
+
+def pair_masks(ctx, rows, cols, Q=NO_ITEMS, P=NO_ITEMS):
+    """(in_q, in_p): the rows x cols pairs that eta and nu reach in
+    pair_weighted, which the parameter gradients read."""
+    return tuple(np.zeros((len(rows), len(cols)), dtype=bool) if m is None else m
+                 for m in (_reach(ctx, rows, cols, S) for S in (Q, P)))
 
 
 # -- concave transforms --------------------------------------------------------
@@ -130,12 +129,15 @@ class FamilyOps:
     blocks) in one helper that all of them read.
 
     PARAM_MAX bounds a parameter from above where the measure stops being
-    well defined; every parameter is bounded below by zero.  The defaults
-    below fit a family whose value carries no kernel weighting, has no
-    continuous parameters and no max/min switches.
+    well defined; every parameter is bounded below by zero.  AUX_ONLY marks
+    a family whose measures are defined only for Q and P in the auxiliary
+    universe; api checks it before any method runs.  The defaults below fit
+    a family whose value carries no kernel weighting, has no continuous
+    parameters and no max/min switches.
     """
 
     MODES: frozenset = frozenset(MeasureMode)
+    AUX_ONLY = False
     PARAM_KEYS: tuple[str, ...] = ()
     PARAM_MAX: dict[str, float] = {}
 
@@ -145,8 +147,9 @@ class FamilyOps:
     def base(self, ctx, spec, S) -> float:
         return self.value(ctx, spec, MeasureMode.BASE, S, NO_ITEMS, NO_ITEMS)
 
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        """Context on which the bare definitions reproduce the closed forms."""
+    def oracle_view(self, ctx, spec, Q, P):
+        """Context on which the bare definitions reproduce the closed forms
+        of a mode that reads Q and P (a set it does not read comes empty)."""
         return ctx
 
     def partials(self, ctx, spec, mode, A, Q, P) -> dict:

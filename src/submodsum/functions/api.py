@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, UnsupportedError
-from ._common import MarginalState, as_indices, check_disjoint, check_ground, check_universe
+from ._common import MarginalState, as_indices, check_disjoint, check_ground, check_universe, require_aux
 from .concave import ConcaveOverModularOps
 from .coverage import ProbSetCoverOps, SetCoverOps
 from .disparity import DisparityMinOps, DisparitySumOps
@@ -75,6 +75,9 @@ def _reduce(spec: FunctionSpec, mode, ctx, A, Q, P):
     A = _norm(ctx, A, "A", ground=True)
     Q = _norm(ctx, Q if mode in _USES_Q else None, "Q")
     P = _norm(ctx, P if mode in _USES_P else None, "P")
+    if REGISTRY[spec.family].AUX_ONLY:
+        require_aux(Q, ctx, "Q")
+        require_aux(P, ctx, "P")
     if mode in _USES_Q and not Q.size:
         return None, A, Q, P
     if mode in _USES_P and not P.size:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ._common import PSI, FamilyOps, MarginalState, cross_block, require_aux
+from ._common import PSI, FamilyOps, MarginalState, cross_block
 from .spec import MeasureMode
 
 
@@ -60,8 +60,6 @@ def _terms(ctx, spec, mode, Q, P):
         dq * sum_{i in rows} psi(sum_{j in A} x_ij) + da * sum_{j in A} item_term_j
 
     rows being V', Q, V' \\ P and Q for BASE, SMI, CG and CSMI."""
-    require_aux(Q, ctx, "Q")
-    require_aux(P, ctx, "P")
     _check_cross(ctx)
     psi = PSI[spec.psi]
     n = ctx.n_ground
@@ -79,6 +77,7 @@ def _terms(ctx, spec, mode, Q, P):
 
 class ConcaveOverModularOps(FamilyOps):
     PARAM_KEYS = ("eta",)
+    AUX_ONLY = True
 
     def base(self, ctx, spec, S):
         _check_cross(ctx)

@@ -5,10 +5,13 @@ Variant 1 scores coverage of the ground set (rows U = V):
     query form      sum_i min(max_{j in A} s_ij, eta * max_{j in Q} s_ij)
     conditional     sum_i max(max_{j in A} s_ij - nu * max_{j in P} s_ij, 0)
     joint           sum_i max(min(max_A, eta max_Q) - nu max_P, 0)
-eta/nu scale V<->V' cross similarities only.  Every mode clips
-max_{j in A} s_ij under a query cap and then above a conditioning floor;
-_caps gives both per ground row, and the closed form, the marginal state,
-partials and near_kink all read them from there.
+eta * max_Q and nu * max_P stand for the weights of the one eta/nu pair
+rule, _common.pair_weighted: eta weights s_ij where j is an auxiliary
+member of Q, nu where it is one of P, so a ground item in Q or P counts at
+its own similarity.  Every mode clips max_{j in A} s_ij under a query cap
+and then above a conditioning floor; _caps gives both per ground row, and
+the closed form, the marginal state, partials and near_kink all read them
+from there.
 
 Variant 2 scores rows of the whole universe on the cross-only kernel
 (the mapped V <-> V' similarities, the identity within a side):
@@ -35,47 +38,47 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ._common import FamilyOps, MarginalState, column_scale, cross_block, pair_scaled_block, require_aux
+from ._common import FamilyOps, MarginalState, cross_block, pair_masks, pair_weighted
 from .spec import MeasureMode
 
 _BLOCK = 1 << 17  # elements per temporary when a state sweeps kernel rows
 _ROWS = 16  # ground rows per partial sum of the fl1 gains
 
 
-def _colmax(block: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """max over a block's columns per row, optionally per-column scaled; no columns -> 0."""
+def _colmax(block: np.ndarray) -> np.ndarray:
+    """max over a block's columns per row; no columns -> 0."""
     if not block.shape[1]:
         return np.zeros(block.shape[0])
-    if scale is not None:
-        block = block * scale
     return block.max(axis=1)
 
 
-def _best(ctx, cols, scale=None) -> np.ndarray:
+def _best(ctx, cols) -> np.ndarray:
     """max_{j in cols} s_ij per ground row i of the mapped kernel."""
-    return _colmax(ctx.similarity(slice(ctx.n_ground), cols), scale)
+    return _colmax(ctx.similarity(slice(ctx.n_ground), cols))
 
 
 def _caps(ctx, spec, mode, Q, P):
     """(query cap, conditioning floor) per ground row, None where the mode
-    reads no such set: eta * max_Q s_ij and nu * max_P s_ij, with eta and
-    nu scaling only auxiliary columns."""
-    qcap = pcap = None
-    if mode in (MeasureMode.SMI, MeasureMode.CSMI):
-        qcap = _best(ctx, Q, column_scale(Q, ctx, spec.eta))
-    if mode in (MeasureMode.CG, MeasureMode.CSMI):
-        pcap = _best(ctx, P, column_scale(P, ctx, spec.nu))
+    reads no such set: the weighted max_{j in Q} and max_{j in P} of s_ij."""
+    n = ctx.n_ground
+
+    def cap(S):
+        return _colmax(pair_weighted(ctx, spec, ctx.similarity(slice(n), S), np.arange(n), S, Q, P))
+
+    qcap = cap(Q) if mode in (MeasureMode.SMI, MeasureMode.CSMI) else None
+    pcap = cap(P) if mode in (MeasureMode.CG, MeasureMode.CSMI) else None
     return qcap, pcap
 
 
-def _dcap(ctx, S, t, cap):
-    """d cap / d t per ground row for a cap of S scaled by t: the best
-    auxiliary similarity where it attains the cap (auxiliary columns win
-    ties with ground ones), else 0."""
-    aux = S[S >= ctx.n_ground]
-    if not aux.size:
-        return np.zeros(ctx.n_ground)
-    best = _best(ctx, aux)
+def _dcap(ctx, S, t, cap, Q, P):
+    """d cap / d t per ground row for a cap of S weighted by t: the best
+    similarity among the pairs t reaches where, weighted, it attains the
+    cap (those pairs win ties with the others), else 0."""
+    n = ctx.n_ground
+    reach = np.logical_or(*pair_masks(ctx, np.arange(n), S, Q, P))
+    if not reach.any():
+        return np.zeros(n)
+    best = np.where(reach, ctx.similarity(slice(n), S), -np.inf).max(axis=1)
     return np.where(t * best >= cap, best, 0.0)
 
 
@@ -94,12 +97,9 @@ class FacilityLocation1Ops(FamilyOps):
     def state(self, ctx, spec, mode, Q, P):
         return _FL1State(ctx, spec, mode, Q, P)
 
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        eta_cols = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else ()
-        nu_cols = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else ()
-        idx = np.arange(ctx.size)
-        scaled = pair_scaled_block(ctx.similarity(idx, idx), idx, idx, ctx, eta_cols, spec.eta, nu_cols, spec.nu)
-        return ctx.copy_with(kernel=scaled, metric="dot")  # already mapped: a metric that maps nothing
+    def oracle_view(self, ctx, spec, Q, P):
+        idx = np.arange(ctx.size)  # mapped already: a metric that maps nothing
+        return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.similarity(idx, idx), idx, idx, Q, P), metric="dot")
 
     def partials(self, ctx, spec, mode, A, Q, P):
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
@@ -108,9 +108,9 @@ class FacilityLocation1Ops(FamilyOps):
         alive = True if pcap is None else inner - pcap >= 0
         out: dict[str, float] = {}
         if qcap is not None:
-            out["eta"] = float((_dcap(ctx, Q, spec.eta, qcap) * (qcap <= amax) * alive).sum())
+            out["eta"] = float((_dcap(ctx, Q, spec.eta, qcap, Q, P) * (qcap <= amax) * alive).sum())
         if pcap is not None:
-            out["nu"] = float((-_dcap(ctx, P, spec.nu, pcap) * alive).sum())
+            out["nu"] = float((-_dcap(ctx, P, spec.nu, pcap, Q, P) * alive).sum())
         return out
 
     def near_kink(self, ctx, spec, mode, A, Q, P, tol):
@@ -199,6 +199,7 @@ def _cross(ctx, rows, cols) -> np.ndarray:
 
 class FacilityLocation2Ops(FamilyOps):
     MODES = frozenset({MeasureMode.BASE, MeasureMode.SMI})
+    AUX_ONLY = True
     PARAM_KEYS = ("eta",)
 
     def base(self, ctx, spec, S):
@@ -209,7 +210,6 @@ class FacilityLocation2Ops(FamilyOps):
     def value(self, ctx, spec, mode, A, Q, P):
         if mode == MeasureMode.BASE:
             return self.base(ctx, spec, A)
-        require_aux(Q, ctx, "Q")
         return float(_colmax(_cross(ctx, Q, A)).sum() + spec.eta * _colmax(_cross(ctx, A, Q)).sum())
 
     def state(self, ctx, spec, mode, Q, P):
@@ -225,7 +225,6 @@ class _FL2State(MarginalState):
     def __init__(self, ctx, spec, mode, Q):
         super().__init__()
         n = ctx.n_ground
-        require_aux(Q, ctx, "Q")  # Q is empty in base mode
         if mode == MeasureMode.SMI:
             rows = Q
             qmax = _colmax(_cross(ctx, np.arange(n), Q))

@@ -2,10 +2,11 @@
 
 f(S) = sum_{i in V, j in S} s_ij - lam * sum_{i,j in S} s_ij.  The query form
 is modular, 2*lam*sum_{i in A, j in Q} s_ij; the conditional form discounts
-similarity to the conditioning set, with nu scaling only V<->V' cross pairs,
-and with P empty it is f itself, so one form serves f over any S and
-f(A | P).  A conditional-mutual-information form does not exist for this
-family.
+similarity to the conditioning set under nu, the one weight of the eta/nu
+pair rule (_common.pair_weighted) this family reads: nu weights each pair
+with exactly one endpoint an auxiliary member of P.  With P empty the
+conditional form is f itself, so one form serves f over any S and f(A | P).
+A conditional-mutual-information form does not exist for this family.
 
 The marginal state keeps every candidate's gain: fixed in the query form,
 and recomputed from the running similarity to the selection after each
@@ -16,15 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import FamilyOps, MarginalState, column_scale, pair_scaled_block
+from ._common import NO_ITEMS, FamilyOps, MarginalState, pair_masks, pair_weighted
 from .spec import MeasureMode
 
 
-def _cross_sum(K, ctx, A, other, t):
-    if not A.size or not other.size:
-        return 0.0
-    scale = column_scale(other, ctx, t)
-    return float((K[np.ix_(A, other)] * scale).sum())
+def _cross_sum(ctx, spec, A, S, P=NO_ITEMS):
+    """Sum of the kernel's A x S block under the pair weights of P."""
+    return float(pair_weighted(ctx, spec, ctx.kernel[np.ix_(A, S)], A, S, P=P).sum())
 
 
 class GraphCutOps(FamilyOps):
@@ -34,19 +33,17 @@ class GraphCutOps(FamilyOps):
     def value(self, ctx, spec, mode, A, Q, P):
         K = ctx.kernel
         if mode == MeasureMode.SMI:
-            return 2.0 * spec.lam * _cross_sum(K, ctx, A, Q, 1.0)
+            return 2.0 * spec.lam * _cross_sum(ctx, spec, A, Q)
         rep = float(K[: ctx.n_ground, :][:, A].sum())
         red = float(K[np.ix_(A, A)].sum())
-        return rep - spec.lam * red - 2.0 * spec.lam * _cross_sum(K, ctx, A, P, spec.nu)
+        return rep - spec.lam * red - 2.0 * spec.lam * _cross_sum(ctx, spec, A, P, P)
 
     def state(self, ctx, spec, mode, Q, P):
         return _GraphCutState(ctx, spec, mode, Q, P)
 
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        if mode == MeasureMode.CG:
-            idx = np.arange(ctx.size)
-            return ctx.copy_with(kernel=pair_scaled_block(ctx.kernel, idx, idx, ctx, (), 1.0, P, spec.nu))
-        return ctx
+    def oracle_view(self, ctx, spec, Q, P):
+        idx = np.arange(ctx.size)
+        return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.kernel, idx, idx, P=P))
 
     def partials(self, ctx, spec, mode, A, Q, P):
         K = ctx.kernel
@@ -54,11 +51,9 @@ class GraphCutOps(FamilyOps):
         if mode == MeasureMode.BASE:
             return {"lam": -red}
         if mode == MeasureMode.SMI:
-            return {"lam": 2.0 * _cross_sum(K, ctx, A, Q, 1.0)}
-        scaled = _cross_sum(K, ctx, A, P, spec.nu)
-        aux_cols = P[P >= ctx.n_ground]
-        aux_part = _cross_sum(K, ctx, A, aux_cols, 1.0)
-        return {"lam": -red - 2.0 * scaled, "nu": -2.0 * spec.lam * aux_part}
+            return {"lam": 2.0 * _cross_sum(ctx, spec, A, Q)}
+        dnu = float((K[np.ix_(A, P)] * pair_masks(ctx, A, P, P=P)[1]).sum())
+        return {"lam": -red - 2.0 * _cross_sum(ctx, spec, A, P, P), "nu": -2.0 * spec.lam * dnu}
 
 
 class _GraphCutState(MarginalState):
@@ -77,7 +72,7 @@ class _GraphCutState(MarginalState):
         self.diag = np.diag(K)
         self.sim_to_A = np.zeros(K.shape[0])
         if mode == MeasureMode.CG:
-            self.psum = (K[:, P] * column_scale(P, ctx, spec.nu)).sum(axis=1) if P.size else np.zeros(K.shape[0])
+            self.psum = pair_weighted(ctx, spec, K[:, P], np.arange(K.shape[0]), P, P=P).sum(axis=1)
         self._refresh()
 
     def _refresh(self):

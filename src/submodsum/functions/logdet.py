@@ -7,10 +7,12 @@ kernel, the conditional form conditions on P first:
     f(A | P)    = log det(D_A - C_p D_P^{-1} C_p^T)
     I(A; Q | P) = log det G_A - log det(G_A - G_AQ G_Q^{-1} G_AQ^T)
 
-where C_q/C_p are cross blocks with eta (resp. nu) applied to every pair
-having exactly one endpoint in Q (resp. P), and the G blocks are the
-P-conditioned kernel.  That pair rule keeps the scaled kernel positive
-semidefinite for weights in [0, 1].
+where the G blocks are the P-conditioned kernel.  Every block, D_Q and D_P
+included, is read from D under the one eta/nu pair rule of
+_common.pair_weighted: eta weights each pair with exactly one endpoint an
+auxiliary member of Q, then nu each such pair for P.  So Q and P may hold
+ground items, and the weighted D stays positive semidefinite for weights in
+[0, 1].
 
 Each conditioned matrix is D_V less a low-rank term, so every mode reduces
 to log-dets of principal submatrices of fixed matrices D_V - W W^T, with W
@@ -24,7 +26,7 @@ conditioning blocks (_blocks):
 with X_2 = L_P^{-1} B_2, G_Q = D_Q - X_2^T X_2 = L_GQ L_GQ^T and
 G_VQ = B_3 - W_1 X_2.  No n x n matrix is formed, nor D itself: blocks are
 read from the kernel with the jitter added where a row and a column are the
-same item (_dblock).  The marginal state keeps the Cholesky row of every
+same item (_read).  The marginal state keeps the Cholesky row of every
 column against the current selection and reads a row of D_V - W W^T only
 when it pushes it, so a gain is a read of a Schur complement and each pick
 updates all candidates in O(n (k + r)) ("Fast Greedy MAP Inference for
@@ -40,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError
-from ._common import FamilyOps, MarginalState, pair_membership_mask, pair_scaled_block
+from ._common import NO_ITEMS, FamilyOps, MarginalState, pair_masks, pair_weighted
 from .spec import MeasureMode
 
 _ADVICE = "matrix not positive definite; increase the kernel jitter or reduce eta/nu toward [0, 1]"
@@ -126,27 +128,15 @@ class GrowingCholesky:
         self.d2 -= e * e
 
 
-def _jitter_at(ctx, block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Add the jitter in place where a row and a column are the same item.
-
-    This turns a read of K into the same read of D = K + jitter * I:
-    k_ii + jitter where the item is shared, k_ij elsewhere.
-    """
-    block[rows[:, None] == cols] += ctx.jitter
-    return block
-
-
-def _dblock(ctx, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """D[rows, cols] read from the kernel; cols=None reads the principal block."""
+def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
+    """D[rows, cols] under the pair weights of Q and P; cols=None reads the
+    principal block.  The jitter goes where a row and a column are the same
+    item, a pair no weight reaches, so adding it first gives the bits of
+    adding it last: k_ii + jitter there, the weighted k_ij elsewhere."""
     cols = rows if cols is None else cols
-    return _jitter_at(ctx, ctx.kernel[np.ix_(rows, cols)], rows, cols)
-
-
-def _scaled(ctx, rows, cols, eta_cols, eta, nu_cols, nu) -> np.ndarray:
-    """D[rows, cols] under the pair scaling; a shared item's entry is never
-    scaled, so adding its jitter after the scaling gives the same bits."""
-    block = pair_scaled_block(ctx.kernel, rows, cols, ctx, eta_cols, eta, nu_cols, nu)
-    return _jitter_at(ctx, block, rows, cols)
+    block = ctx.kernel[np.ix_(rows, cols)]
+    block[rows[:, None] == cols] += ctx.jitter
+    return pair_weighted(ctx, spec, block, rows, cols, Q, P)
 
 
 class LogDetOps(FamilyOps):
@@ -164,23 +154,27 @@ class LogDetOps(FamilyOps):
         empty = np.zeros((rows.size, 0))
         if mode == MeasureMode.BASE:
             return empty, None
+
+        def D(r, c=None):
+            return _read(ctx, spec, r, c, Q, P)
+
         if mode == MeasureMode.SMI:
-            return empty, _lower_solve(_scaled(ctx, rows, Q, Q, spec.eta, (), 1.0), _cholesky(_dblock(ctx, Q)))
-        LP = _cholesky(_dblock(ctx, P))
+            return empty, _lower_solve(D(rows, Q), _cholesky(D(Q)))
+        LP = _cholesky(D(P))
         if mode == MeasureMode.CG:
-            return _lower_solve(_scaled(ctx, rows, P, (), 1.0, P, spec.nu), LP), None
-        W1 = _lower_solve(_scaled(ctx, rows, P, Q, spec.eta, P, spec.nu), LP)
-        X2t = _lower_solve(_scaled(ctx, Q, P, Q, spec.eta, P, spec.nu), LP)  # X_2^T = B_2^T L_P^{-T}
-        GQ = _dblock(ctx, Q) - _dots(X2t[:, None], X2t[None])
-        GVQ = _scaled(ctx, rows, Q, Q, spec.eta, P, spec.nu) - _dots(W1[:, None], X2t[None])
+            return _lower_solve(D(rows, P), LP), None
+        W1 = _lower_solve(D(rows, P), LP)
+        X2t = _lower_solve(D(Q, P), LP)  # X_2^T = B_2^T L_P^{-T}
+        GQ = D(Q) - _dots(X2t[:, None], X2t[None])
+        GVQ = D(rows, Q) - _dots(W1[:, None], X2t[None])
         return W1, np.hstack([W1, _lower_solve(GVQ, _cholesky(GQ))])
 
     def base(self, ctx, spec, S):
-        return _logdet_psd(_dblock(ctx, S))
+        return _logdet_psd(_read(ctx, spec, S))
 
     def value(self, ctx, spec, mode, A, Q, P):
         W, U = self._blocks(ctx, spec, mode, Q, P, A)
-        DA = _dblock(ctx, A)
+        DA = _read(ctx, spec, A)  # A is in V, so no weight reaches D_A
         pos = _logdet_psd(DA - _dots(W[:, None], W[None]))
         return pos if U is None else pos - _logdet_psd(DA - _dots(U[:, None], U[None]))
 
@@ -189,66 +183,55 @@ class LogDetOps(FamilyOps):
         W, U = self._blocks(ctx, spec, mode, Q, P, np.arange(n))
         return _LogDetState(ctx.kernel[:n, :n], W, U, ctx.jitter)
 
-    def oracle_view(self, ctx, spec, mode, Q, P):
-        # the pair scaling never touches the diagonal, so it commutes with the jitter
-        eta_cols = Q if mode in (MeasureMode.SMI, MeasureMode.CSMI) else ()
-        nu_cols = P if mode in (MeasureMode.CG, MeasureMode.CSMI) else ()
+    def oracle_view(self, ctx, spec, Q, P):
         idx = np.arange(ctx.size)
-        return ctx.copy_with(kernel=pair_scaled_block(ctx.kernel, idx, idx, ctx, eta_cols, spec.eta, nu_cols, spec.nu))
+        return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.kernel, idx, idx, Q, P))
 
     def partials(self, ctx, spec, mode, A, Q, P):
         if mode == MeasureMode.BASE:
             return {}
-        n = ctx.n_ground
-        qset = set(int(c) for c in Q if c >= n) if Q is not None else set()
-        pset = set(int(c) for c in P if c >= n) if P is not None else set()
 
         def block(rows, cols):
-            """(scaled, d/d eta, d/d nu) of the raw block under the pair rule."""
-            raw = _dblock(ctx, rows, cols)
-            xq = pair_membership_mask(rows, cols, qset) if qset else np.zeros(raw.shape, dtype=bool)
-            xp = pair_membership_mask(rows, cols, pset) if pset else np.zeros(raw.shape, dtype=bool)
-            fq = np.where(xq, spec.eta, 1.0)
-            fp = np.where(xp, spec.nu, 1.0)
-            return raw * fq * fp, raw * xq * fp, raw * xp * fq
+            """(weighted, d/d eta, d/d nu) of a block of D: each derivative is
+            the block on its weight's pairs, under the other weight."""
+            raw = _read(ctx, spec, rows, cols)
+            xq, xp = pair_masks(ctx, rows, cols, Q, P)
+            fq, fp = np.where(xq, spec.eta, 1.0), np.where(xp, spec.nu, 1.0)
+            return raw * fq * fp, raw * xq * fp, raw * xp * fq  # the first is pair_weighted's, bit for bit
 
-        out: dict[str, float] = {}
-        if mode == MeasureMode.SMI:
-            Cq, dCq, _ = block(A, Q)
-            DQ = _dblock(ctx, Q)
-            NA = _dblock(ctx, A) - Cq @ _solve_psd(DQ, Cq.T)
-            E = dCq @ _solve_psd(DQ, Cq.T)
-            out["eta"] = float(np.trace(_solve_psd(NA, E + E.T)))
-            return out
-        if mode == MeasureMode.CG:
-            Cp, _, dCp = block(A, P)
-            DP = _dblock(ctx, P)
-            MA = _dblock(ctx, A) - Cp @ _solve_psd(DP, Cp.T)
-            E = dCp @ _solve_psd(DP, Cp.T)
-            out["nu"] = float(-np.trace(_solve_psd(MA, E + E.T)))
-            return out
-        # csmi: differentiate logdet M_A - logdet H_A through every scaled block
+        DA = _read(ctx, spec, A)  # A is in V, so no weight reaches D_A
+        if mode != MeasureMode.CSMI:
+            # logdet(D_A - C D_S^{-1} C^T) for the one set S the mode reads,
+            # subtracted in SMI (S = Q, eta) and added in CG (S = P, nu); D_S
+            # is weighted too, with a zero derivative where S is auxiliary alone
+            S, key, i, sign = (Q, "eta", 1, 1.0) if mode == MeasureMode.SMI else (P, "nu", 2, -1.0)
+            C, DS = block(A, S), block(S, S)
+            X = _solve_psd(DS[0], C[0].T)
+            E = C[i] @ X
+            return {key: sign * float(np.trace(_solve_psd(DA - C[0] @ X, E + E.T - X.T @ DS[i] @ X)))}
+        # csmi: differentiate logdet M_A - logdet H_A through every weighted block
         B1, dB1_eta, dB1_nu = block(A, P)
         B2, dB2_eta, dB2_nu = block(P, Q)
         B3, dB3_eta, dB3_nu = block(A, Q)
-        DP = _dblock(ctx, P)
-        DQ = _dblock(ctx, Q)
+        DP, dDP_eta, dDP_nu = block(P, P)
+        DQ, dDQ_eta, dDQ_nu = block(Q, Q)
         WpB1T = _solve_psd(DP, B1.T)
         WpB2 = _solve_psd(DP, B2)
-        MA = _dblock(ctx, A) - B1 @ WpB1T
+        MA = DA - B1 @ WpB1T
         GQ = DQ - B2.T @ WpB2
         GAQ = B3 - B1 @ WpB2
-        HA = MA - GAQ @ _solve_psd(GQ, GAQ.T)
-        for name, dB1, dB2, dB3 in (
-            ("eta", dB1_eta, dB2_eta, dB3_eta),
-            ("nu", dB1_nu, dB2_nu, dB3_nu),
+        GQinv_GAQT = _solve_psd(GQ, GAQ.T)
+        HA = MA - GAQ @ GQinv_GAQT
+        out: dict[str, float] = {}
+        for name, dB1, dB2, dB3, dDP, dDQ in (
+            ("eta", dB1_eta, dB2_eta, dB3_eta, dDP_eta, dDQ_eta),
+            ("nu", dB1_nu, dB2_nu, dB3_nu, dDP_nu, dDQ_nu),
         ):
             E1 = dB1 @ WpB1T
-            dM = -(E1 + E1.T)
+            dM = WpB1T.T @ dDP @ WpB1T - (E1 + E1.T)
             E2 = dB2.T @ WpB2
-            dGQ = -(E2 + E2.T)
-            dGAQ = dB3 - (dB1 @ WpB2 + B1 @ _solve_psd(DP, dB2))
-            GQinv_GAQT = _solve_psd(GQ, GAQ.T)
+            dGQ = dDQ - (E2 + E2.T) + WpB2.T @ dDP @ WpB2
+            dGAQ = dB3 - (dB1 @ WpB2 + B1 @ _solve_psd(DP, dB2)) + WpB1T.T @ dDP @ WpB2
             term = dGAQ @ GQinv_GAQT
             dH = dM - (term + term.T - GQinv_GAQT.T @ dGQ @ GQinv_GAQT)
             val = np.trace(_solve_psd(MA, dM)) - np.trace(_solve_psd(HA, dH))

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import as_indices
-from .api import REGISTRY, _check_mode
+from ._common import NO_ITEMS, as_indices
+from .api import _USES_P, _USES_Q, REGISTRY, _check_mode
 from .spec import FunctionSpec, MeasureMode
 
 
 def _base_on_view(spec: FunctionSpec, ctx, mode: MeasureMode, Q, P):
     """f(*sets): the family's base function of the union of the sets,
-    evaluated on its oracle view for (mode, Q, P)."""
+    evaluated on its oracle view for the sets the mode reads."""
     ops = REGISTRY[spec.family]
-    view = ops.oracle_view(ctx, spec, mode, Q, P)
+    view = ops.oracle_view(ctx, spec, Q if mode in _USES_Q else NO_ITEMS, P if mode in _USES_P else NO_ITEMS)
 
     def f(*sets):
         S = as_indices(np.concatenate([np.asarray(s, dtype=int) for s in sets]) if sets else ())

@@ -383,15 +383,11 @@ def unpack_theta(model: MixtureModel, theta: np.ndarray) -> MixtureModel:
 # gradients
 
 
-def gradients(model: MixtureModel, ex: TrainingExample, reference,
-              task: Flavor = Flavor.QUERY, margin: str = "one_minus_vrouge",
-              yhat=None) -> np.ndarray:
+def gradients(model: MixtureModel, ex: TrainingExample, reference, yhat,
+              task: Flavor = Flavor.QUERY) -> np.ndarray:
     """Subgradient of the per-reference hinge plus the l2 term, over the packed
-    parameter vector (Y_hat held constant)."""
+    parameter vector, at the loss-augmented summary yhat (held constant)."""
     ref = tuple(int(i) for i in as_indices(reference))
-    if yhat is None:
-        sel = loss_augmented_inference(model, ex, make_margin(ex, margin, ref), task)
-        yhat = tuple(sel.indices)
     parts = [obj for _, obj in mixture_objective(model, ex, task).parts]
     grad = np.zeros(len(theta_slots(model)))
     for i, obj in enumerate(parts):
@@ -421,7 +417,7 @@ def finite_diff_check(model: MixtureModel, ex: TrainingExample, h: float = 1e-5,
     ref = tuple(int(i) for i in as_indices(reference if reference is not None
                                            else ex.references[0]))
     yhat = _pair_hinge(model, ex, ref, margin, task)[1]
-    analytic = gradients(model, ex, ref, task, margin, yhat=yhat)
+    analytic = gradients(model, ex, ref, yhat, task)
     parts = [obj for _, obj in mixture_objective(model, ex, task).parts]
     theta = pack_theta(model)
 
@@ -498,7 +494,7 @@ def _mean_hinge_and_gradient(model: MixtureModel, dataset, cfg: TrainConfig):
         for ref in ex.references:
             loss, yhat = _pair_hinge(model, ex, ref, cfg.margin, cfg.task)
             losses.append(loss)
-            grads.append(gradients(model, ex, ref, cfg.task, cfg.margin, yhat=yhat))
+            grads.append(gradients(model, ex, ref, yhat, cfg.task))
     mean_loss = float(np.mean(losses))
     grad = np.mean(grads, axis=0)
     if not np.isfinite(mean_loss) or not np.all(np.isfinite(grad)):

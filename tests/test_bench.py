@@ -154,8 +154,6 @@ def test_behavior_metrics_saturation_step():
     sel = _sel([0, 1, 2, 3], [5.0, 3.0, 0.0001, 2.0])
     rep = behavior_metrics(sel, ground_xy)
     assert rep.saturation_step == 3
-    rep = behavior_metrics(sel, ground_xy, eps_sat=10.0)
-    assert rep.saturation_step == 1
     rep = behavior_metrics(_sel([0], [5.0]), ground_xy)
     assert rep.saturation_step is None
 
@@ -171,8 +169,8 @@ def test_behavior_metrics_rejects_bad_delta():
     sel = _sel([0], [1.0])
     with pytest.raises(ConfigError):
         behavior_metrics(sel, [[0.0, 0.0]], delta=0.0)
-    with pytest.raises(ConfigError):
-        behavior_metrics(sel, [[0.0, 0.0]], eps_sat=0.0)
+    with pytest.raises(ConfigError):  # a zero first gain leaves no saturation threshold
+        behavior_metrics(_sel([0], [0.0]), [[0.0, 0.0]])
 
 
 def test_behavior_report_json_round_trip():

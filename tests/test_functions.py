@@ -1,12 +1,14 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import concept_ctx, pair_ctx, psd_ctx, relerr, seed_from, with_copies
-from submodsum.bench import random_instance, vrouge
+from submodsum.bench import random_instance, vrouge, with_ground_members
 from submodsum.errors import ConfigError, NumericError, UnsupportedError
 from submodsum.functions import (
+    REGISTRY,
     EvalContext,
     Family,
     FunctionSpec,
@@ -249,6 +251,8 @@ def _draw_spec(rng, family):
 
 @pytest.mark.parametrize("family", ALL_SMI)
 def test_closed_forms_match_oracle(family):
+    """On auxiliary Q and P, and again on Q and P that each also hold a
+    ground item, which the AUX_ONLY families reject."""
     rng = np.random.default_rng(seed_from(family.value))
     metric = "cosine" if family in (Family.GRAPH_CUT, Family.LOG_DET) else "rbf"
     for _ in range(30):
@@ -256,12 +260,17 @@ def test_closed_forms_match_oracle(family):
         spec = _draw_spec(rng, family)
         size = int(rng.integers(1, ctx.n_ground + 1))
         A = tuple(sorted(rng.choice(ctx.n_ground, size=size, replace=False).tolist()))
-        for mode in (MeasureMode.SMI, MeasureMode.CG, MeasureMode.CSMI):
-            if mode not in modes_supported(family):
-                continue
-            got = evaluate(spec, mode, ctx, A, Q, P)
-            want = definitional_oracle(spec, mode, ctx, A, Q, P)
-            assert relerr(got, want) < 1e-8, (family, mode, got, want)
+        for ground, sets in ((False, (A, Q, P)), (True, with_ground_members(rng, ctx, Q, P))):
+            for mode in (MeasureMode.SMI, MeasureMode.CG, MeasureMode.CSMI):
+                if mode not in modes_supported(family):
+                    continue
+                if ground and REGISTRY[family].AUX_ONLY:
+                    with pytest.raises(ConfigError, match="auxiliary universe"):
+                        evaluate(spec, mode, ctx, *sets)
+                    continue
+                got = evaluate(spec, mode, ctx, *sets)
+                want = definitional_oracle(spec, mode, ctx, *sets)
+                assert relerr(got, want) < 1e-8, (family, mode, ground, got, want)
 
 
 def test_argument_order_is_irrelevant(rng):
@@ -477,7 +486,9 @@ def test_partials_match_finite_differences(rng):
         (Family.CONCAVE_OVER_MODULAR, MeasureMode.SMI, ("eta",)),
     ]
     h = 1e-4
-    for family, mode, keys in combos:
+    # each combo on auxiliary Q and P, then on Q and P that each also hold a
+    # ground item, which the AUX_ONLY families reject
+    for (family, mode, keys), ground in itertools.product(combos, (False, True)):
         checked = 0
         guard = 0
         while checked < 10 and guard < 60:
@@ -487,6 +498,13 @@ def test_partials_match_finite_differences(rng):
                                 eta=float(rng.uniform(0.2, 0.9)),
                                 nu=float(rng.uniform(0.2, 0.9)))
             A = tuple(sorted(rng.choice(ctx.n_ground, size=2, replace=False).tolist()))
+            if ground:
+                A, Q, P = with_ground_members(rng, ctx, Q, P)
+                if REGISTRY[family].AUX_ONLY:
+                    with pytest.raises(ConfigError, match="auxiliary universe"):
+                        partials(spec, mode, ctx, A, Q, P)
+                    checked += 1
+                    continue
             if near_kink(spec, mode, ctx, A, Q, P):
                 continue
             grads = partials(spec, mode, ctx, A, Q, P)

@@ -26,7 +26,7 @@ from submodsum.bench import random_instance
 from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate, make_state
-from submodsum.functions._common import cross_block, pair_scaled_block
+from submodsum.functions._common import cross_block, pair_weighted
 from submodsum.functions.logdet import LogDetOps, _logdet_psd, _solve_psd
 
 pytest.importorskip("hypothesis")
@@ -117,7 +117,8 @@ def _outcome(fn, *args):
 
 def _old_blocks(ctx, spec, mode, Q, P):
     """(M, N, solved) over V with value(A) = logdet M_A - logdet N_A (N may
-    be None), and the blocks the formula solves against."""
+    be None), and the blocks the formula solves against.  Every block of D,
+    D_Q and D_P included, is read under the pair weights of Q and P."""
     solved = []
 
     def solve(M, B):
@@ -128,19 +129,23 @@ def _old_blocks(ctx, spec, mode, Q, P):
     n = ctx.n_ground
     V = np.arange(n)
     DV = D[:n, :n]
+
+    def block(rows, cols):
+        return pair_weighted(ctx, spec, D[np.ix_(rows, cols)], rows, cols, Q, P)
+
     if mode == MeasureMode.BASE:
         return DV, None, solved
     if mode == MeasureMode.SMI:
-        Cq = pair_scaled_block(D, V, Q, ctx, Q, spec.eta, (), 1.0)
-        return DV, DV - Cq @ solve(D[np.ix_(Q, Q)], Cq.T), solved
+        Cq = block(V, Q)
+        return DV, DV - Cq @ solve(block(Q, Q), Cq.T), solved
     if mode == MeasureMode.CG:
-        Cp = pair_scaled_block(D, V, P, ctx, (), 1.0, P, spec.nu)
-        return DV - Cp @ solve(D[np.ix_(P, P)], Cp.T), None, solved
-    B1 = pair_scaled_block(D, V, P, ctx, Q, spec.eta, P, spec.nu)
-    B2 = pair_scaled_block(D, P, Q, ctx, Q, spec.eta, P, spec.nu)
-    B3 = pair_scaled_block(D, V, Q, ctx, Q, spec.eta, P, spec.nu)
-    DP = D[np.ix_(P, P)]
-    DQ = D[np.ix_(Q, Q)]
+        Cp = block(V, P)
+        return DV - Cp @ solve(block(P, P), Cp.T), None, solved
+    B1 = block(V, P)
+    B2 = block(P, Q)
+    B3 = block(V, Q)
+    DP = block(P, P)
+    DQ = block(Q, Q)
     M = DV - B1 @ solve(DP, B1.T)
     GQ = DQ - B2.T @ solve(DP, B2)
     GVQ = B3 - B1 @ solve(DP, B2)
@@ -242,7 +247,7 @@ def test_logdet_blocks_bit_equal_to_dense_reference(inst):
         assert _outcome(OPS.value, ctx, spec, mode, A, q, p) == want
         if mode == MeasureMode.BASE:
             assert _outcome(OPS.base, ctx, spec, A) == want
-        # partials read D only through _dblock, so on a context whose kernel
+        # partials read D only through _read, so on a context whose kernel
         # is D and whose jitter is zero they run the dense code
         assert (_outcome(OPS.partials, ctx, spec, mode, A, q, p)
                 == _outcome(OPS.partials, dense, spec, mode, A, q, p))
@@ -264,12 +269,6 @@ def test_logdet_factors_match_the_earlier_dense_formula(inst):
     complements d2 (e2) along a greedy path, within TOL * scale * kappa /
     min(1, p)^2, with p the smallest Schur complement picked so far; a gain
     log d2 - log e2 moves by at most that over d2 (e2).
-
-    The factor takes a Cholesky factor of every block the earlier formula
-    solves against, so it declines where one is indefinite, which the
-    earlier formula solved through.  That happens where Q or P holds a
-    ground item: the pair scaling reaches the cross blocks but not D_Q or
-    D_P.
     """
     ctx, spec, Q, P = inst
     cand = np.setdiff1d(np.arange(ctx.n_ground), np.union1d(Q, P))
@@ -282,13 +281,7 @@ def test_logdet_factors_match_the_earlier_dense_formula(inst):
             continue
         eig = [np.linalg.eigvalsh(B) for B in solved]
         scale = max(1.0, np.abs(_dense(ctx)).max())
-        try:
-            W, U = OPS._blocks(ctx, spec, mode, q, p, np.arange(ctx.n_ground))
-        except NumericError:
-            assert min(e.min() for e in eig) <= TOL * scale
-            assert np.union1d(q, p).min() < ctx.n_ground
-            event(f"{mode.value} declined")
-            continue
+        W, U = OPS._blocks(ctx, spec, mode, q, p, np.arange(ctx.n_ground))
         if eig and min(e.min() for e in eig) <= TOL * scale:
             continue  # no condition number bounds the earlier formula's rounding
         scale = max(scale, *((F * F).sum(axis=1).max(initial=0.0) for F in (W, U) if F is not None))
