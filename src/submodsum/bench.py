@@ -19,7 +19,7 @@ import numpy as np
 from .data import AuxiliarySet, GroundSet
 from .errors import ConfigError, FormatError
 from .functions import EvalContext, Family, FunctionSpec, MeasureMode
-from .functions._common import as_indices
+from .functions.api import index_set
 from .optimize import CompositeObjective, MeasureObjective, Selection, greedy_maximize
 
 
@@ -43,24 +43,26 @@ def rouge_q(counts_a, counts_q, weights=None) -> float:
 
 
 def summary_counts(ctx: EvalContext, S) -> np.ndarray:
-    """Total concept counts of the items indexed by S (zeros for none)."""
+    """Total concept counts of the items indexed by S, a set in the universe
+    V u V' (zeros for none)."""
     ctx.require_counts("count overlap scoring")
-    return ctx.counts[as_indices(S)].sum(axis=0)
+    return ctx.counts[index_set(ctx, S, "S")].sum(axis=0)
 
 
 def vrouge(Y, references, ctx: EvalContext) -> float:
     """Mean over references R of rouge_q(c(Y), c(R)) / rouge_q(c(R), c(R)).
 
-    References whose own weighted count mass is zero cannot be normalized;
-    they are skipped with a warning.
+    Y and every reference must be sets of ground items.  References whose
+    own weighted count mass is zero cannot be normalized; they are skipped
+    with a warning.
     """
     if not references:
         raise ConfigError("vrouge needs at least one reference summary")
     w = ctx.concept_weights
-    cy = summary_counts(ctx, Y)
+    cy = summary_counts(ctx, index_set(ctx, Y, "Y", ground=True))
     scores = []
     for R in references:
-        cr = summary_counts(ctx, R)
+        cr = summary_counts(ctx, index_set(ctx, R, "reference", ground=True))
         self_score = rouge_q(cr, cr, w)
         if self_score <= 0.0:
             warnings.warn("skipping reference with zero weighted concept mass")
@@ -145,7 +147,8 @@ def behavior_metrics(
     """Condense a selection over 2-D items into the study quantities.
 
     delta is the match radius in coordinate units.  A pick saturates when
-    its gain falls under 1e-3 times the first pick's, a scale-free test.
+    its gain falls under 1e-3 times the first pick's, a scale-free test;
+    a first pick that gains nothing saturates at once.
     """
     if delta <= 0:
         raise ConfigError("match radius delta must be positive")
@@ -165,10 +168,8 @@ def behavior_metrics(
     gains = list(sel.gains)
     if gains:
         thresh = 1e-3 * abs(gains[0])
-        if thresh <= 0:
-            raise ConfigError("saturation threshold must be positive")
         for t, g in enumerate(gains, start=1):
-            if g < thresh:
+            if g < thresh or not thresh:
                 report.saturation_step = t
                 break
 

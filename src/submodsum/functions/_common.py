@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
 from .spec import MeasureMode
 
 # -- set handling ------------------------------------------------------------
@@ -15,33 +14,10 @@ NO_ITEMS = np.zeros(0, dtype=int)
 
 
 def as_indices(S) -> np.ndarray:
-    """Sorted unique int array; accepts any iterable of indices."""
+    """Sorted unique int array; accepts any iterable of indices.  It checks
+    no range: api._sets holds the rule for which index sets are legal."""
     arr = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
     return arr
-
-
-def check_ground(A: np.ndarray, ctx, label: str = "A") -> None:
-    if A.size and (A.min() < 0 or A.max() >= ctx.n_ground):
-        raise ConfigError(f"{label} must be a subset of the ground set (indices 0..{ctx.n_ground - 1})")
-
-
-def check_universe(S: np.ndarray, ctx, label: str) -> None:
-    if S.size and (S.min() < 0 or S.max() >= ctx.size):
-        raise ConfigError(f"{label} contains indices outside the universe 0..{ctx.size - 1}")
-
-
-def check_disjoint(a: np.ndarray, b: np.ndarray, la: str, lb: str) -> None:
-    if not (a.size and b.size):
-        return
-    inter = np.intersect1d(a, b)
-    if inter.size:
-        raise ConfigError(f"{la} and {lb} must be disjoint, share {inter.tolist()}")
-
-
-def require_aux(S: np.ndarray, ctx, label: str) -> None:
-    """AUX_ONLY families define their measures only against shadow-universe sets."""
-    if S.size and S.min() < ctx.n_ground:
-        raise ConfigError(f"{label} must live in the auxiliary universe for this family")
 
 
 def cross_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -8,23 +8,25 @@ Each measure is re-derived from nothing but base-function evaluations:
 
 evaluated on the family's oracle view of the context, which folds the
 cross-similarity weights (eta, nu) into the kernel so the bare
-definitions see the same geometry the closed forms assume.
+definitions see the same geometry the closed forms assume.  A, Q and P
+are read under the index-set contract of api (api._sets), so the oracle
+accepts and rejects exactly the sets the closed forms do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._common import NO_ITEMS, as_indices
-from .api import _USES_P, _USES_Q, REGISTRY, _check_mode
+from ._common import as_indices
+from .api import REGISTRY, _check_mode, _sets
 from .spec import FunctionSpec, MeasureMode
 
 
-def _base_on_view(spec: FunctionSpec, ctx, mode: MeasureMode, Q, P):
+def _base_on_view(spec: FunctionSpec, ctx, Q, P):
     """f(*sets): the family's base function of the union of the sets,
-    evaluated on its oracle view for the sets the mode reads."""
+    evaluated on its oracle view for Q and P as _sets returns them."""
     ops = REGISTRY[spec.family]
-    view = ops.oracle_view(ctx, spec, Q if mode in _USES_Q else NO_ITEMS, P if mode in _USES_P else NO_ITEMS)
+    view = ops.oracle_view(ctx, spec, Q, P)
 
     def f(*sets):
         S = as_indices(np.concatenate([np.asarray(s, dtype=int) for s in sets]) if sets else ())
@@ -34,11 +36,9 @@ def _base_on_view(spec: FunctionSpec, ctx, mode: MeasureMode, Q, P):
 
 
 def definitional_oracle(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> float:
-    _check_mode(spec, mode)
-    A = as_indices(A if A is not None else ())
-    Q = as_indices(Q if Q is not None else ())
-    P = as_indices(P if P is not None else ())
-    f = _base_on_view(spec, ctx, mode, Q, P)
+    mode = _check_mode(spec, mode)
+    A, Q, P = _sets(spec, mode, ctx, A, Q, P)
+    f = _base_on_view(spec, ctx, Q, P)
     if mode == MeasureMode.BASE:
         return f(A)
     if mode == MeasureMode.SMI:
@@ -51,10 +51,8 @@ def definitional_oracle(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P
 def conditioned_smi(spec: FunctionSpec, ctx, A, Q, P) -> float:
     """I_{g}(A; Q) for g(S) = f(S u P) - f(P): the information carried by
     the P-shifted function. Must equal the joint measure numerically."""
-    A = as_indices(A)
-    Q = as_indices(Q)
-    P = as_indices(P)
-    f = _base_on_view(spec, ctx, MeasureMode.CSMI, Q, P)
+    A, Q, P = _sets(spec, MeasureMode.CSMI, ctx, A, Q, P)
+    f = _base_on_view(spec, ctx, Q, P)
 
     def g(*sets):
         return f(*sets, P) - f(P)
@@ -65,10 +63,8 @@ def conditioned_smi(spec: FunctionSpec, ctx, A, Q, P) -> float:
 def smi_conditional_gain(spec: FunctionSpec, ctx, A, Q, P) -> float:
     """h_Q(A | P) for h_Q(S) = I_f(S; Q): the conditional gain of the
     query-information function. The second face of the same identity."""
-    A = as_indices(A)
-    Q = as_indices(Q)
-    P = as_indices(P)
-    f = _base_on_view(spec, ctx, MeasureMode.CSMI, Q, P)
+    A, Q, P = _sets(spec, MeasureMode.CSMI, ctx, A, Q, P)
+    f = _base_on_view(spec, ctx, Q, P)
 
     def h(*sets):
         return f(*sets) + f(Q) - f(*sets, Q)

@@ -31,6 +31,7 @@ from .functions import (
     partials,
 )
 from .functions._common import MarginalState, as_indices
+from .functions.api import index_set
 from .optimize import (
     CompositeObjective,
     Flavor,
@@ -132,15 +133,13 @@ class TrainingExample:
             raise ConfigError("budget must be at least 1")
         if not self.references:
             raise ConfigError("training example needs at least one reference summary")
-        n = self.ctx.n_ground
         refs = []
         for ref in self.references:
             idx = tuple(int(i) for i in ref)
-            if any(i < 0 or i >= n for i in idx):
-                raise ConfigError("reference items must belong to the ground set")
-            if len(set(idx)) > self.budget:
+            size = index_set(self.ctx, idx, "reference", ground=True).size
+            if size > self.budget:
                 raise ConfigError(
-                    f"reference of size {len(set(idx))} exceeds budget {self.budget}"
+                    f"reference of size {size} exceeds budget {self.budget}"
                 )
             refs.append(idx)
         self.references = refs
@@ -323,9 +322,7 @@ def _pair_hinge(model: MixtureModel, ex: TrainingExample, ref, margin: str,
 def hinge_loss(model: MixtureModel, ex: TrainingExample, reference,
                margin: str = "one_minus_vrouge", task: Flavor = Flavor.QUERY) -> float:
     """L = [F(Y_hat) + l(Y_hat)] - F(Y_ref) for a single reference."""
-    ref = tuple(int(i) for i in as_indices(reference))
-    if any(i < 0 or i >= ex.ctx.n_ground for i in ref):
-        raise ConfigError("reference items must belong to the ground set")
+    ref = tuple(int(i) for i in index_set(ex.ctx, reference, "reference", ground=True))
     return float(_pair_hinge(model, ex, ref, margin, task)[0])
 
 

@@ -169,8 +169,8 @@ def test_behavior_metrics_rejects_bad_delta():
     sel = _sel([0], [1.0])
     with pytest.raises(ConfigError):
         behavior_metrics(sel, [[0.0, 0.0]], delta=0.0)
-    with pytest.raises(ConfigError):  # a zero first gain leaves no saturation threshold
-        behavior_metrics(_sel([0], [0.0]), [[0.0, 0.0]])
+    # a first pick that gains nothing saturates at once
+    assert behavior_metrics(_sel([0], [0.0]), [[0.0, 0.0]]).saturation_step == 1
 
 
 def test_behavior_report_json_round_trip():

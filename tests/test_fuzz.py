@@ -20,9 +20,9 @@ import pytest
 
 import numpy as np
 
-from submodsum.bench import random_instance
+from submodsum.bench import random_instance, summary_counts, vrouge
 from submodsum.cli import main
-from submodsum.errors import SubmodsumError
+from submodsum.errors import ConfigError, SubmodsumError
 from submodsum.functions import (
     EvalContext,
     Family,
@@ -190,7 +190,8 @@ def test_eval_exits_cleanly_on_generated_input(data, coll, as_object, own_refs, 
 
 
 # the library boundary: each entry point of every family and mode, on contexts
-# built by hand with counts, coverage, both or neither
+# built by hand with counts, coverage, both or neither, and on index sets that
+# break the contract of submodsum.functions.api now and then
 
 
 def _answers(call):
@@ -204,10 +205,53 @@ def _answers(call):
     return out
 
 
+def _config_error(call) -> bool:
+    """True where call() raised ConfigError; another typed error or a finite
+    answer (as in _answers) reads False."""
+    try:
+        out = call()
+    except SubmodsumError as err:
+        return isinstance(err, ConfigError)
+    _answers(lambda: out)
+    return False
+
+
+MALFORMED = ("negative", "beyond", "aux_in_A", "A_and_Q", "Q_and_P", "ground_in_Q")
+
+
+def _malformed(defect, rng, ctx, A, Q, P):
+    """(A, Q, P, bad): the sets with the defect drawn into them, and the
+    out-of-range index placed for "negative" and "beyond" (else None)."""
+    sets = [list(A), list(Q), list(P)]
+    ground_left = [j for j in range(ctx.n_ground) if j not in A]
+    bad = None
+    if defect in ("negative", "beyond"):
+        bad = -int(rng.integers(1, 4)) if defect == "negative" else ctx.size + int(rng.integers(0, 3))
+        sets[int(rng.integers(3))].append(bad)
+    elif defect == "aux_in_A":
+        sets[0].append(int(rng.integers(ctx.n_ground, ctx.size)))
+    elif defect == "A_and_Q":
+        g = int(rng.integers(ctx.n_ground))
+        sets[0].append(g)
+        sets[1].append(g)
+    elif defect == "Q_and_P":
+        sets[2].append(int(rng.choice(Q)))
+    elif defect == "ground_in_Q" and ground_left:
+        sets[1].append(int(rng.choice(ground_left)))
+    return (*map(tuple, sets), bad)
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(("rbf", "cosine", "dot")),
-       with_counts=st.booleans(), with_cover=st.booleans(), size=st.integers(0, 8))
-def test_library_entry_points_answer_or_raise_typed_errors(seed, metric, with_counts, with_cover, size):
+       with_counts=st.booleans(), with_cover=st.booleans(), size=st.integers(0, 8),
+       defect=st.sampled_from((None,) * 4 + MALFORMED))
+def test_library_entry_points_answer_or_raise_typed_errors(seed, metric, with_counts, with_cover, size,
+                                                           defect):
+    """Every entry point answers or raises a typed error.  On an rbf context
+    with counts and coverage, where no family lacks or rejects the data it
+    reads, each one raises ConfigError exactly when evaluate does on the same
+    sets (make_state against evaluate with A = ()): all of them read one
+    index-set contract."""
     rng = np.random.default_rng(seed)
     base, Q, P = random_instance(rng, metric=metric)
     ctx = EvalContext(base.kernel, base.n_ground, ids=base.ids, metric=metric, jitter=base.jitter,
@@ -215,19 +259,31 @@ def test_library_entry_points_answer_or_raise_typed_errors(seed, metric, with_co
                       cover_prob=base.cover_prob if with_cover else None,
                       role_indices=base.role_indices)
     A = tuple(rng.permutation(ctx.n_ground)[:size].tolist())
+    A, Q, P, bad = _malformed(defect, rng, ctx, A, Q, P)
+    exact = with_counts and with_cover and metric == "rbf"
     for family in Family:
         spec = FunctionSpec(family)
         for mode in modes_supported(family):
-            _answers(lambda: evaluate(spec, mode, ctx, A, Q, P))
-            _answers(lambda: partials(spec, mode, ctx, A, Q, P))
-            _answers(lambda: near_kink(spec, mode, ctx, A, Q, P))
-            _answers(lambda: definitional_oracle(spec, mode, ctx, A, Q, P))
+            raised = _config_error(lambda: evaluate(spec, mode, ctx, A, Q, P))
+            for call in (partials, near_kink, definitional_oracle):
+                got = _config_error(lambda: call(spec, mode, ctx, A, Q, P))
+                assert got == raised or not exact, (call.__name__, family, mode, defect)
+            empty_raised = _config_error(lambda: evaluate(spec, mode, ctx, (), Q, P))
             try:
                 state = make_state(spec, mode, ctx, Q, P)
+            except ConfigError:
+                assert empty_raised or not exact, ("make_state", family, mode, defect)
+                continue
             except SubmodsumError:
                 continue
+            assert not empty_raised, ("make_state", family, mode, defect)
             _answers(lambda: state.gain(np.arange(ctx.n_ground)))
             _answers(lambda: state.add(int(rng.integers(ctx.n_ground))))
+    if bad is not None and with_counts:
+        for call in (lambda: summary_counts(ctx, (0, bad)), lambda: vrouge((0, bad), [(0,)], ctx),
+                     lambda: vrouge((0,), [(1,), (bad,)], ctx)):
+            with pytest.raises(ConfigError):
+                call()
 
 
 def _run(argv, out) -> int:
