@@ -7,16 +7,17 @@ studies with CSV plot data), and check (closed-form and gradient
 self-verification).  Exit codes: 0 success, 1 failed check, 2
 configuration or format error, 3 numeric failure.
 
-Every subcommand writes a manifest.json (resolved config echo plus the
-library version) next to its outputs; outputs contain no timestamps, so
-the same seed and config give byte-identical files.
+summarize, learn, eval and synth write a manifest.json next to their
+outputs: every option but --out, with the values the command resolved
+laid over the typed ones, and the library version; check writes none.
+Outputs contain no timestamps, so the same seed and config give
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ from .functions import (
     definitional_oracle,
     evaluate,
     modes_supported,
-    parse_family,
 )
 from .learning import (
     MixtureModel,
@@ -67,39 +67,29 @@ _COND_HINT = {"private": "--private or collection privates",
 
 
 def parse_fn_spec(text: str) -> FunctionSpec:
-    """Parse 'family[:key=value,...]', e.g. 'fl1:eta=0.5,nu=2'."""
+    """Parse 'family[:key=value,...]' into the spec object model.json holds
+    and read it with FunctionSpec.from_json, e.g. 'fl1:eta=0.5,nu=2' or
+    'com:com_weights=0.3|0.7,psi=log1p' ('|' separates com_weights)."""
     head, _, tail = text.partition(":")
-    spec = FunctionSpec(parse_family(head.strip()))
-    if not tail:
-        return spec
-    updates: dict = {}
-    for part in tail.split(","):
+    obj = {}
+    for part in tail.split(",") if tail else ():
         key, eq, val = part.partition("=")
         key = key.strip()
         if not eq:
             raise ConfigError(f"malformed function parameter {part!r}; expected key=value")
-        if key in ("lam", "eta", "nu"):
-            updates[key] = _number(key, val)
-        elif key == "psi":
-            updates[key] = val.strip()
-        elif key == "com_weights":
-            updates[key] = tuple(_number(key, v) for v in val.split("|"))
-        else:
-            raise ConfigError(f"unknown function parameter {key!r}")
-    return replace(spec, **updates)
+        if key == "family":
+            raise ConfigError("the family goes before the ':', not among its parameters")
+        obj[key] = val.split("|") if key == "com_weights" else val.strip()
+    return FunctionSpec.from_json({**obj, "family": head})
 
 
-def _number(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"function parameter {key!r} needs a number, got {text!r}") from None
-
-
-def _manifest(outdir: Path, command: str, config: dict) -> None:
+def _manifest(outdir: Path, args, **resolved) -> None:
+    """manifest.json: every option argparse parsed but --out, the values the
+    command resolved laid over them, and the library version."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "fn_cmd", "out")}
     write_json(outdir / "manifest.json", {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, **resolved},
         "version": __version__,
     })
 
@@ -186,19 +176,7 @@ def cmd_summarize(args) -> int:
                        stop_on_nonpositive=args.stop_on_nonpositive)
     out = _outdir(args)
     write_json(out / "selection.json", sel.to_json())
-    _manifest(out, "summarize", {
-        "collection": str(args.collection),
-        "flavor": flavor.value,
-        "budget": args.budget,
-        "fn": args.fn,
-        "query": args.query,
-        "private": args.private,
-        "prev": args.prev,
-        "metric": args.metric,
-        "sigma": args.sigma,
-        "jitter": args.jitter,
-        "stop_on_nonpositive": bool(args.stop_on_nonpositive),
-    })
+    _manifest(out, args, flavor=flavor.value)
     return 0
 
 
@@ -237,21 +215,7 @@ def cmd_learn(args) -> int:
     out = _outdir(args)
     model.save(out / "model.json")
     write_training_log(out / "training_log.csv", model)
-    _manifest(out, "learn", {
-        "train_dir": str(train_dir),
-        "task": cfg.task.value,
-        "components": families,
-        "budget": args.budget,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "momentum": args.momentum,
-        "margin": args.margin,
-        "reg": args.reg,
-        "seed": args.seed,
-        "metric": args.metric,
-        "sigma": args.sigma,
-        "jitter": args.jitter,
-    })
+    _manifest(out, args, task=cfg.task.value, components=families)
     return 0
 
 
@@ -289,14 +253,7 @@ def cmd_eval(args) -> int:
     }
     out = _outdir(args)
     write_json(out / "report.json", report)
-    _manifest(out, "eval", {
-        "collection": str(args.collection),
-        "summary": str(args.summary),
-        "references": None if args.references is None else str(args.references),
-        "metric": args.metric,
-        "sigma": args.sigma,
-        "jitter": args.jitter,
-    })
+    _manifest(out, args)
     return 0
 
 
@@ -314,7 +271,8 @@ _STUDIES = {
 
 def cmd_synth(args) -> int:
     flavor, default_fn, default_sweep = _STUDIES[args.study]
-    spec = parse_fn_spec(args.fn if args.fn is not None else default_fn)
+    fn = args.fn if args.fn is not None else default_fn
+    spec = parse_fn_spec(fn)
     sweep_text = args.sweep if args.sweep is not None else default_sweep
     cfg = SyntheticConfig(seed=args.seed)
     ground, queries, privates = synth_generate(cfg)
@@ -325,19 +283,21 @@ def cmd_synth(args) -> int:
 
     runs = []
     if sweep_text is None:
-        sweep = [(None, None)]
+        sweep = [(None, spec)]
     else:
         param, _, values = sweep_text.partition("=")
         param = param.strip()
         if param not in ("lam", "eta", "nu"):
             raise ConfigError(f"--sweep parameter must be lam, eta, or nu, got {param!r}")
-        sweep = [(param, float(v)) for v in values.split(",") if v.strip()]
+        # each value read by the spec's own rule, as model.json's would be
+        sweep = [(param, FunctionSpec.from_json({**spec.to_json(), param: v}))
+                 for v in values.split(",") if v.strip()]
         if not sweep:
             raise ConfigError("--sweep needs at least one value")
 
     out = _outdir(args)
-    for param, value in sweep:
-        run_spec = spec if param is None else replace(spec, **{param: value})
+    for param, run_spec in sweep:
+        value = None if param is None else getattr(run_spec, param)
         sel = master_solve(flavor, run_spec, ctx, args.budget, Q=Q, P=P)
         rep = behavior_metrics(sel, gxy, qxy, pxy, delta=args.delta)
         tag = "" if param is None else f"_{param}_{value:g}"
@@ -347,15 +307,8 @@ def cmd_synth(args) -> int:
             entry[param] = value
         runs.append(entry)
     write_json(out / "report.json", {"study": args.study, "flavor": flavor.value,
-                                     "fn": args.fn or default_fn, "runs": runs})
-    _manifest(out, "synth", {
-        "seed": args.seed,
-        "study": args.study,
-        "fn": args.fn or default_fn,
-        "sweep": sweep_text,
-        "budget": args.budget,
-        "delta": args.delta,
-    })
+                                     "fn": fn, "runs": runs})
+    _manifest(out, args, fn=fn, sweep=sweep_text)
     return 0
 
 
@@ -456,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--collection", required=True)
     p.add_argument("--flavor", required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--fn", required=True, help="function spec, e.g. fl1:eta=0.5,nu=2")
+    p.add_argument("--fn", required=True, help="function spec family[:key=value,...], keys lam, "
+                   "eta, nu, psi and com_weights=a|b as in model.json, e.g. fl1:eta=0.5,nu=2")
     p.add_argument("--query", help="query item ids or concept names (comma separated)")
     p.add_argument("--private", help="private item ids (comma separated)")
     p.add_argument("--prev", help="previous summary ground ids (comma separated)")
@@ -511,6 +465,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if [] in vars(args).values():  # what argparse leaves for an option value of '--'
+            raise ConfigError("an option got '--' for its value")
         return args.fn_cmd(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .spec import MeasureMode
 
 # -- set handling ------------------------------------------------------------
@@ -14,10 +15,19 @@ NO_ITEMS = np.zeros(0, dtype=int)
 
 
 def as_indices(S) -> np.ndarray:
-    """Sorted unique int array; accepts any iterable of indices.  It checks
-    no range: api._sets holds the rule for which index sets are legal."""
-    arr = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
-    return arr
+    """Sorted unique int array from any flat iterable of integers, numpy
+    integer arrays included; a float, bool, string, nested set or scalar
+    raises ConfigError.  It checks no range: api._sets holds the rule for
+    which index sets are legal."""
+    try:
+        items = S.tolist() if isinstance(S, np.ndarray) else list(S)
+        # the type set settles plain Python ints at C speed
+        if {int}.issuperset(map(type, items)) or all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
+            return np.asarray(sorted(set(items)), dtype=int)
+    except (TypeError, OverflowError):  # a scalar, a nested set, an index past int64
+        pass
+    raise ConfigError(f"an index set must be a flat collection of integers, got {S!r}")
 
 
 def cross_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ All set arguments are integer index sets into an EvalContext universe
 Every entry point that takes A, Q or P reads them under one contract,
 written once in _sets:
 
-- each set is normalized to sorted unique indices;
+- each set is a flat iterable of integers (as_indices), normalized to
+  sorted unique indices;
 - A is a subset of V;
 - Q and P lie in V u V', and only in V' for an AUX_ONLY family;
 - A, Q and P are pairwise disjoint;

@@ -91,10 +91,11 @@ class FunctionSpec:
         if self.psi not in PSI_FUNCTIONS:
             raise ConfigError(f"psi must be one of {PSI_FUNCTIONS}, got {self.psi!r}")
         if self.com_weights is not None:
-            d1, d2 = self.com_weights
-            if not (d1 >= 0 and d2 >= 0 and math.isfinite(d1) and math.isfinite(d2)):
-                raise ConfigError("com_weights must be finite and nonnegative")
-            self.com_weights = (float(d1), float(d2))
+            w = tuple(self.com_weights)
+            if not (len(w) == 2 and all(v >= 0 and math.isfinite(v) for v in w)):
+                raise ConfigError(f"com_weights must be a pair of finite nonnegative numbers, "
+                                  f"got {self.com_weights!r}")
+            self.com_weights = (float(w[0]), float(w[1]))
 
     def com_deltas(self) -> tuple[float, float]:
         """(data-side, query-side) weights for concave-over-modular."""

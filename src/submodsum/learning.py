@@ -133,19 +133,14 @@ class TrainingExample:
             raise ConfigError("budget must be at least 1")
         if not self.references:
             raise ConfigError("training example needs at least one reference summary")
-        refs = []
+        # every set as sorted unique ints, under the index-set rule of api
+        self.references = [tuple(index_set(self.ctx, ref, "reference", ground=True).tolist())
+                            for ref in self.references]
         for ref in self.references:
-            idx = tuple(int(i) for i in ref)
-            size = index_set(self.ctx, idx, "reference", ground=True).size
-            if size > self.budget:
-                raise ConfigError(
-                    f"reference of size {size} exceeds budget {self.budget}"
-                )
-            refs.append(idx)
-        self.references = refs
-        self.Q = tuple(int(i) for i in self.Q)
-        self.P = tuple(int(i) for i in self.P)
-        self.previous = tuple(int(i) for i in self.previous)
+            if len(ref) > self.budget:
+                raise ConfigError(f"reference of size {len(ref)} exceeds budget {self.budget}")
+        self.Q, self.P, self.previous = (tuple(as_indices(S).tolist())
+                                         for S in (self.Q, self.P, self.previous))
 
 
 @dataclass

@@ -1,11 +1,12 @@
+import argparse
 import csv
 import json
 
 import pytest
 
-from submodsum.cli import main, parse_fn_spec
+from submodsum.cli import build_parser, main, parse_fn_spec
 from submodsum.errors import ConfigError
-from submodsum.functions import Family
+from submodsum.functions import Family, FunctionSpec
 from submodsum.learning import MixtureModel
 
 
@@ -34,6 +35,18 @@ def test_parse_fn_spec_rejects_garbage():
         parse_fn_spec("gc:lam=x")
     with pytest.raises(ConfigError):
         parse_fn_spec("com:com_weights=1|two")
+    for text in ("gc:family=sc", "com:com_weights=1|2|3", "com:com_weights=0.5", "sc:eta=1,"):
+        with pytest.raises(ConfigError):
+            parse_fn_spec(text)
+
+
+def test_parse_fn_spec_reads_model_json_spec_objects():
+    """--fn spells the spec object model.json holds, and reads it by the same rule."""
+    for text, obj in [("fl1:eta=0.5,nu=2", {"family": "fl1", "eta": "0.5", "nu": "2"}),
+                      ("com:com_weights=0.3|0.7,psi= log1p", {"family": "com", "com_weights": ["0.3", "0.7"],
+                                                             "psi": "log1p"}),
+                      (" gc : lam=0.25 ", {"family": "gc", "lam": "0.25"})]:
+        assert parse_fn_spec(text) == FunctionSpec.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +160,17 @@ def test_summarize_rejects_bad_config(coll_path, tmp_path, capsys):
     # graph cut defines no joint conditioned measure
     assert main(args + ["--flavor", "query_privacy", "--fn", "gc"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fn", ["com:com_weights=1|2|3", "com:com_weights=1", "fl1:nu=a",
+                                "gc:family=sc"])
+def test_summarize_bad_fn_spec_exits_2_with_one_line(fn, coll_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["summarize", "--collection", str(coll_path), "--flavor", "query", "--budget", "2",
+                 "--fn", fn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 BAD_WEIGHTS = {"text_weight": ["w", 1, 1], "weights_object": {"x": 1},
@@ -389,11 +413,67 @@ def test_synth_query_study_saturates_then_fills(tmp_path):
     assert (out / "plot.csv").exists()
 
 
-def test_synth_rejects_bad_sweep(tmp_path, capsys):
-    rc = main(["synth", "--study", "generic", "--sweep", "zap=1,2",
-               "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("option", ["--fn=--", "--budget=--", "--sweep=--"])
+def test_option_value_of_double_dash_exits_2(option, tmp_path, capsys):
+    """argparse reads an option value of '--' as an empty list."""
+    assert main(["synth", "--study", "generic", option, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: an option got '--' for its value\n"
+
+
+def _assert_synth_sweep_rejected(sweep, out, capsys):
+    rc = main(["synth", "--study", "generic", "--sweep", sweep, "--out", str(out)])
     assert rc == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_synth_rejects_bad_sweep(tmp_path, capsys):
+    _assert_synth_sweep_rejected("zap=1,2", tmp_path / "o", capsys)
+
+
+@pytest.mark.parametrize("sweep", ["nu=a", "lam=1,x", "eta=-1", "nu=nan", "nu=,"])
+def test_synth_rejects_bad_sweep_value(sweep, tmp_path, capsys):
+    """A sweep value is read by the spec's rule: each bad one exits 2 before any output."""
+    _assert_synth_sweep_rejected(sweep, tmp_path / "o", capsys)
+
+
+# ---------------------------------------------------------------------------
+# manifest
+
+
+def _option_dests(command: str) -> set:
+    """The dests of a subcommand's options as its parser declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_manifest_echoes_every_option_but_out_with_resolved_values(coll_path, tmp_path):
+    train_dir = tmp_path / "train"
+    train_dir.mkdir()
+    (train_dir / "ex.json").write_text(json.dumps(_collection_doc()))
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(["g0", "g4"]))
+    runs = {
+        "summarize": (["--collection", str(coll_path), "--flavor", "Query-Privacy", "--budget", "2",
+                       "--fn", "fl1:nu=2"],
+                      {"flavor": "query_privacy", "fn": "fl1:nu=2", "budget": 2, "query": None,
+                       "stop_on_nonpositive": False, "metric": "cosine"}),
+        "learn": (["--train-dir", str(train_dir), "--budget", "3", "--task", "Query",
+                   "--components", "sc,gc", "--epochs", "1"],
+                  {"task": "query", "components": ["sc", "gc"], "epochs": 1, "lr": 0.05}),
+        "eval": (["--collection", str(coll_path), "--summary", str(summary)],
+                 {"summary": str(summary), "references": None, "jitter": 1e-6}),
+        "synth": (["--study", "privacy", "--budget", "3"],
+                  {"fn": "gc:lam=0.5", "sweep": "nu=0,1,5,10", "study": "privacy", "seed": 7}),
+    }
+    for command, (argv, want) in runs.items():
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == _option_dests(command) - {"out"}, command
+        assert manifest["config"].items() >= want.items(), command
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from submodsum.functions import (
     parse_family,
     partials,
 )
+from submodsum.functions._common import as_indices
 from submodsum.functions.api import eval_base, near_kink
 from submodsum.functions.logdet import GrowingCholesky
 from submodsum.functions.oracle import conditioned_smi, smi_conditional_gain
@@ -237,6 +238,34 @@ def test_spec_validation():
     spec = FunctionSpec(Family.CONCAVE_OVER_MODULAR, eta=0.3)
     assert spec.com_deltas() == (0.3, 1.0)
     assert FunctionSpec(Family.CONCAVE_OVER_MODULAR, com_weights=(0.2, 0.8)).com_deltas() == (0.2, 0.8)
+    for weights in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ConfigError, match="com_weights must be a pair"):
+            FunctionSpec(Family.CONCAVE_OVER_MODULAR, com_weights=weights)
+
+
+@pytest.mark.parametrize("S", [[0.9], [1.0], [True], [0, True], [1, True], ["1"], "1", 5,
+                               [[0, 1]], [float("nan")], np.array([0.5]), np.array([[0, 1]]),
+                               np.array(1), [2**70]],
+                         ids=["fraction", "whole_float", "bool", "bool_beside_0", "bool_beside_1",
+                              "numeric_string", "string", "scalar", "nested", "nan", "float_array",
+                              "2d_array", "0d_array", "past_int64"])
+def test_as_indices_rejects_what_is_not_a_flat_set_of_integers(S):
+    with pytest.raises(ConfigError, match="flat collection of integers"):
+        as_indices(S)
+    ctx, Q, P = random_instance(np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        evaluate(FunctionSpec(Family.SET_COVER), MeasureMode.SMI, ctx, S, Q)
+
+
+def test_as_indices_accepts_any_flat_iterable_of_integers():
+    want = [1, 2, 4]
+    for S in ([4, 2, 1, 2], (4, 1, 2), {4, 2, 1},
+              (i for i in (2, 4, 1)), np.array([4, 2, 1]), np.array([4, 1, 2], dtype=np.uint8),
+              tuple(np.array([2, 1, 4])), [np.int32(4), 2, np.int64(1)]):
+        got = as_indices(S)
+        assert got.dtype == int and got.tolist() == want
+    assert as_indices(range(3)).tolist() == [0, 1, 2]
+    assert as_indices(()).size == 0 and as_indices(np.zeros(0)).dtype == int
 
 
 # ---------------------------------------------------------------------------

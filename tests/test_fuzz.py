@@ -1,5 +1,5 @@
 """Property tests: generated collections and arguments through `submodsum
-summarize`, `learn` and `eval`.
+summarize`, `learn`, `eval` and `synth`.
 
 Whatever the input, a run ends with exit code 0, 2 (config/format error) or
 3 (numeric error), never with an uncaught exception, and every JSON file it
@@ -189,6 +189,61 @@ def test_eval_exits_cleanly_on_generated_input(data, coll, as_object, own_refs, 
             assert 0.0 <= _strict(report)["vrouge"] <= 1.0
 
 
+# the option strings themselves: --fn in the grammar family[:key=value,...]
+# (com_weights as a|b) and --sweep as param=v1,v2,...; each drawn from known
+# and unknown names, numbers, garbage and '|' lists, or as raw text
+
+# each key mostly with values of its own kind, now and then with another's
+SPEC_VALUES = {"lam": NUMBERS, "eta": NUMBERS, "nu": NUMBERS, "psi": ("log1p", "identity", "cbrt"),
+               "com_weights": ("0.3|0.7", "1|2", "1|2|3", "1", "1|x", "|", "0.5|nan", "-1|1"),
+               "family": ("sc", "gc"), "bogus": ("1",), "": ("1",)}
+SPEC_TEXT = st.text(alphabet="scglfo12:=,|.-eatnu x", max_size=16)
+
+
+@st.composite
+def fn_strings(draw):
+    text = draw(st.sampled_from(FAMILIES + ("FL1", "graph-cut", "")))
+    params = []
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(KEYS + ("com_weights",) * 2 + ("family", "")))
+        pool = SPEC_VALUES[key] if draw(st.integers(0, 3)) else SPEC_VALUES["com_weights"] + ("", "x")
+        value = draw(st.sampled_from(pool))
+        params.append(f"{key}={value}" if draw(st.integers(0, 7)) else key)
+    return text + (":" + ",".join(params) if params else "")
+
+
+@st.composite
+def sweep_strings(draw):
+    param = draw(st.sampled_from(("lam", "eta", "nu") * 3 + ("psi", "com_weights", "zap", "")))
+    values = draw(st.lists(st.sampled_from(NUMBERS + ("", " 2 ", "1|2")), max_size=4))
+    return f"{param}={','.join(values)}"
+
+
+@settings(deadline=None)
+@given(fn=st.one_of(fn_strings(), SPEC_TEXT), sweep=st.one_of(st.none(), sweep_strings(), SPEC_TEXT),
+       study=st.sampled_from(("generic", "query", "privacy", "joint")), flavor=st.sampled_from(FLAVORS),
+       synth_fn=st.booleans())
+def test_cli_strings_exit_cleanly(fn, sweep, study, flavor, synth_fn):
+    """summarize and synth on drawn --fn and --sweep strings exit 0, 2 or 3;
+    synth takes the drawn --fn or, so its --sweep gets read, its study's."""
+    doc = {"items": [{"id": f"g{i}", "features": [float(i), 1.0 - i], "concepts": {"ab"[i % 2]: 1 + i}}
+                     for i in range(4)],
+           "queries": [{"id": "q0", "features": [0.0, 1.0], "concepts": {"a": 1}}],
+           "privates": [{"id": "p0", "features": [3.0, -2.0], "concepts": {"b": 1}}]}
+    # a huge lam or eta overflows a gain to -inf, which the solver answers
+    # with exit 3; NaN-producing arithmetic still raises
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        path = Path(tmp) / "coll.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "summarize"
+        _run(["summarize", "--collection", str(path), "--flavor", flavor, "--budget", "2",
+              f"--fn={fn}", "--metric", "rbf", "--out", str(out)], out)
+        out = Path(tmp) / "synth"
+        argv = ["synth", "--study", study, "--budget", "2", "--out", str(out)]
+        argv += [f"--fn={fn}"] if synth_fn else []
+        _run(argv + ([] if sweep is None else [f"--sweep={sweep}"]), out)
+
+
 # the library boundary: each entry point of every family and mode, on contexts
 # built by hand with counts, coverage, both or neither, and on index sets that
 # break the contract of submodsum.functions.api now and then
@@ -216,17 +271,24 @@ def _config_error(call) -> bool:
     return False
 
 
-MALFORMED = ("negative", "beyond", "aux_in_A", "A_and_Q", "Q_and_P", "ground_in_Q")
+MALFORMED = ("negative", "beyond", "non_integer", "aux_in_A", "A_and_Q", "Q_and_P", "ground_in_Q")
+# indices that are not integers: each raises ConfigError, none is cast to an int
+NON_INTEGERS = (0.5, 1.0, True, "1")
 
 
 def _malformed(defect, rng, ctx, A, Q, P):
     """(A, Q, P, bad): the sets with the defect drawn into them, and the
-    out-of-range index placed for "negative" and "beyond" (else None)."""
+    index placed for "negative", "beyond" and "non_integer" (else None)."""
     sets = [list(A), list(Q), list(P)]
     ground_left = [j for j in range(ctx.n_ground) if j not in A]
     bad = None
-    if defect in ("negative", "beyond"):
-        bad = -int(rng.integers(1, 4)) if defect == "negative" else ctx.size + int(rng.integers(0, 3))
+    if defect in ("negative", "beyond", "non_integer"):
+        if defect == "negative":
+            bad = -int(rng.integers(1, 4))
+        elif defect == "beyond":
+            bad = ctx.size + int(rng.integers(0, 3))
+        else:
+            bad = NON_INTEGERS[int(rng.integers(len(NON_INTEGERS)))]
         sets[int(rng.integers(3))].append(bad)
     elif defect == "aux_in_A":
         sets[0].append(int(rng.integers(ctx.n_ground, ctx.size)))

@@ -150,6 +150,12 @@ def test_training_example_validation():
         TrainingExample(ctx, [(0, 1, 2, 3, 4)], 4, Q=Q)  # larger than budget
     with pytest.raises(ConfigError):
         TrainingExample(ctx, refs, 0, Q=Q)
+    # every set under the index-set rule: integers only, kept sorted and unique
+    for sets in ({"references": [(0, 1.5)]}, {"Q": (True,)}, {"P": ("1",)}, {"previous": (0.0,)}):
+        with pytest.raises(ConfigError, match="flat collection of integers"):
+            TrainingExample(ctx, **{"references": refs, "budget": 4, **sets})
+    ex = TrainingExample(ctx, [np.array([2, 0, 2])], 4, Q=reversed(Q), previous=range(3))
+    assert ex.references == [(0, 2)] and ex.Q == tuple(sorted(Q)) and ex.previous == (0, 1, 2)
 
 
 def test_weight_gradient_is_exact(example):
