@@ -390,6 +390,27 @@ def cmd_check(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """--seed: a nonnegative int, as numpy's generators take it; anything
+    else is a ConfigError, read before any output is written."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise ConfigError(f"--seed must be a nonnegative integer, got {text!r}")
+
+
+def _delta(text: str) -> float:
+    """--delta: a finite positive float, or a ConfigError as for --seed."""
+    try:
+        if 0 < (delta := float(text)) < np.inf:
+            return delta
+    except ValueError:
+        pass
+    raise ConfigError(f"--delta must be finite and positive, got {text!r}")
+
+
 def _add_kernel_flags(p) -> None:
     p.add_argument("--metric", default="cosine", choices=("cosine", "dot", "rbf"),
                    help="similarity metric for the kernel")
@@ -429,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--margin", default="one_minus_vrouge")
     p.add_argument("--reg", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".")
     _add_kernel_flags(p)
     p.set_defaults(fn_cmd=cmd_learn)
@@ -443,19 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn_cmd=cmd_eval)
 
     p = sub.add_parser("synth", help="seeded synthetic behavior study")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--study", required=True, choices=sorted(_STUDIES))
     p.add_argument("--fn", help="override the study's default function spec")
     p.add_argument("--sweep", help="parameter sweep, e.g. nu=0,1,5,10")
     p.add_argument("--budget", type=int, default=10)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--delta", type=_delta, default=1.0)
     p.add_argument("--out", default=".")
     p.set_defaults(fn_cmd=cmd_synth)
 
     p = sub.add_parser("check", help="run self-verification suites")
     p.add_argument("--oracle", action="store_true",
                    help="verify closed forms and gradients against definitional oracles")
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_seed, default=11)
     p.set_defaults(fn_cmd=cmd_check)
 
     return parser
@@ -463,13 +484,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if [] in vars(args).values():  # what argparse leaves for an option value of '--'
-            raise ConfigError("an option got '--' for its value")
-        return args.fn_cmd(args)
+        # a numpy overflow, NaN or division by zero raises instead of warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args = parser.parse_args(argv)
+            if [] in vars(args).values():  # what argparse leaves for an option value of '--'
+                raise ConfigError("an option got '--' for its value")
+            return args.fn_cmd(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numeric error: non-finite arithmetic: {exc}", file=sys.stderr)
         return 3
     except SubmodsumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -244,12 +244,15 @@ class SimilarityKernel:
         shifted = self.matrix.copy()
         shifted.flat[:: n + 1] += jitter  # matrix + jitter*I without an n x n identity
         try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError as exc:
+            # numpy factors a NaN entry into NaNs instead of raising
+            definite = np.isfinite(np.diagonal(np.linalg.cholesky(shifted))).all()
+        except np.linalg.LinAlgError:
+            definite = False
+        if not definite:
             raise NumericError(
                 f"kernel + {self.psd_jitter:g}*I is not positive definite; "
                 "increase the jitter or check the features"
-            ) from exc
+            )
 
 
 def _pairwise(metric: str, feats: np.ndarray, sigma: float) -> tuple[np.ndarray, float | None]:
@@ -307,8 +310,9 @@ def build_kernel(
     universe: ConceptUniverse | None = None,
 ) -> SimilarityKernel:
     """Build the similarity kernel over ground items followed by auxiliary items."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
+    # rbf divides by 2 sigma^2: a subnormal or zero one turns d^2 = 0 into NaN
+    if not (sigma > 0 and np.finfo(float).tiny <= 2 * float(sigma) * float(sigma) < np.inf):
+        raise ConfigError(f"sigma must be positive with 2*sigma^2 a finite normal float, got {sigma}")
     if not np.isfinite(jitter):
         raise ConfigError(f"jitter must be finite, got {jitter}")
     all_sets = [ground, *aux_list(aux)]

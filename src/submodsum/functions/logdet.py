@@ -1,40 +1,30 @@
 """Log-determinant measure on the jittered kernel D = K + jitter * I.
 
-f(S) = log det D_S.  The query form discounts by the query-conditioned
-kernel, the conditional form conditions on P first:
+f(S) = log det D_S, and every mode is a Schur complement: to condition on
+a set S is to take log det D_{A u S} - log det D_S.  So each mode is a
+signed sum of log-dets of principal blocks of D (_terms):
 
-    I(A; Q)     = log det D_A - log det(D_A - C_q D_Q^{-1} C_q^T)
-    f(A | P)    = log det(D_A - C_p D_P^{-1} C_p^T)
-    I(A; Q | P) = log det G_A - log det(G_A - G_AQ G_Q^{-1} G_AQ^T)
+    f(A)          +A
+    I(A; Q)       +A  +Q  -A u Q
+    f(A | P)      +A u P  -P
+    I(A; Q | P)   +A u P  +Q u P  -A u Q u P  -P
 
-where the G blocks are the P-conditioned kernel.  Every block, D_Q and D_P
-included, is read from D under the one eta/nu pair rule of
-_common.pair_weighted: eta weights each pair with exactly one endpoint an
-auxiliary member of Q, then nu each such pair for P.  So Q and P may hold
-ground items, and the weighted D stays positive semidefinite for weights in
-[0, 1].
-
-Each conditioned matrix is D_V less a low-rank term, so every mode reduces
-to log-dets of principal submatrices of fixed matrices D_V - W W^T, with W
-an n x r factor (r <= |P| + |Q|) built from Cholesky factors of the small
-conditioning blocks (_blocks):
-
-    I(A; Q)     W = none (r = 0)           and  W = C_q L_Q^{-T}
-    f(A | P)    W = C_p L_P^{-T}
-    I(A; Q | P) W = W_1 = B_1 L_P^{-T}     and  W = [W_1, G_VQ L_GQ^{-T}]
-
-with X_2 = L_P^{-1} B_2, G_Q = D_Q - X_2^T X_2 = L_GQ L_GQ^T and
-G_VQ = B_3 - W_1 X_2.  No n x n matrix is formed, nor D itself: blocks are
+Every block, D_Q and D_P included, is read from D under the one eta/nu
+pair rule of _common.pair_weighted: eta weights each pair with exactly one
+endpoint an auxiliary member of Q, then nu each such pair for P.  So Q and
+P may hold ground items, and the weighted D stays positive semidefinite
+for weights in [0, 1].  No n x n matrix is formed, nor D itself: blocks are
 read from the kernel with the jitter added where a row and a column are the
-same item (_read).  The marginal state keeps the Cholesky row of every
-column against the current selection and reads a row of D_V - W W^T only
-when it pushes it, so a gain is a read of a Schur complement and each pick
-updates all candidates in O(n (k + r)) ("Fast Greedy MAP Inference for
-Determinantal Point Processes", Chen, Zhang & Zhou, NeurIPS 2018); the
-closed forms read the |A| x |A| block alone.  Every product with a factor
-adds elementwise products one factor column at a time (_dots), not through
-BLAS, so the closed form's block is the state's rows bit for bit and copies
-of an item keep equal rows.
+same item (_read).
+
+The table is read three ways.  The closed form sums sign * log det D_T
+over its blocks.  The parameter gradients sum sign * tr(D_T^{-1} dD_T),
+dD_T the block on one weight's pairs under the other weight.  The marginal
+state keeps, for each block that grows with A, an incremental Cholesky
+factor ("Fast Greedy MAP Inference for Determinantal Point Processes",
+Chen, Zhang & Zhou, NeurIPS 2018) that first pushes the block's
+conditioning set, so a gain is a difference of logs of Schur complements
+and each pick updates all candidates in O(n (k + |Q| + |P|)).
 """
 
 from __future__ import annotations
@@ -66,66 +56,16 @@ def _solve_psd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise NumericError(_ADVICE) from exc
 
 
-def _dots(X: np.ndarray, Y: np.ndarray):
-    """sum_c X[..., c] * Y[..., c], X and Y broadcast, added one c at a time
-    from 0.0: no BLAS or numpy reduction, so equal rows give equal sums and a
-    subset of rows sums as in the whole, bit for bit."""
-    out = 0.0
-    for c in range(X.shape[-1]):
-        out = out + X[..., c] * Y[..., c]
-    return out
-
-
-def _lower_solve(C: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """C L^{-T} for a lower-triangular L, by forward substitution one column
-    at a time; each row is solved alone through _dots."""
-    W = np.empty(C.shape)
-    for k in range(C.shape[1]):
-        W[:, k] = (C[:, k] - _dots(W[:, :k], L[k, :k])) / L[k, k]
-    return W
-
-
-class GrowingCholesky:
-    """Cholesky rows of every column of M = K_V + jitter * I - W W^T against a growing selection S.
-
-    K_V is the kernel's V x V block, read in place, and W an n x r factor,
-    so M is never formed.  With k items selected, C[:k] is the Cholesky
-    factor L of M_SS (rows in pick order) extended to all n columns:
-    C[:k, j] solves L c = M_Sj, so d2[j] = M_jj - |C[:k, j]|^2 is the Schur
-    complement of j given S.  d2 starts as diag(K_V) + jitter - _dots(W, W).
-    Selecting i reads row i of M as K_V[i] - _dots(W, W[i]), with the
-    jitter added at i before the subtraction, appends
-    e = (M_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers d2 by e^2,
-    O(n (k + r)) per pick.
-    """
-
-    def __init__(self, kv: np.ndarray, W: np.ndarray, jitter: float):
-        self.kv = kv
-        self.W = W
-        self.jitter = jitter
-        self.d2 = (np.diagonal(kv) + jitter) - _dots(W, W)
-        self.C = np.zeros((0, kv.shape[0]))
-        self.k = 0
-
-    def push(self, i: int) -> None:
-        d2 = self.d2[i]
-        if not d2 > 0:
-            raise NumericError(_ADVICE)
-        k = self.k
-        if k == self.C.shape[0]:  # capacity doubles, so a row is copied O(1) times on average
-            grown = np.empty((max(2 * k, 8), self.C.shape[1]))
-            grown[:k] = self.C
-            self.C = grown
-        rows = self.C[:k]
-        row = self.kv[i].copy()
-        row[i] += self.jitter  # before the subtraction, as in d2
-        row -= _dots(self.W, self.W[i])
-        # an elementwise product summed down the rows in a fixed order, not a
-        # BLAS product, so equal columns (copies of an item) stay bit-equal
-        e = (row - (rows[:, i, None] * rows).sum(axis=0)) / np.sqrt(d2)
-        self.C[k] = e
-        self.k = k + 1
-        self.d2 -= e * e
+def _terms(mode, Q, P):
+    """(sign, S, with_A) per principal block of the module docstring's
+    table: the block is D_{A u S} with with_A, else D_S."""
+    QP = np.concatenate((P, Q))  # P first, as the states push it
+    return {
+        MeasureMode.BASE: ((1, NO_ITEMS, True),),
+        MeasureMode.SMI: ((1, NO_ITEMS, True), (1, Q, False), (-1, Q, True)),
+        MeasureMode.CG: ((1, P, True), (-1, P, False)),
+        MeasureMode.CSMI: ((1, P, True), (1, QP, False), (-1, QP, True), (-1, P, False)),
+    }[mode]
 
 
 def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
@@ -139,103 +79,85 @@ def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
     return pair_weighted(ctx, spec, block, rows, cols, Q, P)
 
 
+class GrowingCholesky:
+    """Cholesky rows of every ground column of D, under the weights of Q and
+    P, against S followed by a growing selection.
+
+    With k items pushed, C[:k] is the Cholesky factor L of D over them
+    (rows in push order) extended to all n ground columns: C[:k, j] solves
+    L c = D_j, so d2[j] = D_jj - |C[:k, j]|^2 is the Schur complement of j
+    given them.  The conditioning set S is pushed first, over the columns
+    V u S, its rows read through _read; then only the V columns are kept.
+    Selecting a ground item i reads row i of the kernel's V x V block in
+    place, which no weight reaches, with the jitter added at i, appends
+    e = (D_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers d2 by
+    e^2, O(n k) per push.
+    """
+
+    def __init__(self, ctx, spec, S=NO_ITEMS, Q=NO_ITEMS, P=NO_ITEMS):
+        n = ctx.n_ground
+        self.kv, self.jitter = ctx.kernel[:n, :n], ctx.jitter
+        cols = np.union1d(np.arange(n), S)
+        self.d2 = np.diagonal(ctx.kernel)[cols] + ctx.jitter
+        self.C = np.zeros((0, cols.size))
+        self.k = 0
+        for i, row in zip(np.searchsorted(cols, S), _read(ctx, spec, S, cols, Q, P)):
+            self._append(i, row)
+        self.C, self.d2 = self.C[:self.k, :n].copy(), self.d2[:n]
+
+    def push(self, i: int) -> None:
+        row = self.kv[i].copy()
+        row[i] += self.jitter
+        self._append(i, row)
+
+    def _append(self, i, row) -> None:
+        d2 = self.d2[i]
+        if not d2 > 0:
+            raise NumericError(_ADVICE)
+        k = self.k
+        if k == self.C.shape[0]:  # capacity doubles, so a row is copied O(1) times on average
+            grown = np.empty((max(2 * k, 8), self.C.shape[1]))
+            grown[:k] = self.C
+            self.C = grown
+        rows = self.C[:k]
+        # an elementwise product summed down the rows in a fixed order, not a
+        # BLAS product, so equal columns (copies of an item) stay bit-equal
+        e = (row - (rows[:, i, None] * rows).sum(axis=0)) / np.sqrt(d2)
+        self.C[k] = e
+        self.k = k + 1
+        self.d2 -= e * e
+
+
 class LogDetOps(FamilyOps):
     PARAM_KEYS = ("eta", "nu")
     PARAM_MAX = {"eta": 1.0, "nu": 1.0}  # past 1 the scaled kernel can lose definiteness
 
-    def _blocks(self, ctx, spec, mode, Q, P, rows):
-        """Factors (W, U) over the ground items `rows`, with
-        value(A) = logdet (D_V - W W^T)_A - logdet (D_V - U U^T)_A.
-
-        U is None where the mode has no negative term.  Every row of a
-        factor is computed alone, so the rows of A are those of V bit for
-        bit and a closed form needs only A's rows.
-        """
-        empty = np.zeros((rows.size, 0))
-        if mode == MeasureMode.BASE:
-            return empty, None
-
-        def D(r, c=None):
-            return _read(ctx, spec, r, c, Q, P)
-
-        if mode == MeasureMode.SMI:
-            return empty, _lower_solve(D(rows, Q), _cholesky(D(Q)))
-        LP = _cholesky(D(P))
-        if mode == MeasureMode.CG:
-            return _lower_solve(D(rows, P), LP), None
-        W1 = _lower_solve(D(rows, P), LP)
-        X2t = _lower_solve(D(Q, P), LP)  # X_2^T = B_2^T L_P^{-T}
-        GQ = D(Q) - _dots(X2t[:, None], X2t[None])
-        GVQ = D(rows, Q) - _dots(W1[:, None], X2t[None])
-        return W1, np.hstack([W1, _lower_solve(GVQ, _cholesky(GQ))])
-
-    def base(self, ctx, spec, S):
-        return _logdet_psd(_read(ctx, spec, S))
-
     def value(self, ctx, spec, mode, A, Q, P):
-        W, U = self._blocks(ctx, spec, mode, Q, P, A)
-        DA = _read(ctx, spec, A)  # A is in V, so no weight reaches D_A
-        pos = _logdet_psd(DA - _dots(W[:, None], W[None]))
-        return pos if U is None else pos - _logdet_psd(DA - _dots(U[:, None], U[None]))
+        return sum(sign * _logdet_psd(_read(ctx, spec, np.concatenate((A, S)) if with_A else S, Q=Q, P=P))
+                   for sign, S, with_A in _terms(mode, Q, P))
 
     def state(self, ctx, spec, mode, Q, P):
-        n = ctx.n_ground
-        W, U = self._blocks(ctx, spec, mode, Q, P, np.arange(n))
-        return _LogDetState(ctx.kernel[:n, :n], W, U, ctx.jitter)
+        return _LogDetState(ctx, spec, mode, Q, P)
 
     def oracle_view(self, ctx, spec, Q, P):
         idx = np.arange(ctx.size)
         return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.kernel, idx, idx, Q, P))
 
     def partials(self, ctx, spec, mode, A, Q, P):
-        if mode == MeasureMode.BASE:
-            return {}
-
-        def block(rows, cols):
-            """(weighted, d/d eta, d/d nu) of a block of D: each derivative is
-            the block on its weight's pairs, under the other weight."""
-            raw = _read(ctx, spec, rows, cols)
-            xq, xp = pair_masks(ctx, rows, cols, Q, P)
+        """d value / d eta (nu) where the mode reads Q (P): each weight's
+        derivative of a block is the block on its pairs, under the other weight."""
+        out = {key: 0.0 for key, S in (("eta", Q), ("nu", P)) if S.size}
+        if not out:
+            return out
+        for sign, S, with_A in _terms(mode, Q, P):
+            T = np.concatenate((A, S)) if with_A else S
+            raw = _read(ctx, spec, T)
+            xq, xp = pair_masks(ctx, T, T, Q, P)
             fq, fp = np.where(xq, spec.eta, 1.0), np.where(xp, spec.nu, 1.0)
-            return raw * fq * fp, raw * xq * fp, raw * xp * fq  # the first is pair_weighted's, bit for bit
-
-        DA = _read(ctx, spec, A)  # A is in V, so no weight reaches D_A
-        if mode != MeasureMode.CSMI:
-            # logdet(D_A - C D_S^{-1} C^T) for the one set S the mode reads,
-            # subtracted in SMI (S = Q, eta) and added in CG (S = P, nu); D_S
-            # is weighted too, with a zero derivative where S is auxiliary alone
-            S, key, i, sign = (Q, "eta", 1, 1.0) if mode == MeasureMode.SMI else (P, "nu", 2, -1.0)
-            C, DS = block(A, S), block(S, S)
-            X = _solve_psd(DS[0], C[0].T)
-            E = C[i] @ X
-            return {key: sign * float(np.trace(_solve_psd(DA - C[0] @ X, E + E.T - X.T @ DS[i] @ X)))}
-        # csmi: differentiate logdet M_A - logdet H_A through every weighted block
-        B1, dB1_eta, dB1_nu = block(A, P)
-        B2, dB2_eta, dB2_nu = block(P, Q)
-        B3, dB3_eta, dB3_nu = block(A, Q)
-        DP, dDP_eta, dDP_nu = block(P, P)
-        DQ, dDQ_eta, dDQ_nu = block(Q, Q)
-        WpB1T = _solve_psd(DP, B1.T)
-        WpB2 = _solve_psd(DP, B2)
-        MA = DA - B1 @ WpB1T
-        GQ = DQ - B2.T @ WpB2
-        GAQ = B3 - B1 @ WpB2
-        GQinv_GAQT = _solve_psd(GQ, GAQ.T)
-        HA = MA - GAQ @ GQinv_GAQT
-        out: dict[str, float] = {}
-        for name, dB1, dB2, dB3, dDP, dDQ in (
-            ("eta", dB1_eta, dB2_eta, dB3_eta, dDP_eta, dDQ_eta),
-            ("nu", dB1_nu, dB2_nu, dB3_nu, dDP_nu, dDQ_nu),
-        ):
-            E1 = dB1 @ WpB1T
-            dM = WpB1T.T @ dDP @ WpB1T - (E1 + E1.T)
-            E2 = dB2.T @ WpB2
-            dGQ = dDQ - (E2 + E2.T) + WpB2.T @ dDP @ WpB2
-            dGAQ = dB3 - (dB1 @ WpB2 + B1 @ _solve_psd(DP, dB2)) + WpB1T.T @ dDP @ WpB2
-            term = dGAQ @ GQinv_GAQT
-            dH = dM - (term + term.T - GQinv_GAQT.T @ dGQ @ GQinv_GAQT)
-            val = np.trace(_solve_psd(MA, dM)) - np.trace(_solve_psd(HA, dH))
-            out[name] = float(val)
+            D = raw * fq * fp  # pair_weighted's block, bit for bit
+            for key, dD in (("eta", raw * xq * fp), ("nu", raw * xp * fq)):
+                if key in out:
+                    out[key] += sign * float(np.trace(_solve_psd(D, dD)))
         return out
 
 
@@ -247,10 +169,14 @@ def _log(d2: np.ndarray) -> np.ndarray:
 
 
 class _LogDetState(MarginalState):
-    def __init__(self, kv, W, U, jitter):
+    """gain(j) = log pos.d2[j] - log neg.d2[j]: one Cholesky per block of
+    _terms that grows with A, conditioned on its S; the other blocks are
+    constant in A."""
+
+    def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
-        self.pos = GrowingCholesky(kv, W, jitter)
-        self.neg = None if U is None else GrowingCholesky(kv, U, jitter)
+        grows = {sign: GrowingCholesky(ctx, spec, S, Q, P) for sign, S, with_A in _terms(mode, Q, P) if with_A}
+        self.pos, self.neg = grows[1], grows.get(-1)
 
     def gain(self, j):
         if not isinstance(j, np.ndarray):  # through the array read, so both give the same bits

@@ -180,7 +180,7 @@ BAD_WEIGHTS = {"text_weight": ["w", 1, 1], "weights_object": {"x": 1},
 @pytest.mark.parametrize("case", ["missing_file", "malformed_json", "universe_without_concepts",
                                   "concept_outside_universe", "fractional_count", "nan_feature",
                                   "infinite_lam", "nan_jitter", "zero_sigma", "infinite_sigma",
-                                  *BAD_WEIGHTS])
+                                  "subnormal_sigma", *BAD_WEIGHTS])
 def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     path = tmp_path / "coll.json"
     doc = _collection_doc()
@@ -190,7 +190,12 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
         doc["concept_universe"] = {"concepts": ["c0", "c1", "bg"], "weights": BAD_WEIGHTS[case]}
         fn = "sc"
     kernel = {"nan_jitter": ["--jitter", "nan"], "zero_sigma": ["--metric", "rbf", "--sigma", "0"],
-              "infinite_sigma": ["--metric", "rbf", "--sigma", "inf"]}.get(case, [])
+              "infinite_sigma": ["--metric", "rbf", "--sigma", "inf"],
+              # 2 sigma^2 underflows, so the kernel held NaN where d^2 = 0
+              # and dsum summarized it with exit 0
+              "subnormal_sigma": ["--metric", "rbf", "--sigma", "1e-320"]}.get(case, [])
+    if case == "subnormal_sigma":
+        fn = "dsum"
     if case == "malformed_json":
         path.write_text('{"items": [')
     elif case == "universe_without_concepts":
@@ -264,14 +269,15 @@ def test_summarize_fl2_rejects_similarities_outside_unit_interval(tmp_path, caps
     assert not (out / "selection.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_summarize_non_finite_gains_exit_3(coll_path, tmp_path, capsys):
-    # a finite but huge lam overflows the cut gains to infinity
+    # a finite but huge lam overflows the cut gains to infinity; numpy's
+    # overflow warning raises under main and is answered as one line
     out = tmp_path / "o"
     rc = main(["summarize", "--collection", str(coll_path), "--flavor", "generic",
                "--budget", "2", "--fn", "gc:lam=1e308", "--out", str(out)])
     assert rc == 3
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err and err.count("\n") == 1
     assert not (out / "selection.json").exists()
 
 
@@ -425,6 +431,28 @@ def _assert_synth_sweep_rejected(sweep, out, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--study", "generic", "--seed", "-1"],
+    ["synth", "--study", "generic", "--delta", "nan"],
+    ["synth", "--study", "generic", "--delta", "inf"],
+    ["synth", "--study", "generic", "--delta", "0"],
+    ["learn", "--budget", "3", "--seed", "-1"],
+    ["check", "--oracle", "--seed", "-1"],
+], ids=["synth-seed", "synth-delta-nan", "synth-delta-inf", "synth-delta-zero", "learn-seed", "check-seed"])
+def test_bad_seed_or_delta_exits_2_before_any_output(argv, tmp_path, capsys):
+    """A negative seed ended in numpy's ValueError traceback, and a NaN
+    delta wrote report.json and plot.csv before its exit 3."""
+    train = tmp_path / "train"
+    train.mkdir()
+    (train / "ex.json").write_text(json.dumps(_collection_doc()))
+    out = tmp_path / "o"
+    rest = {"synth": ["--out", str(out)], "learn": ["--train-dir", str(train), "--out", str(out)], "check": []}
+    assert main(argv + rest[argv[0]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
     assert not out.exists()
 
 

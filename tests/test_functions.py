@@ -475,7 +475,7 @@ def test_logdet_add_rejects_nonpositive_schur_complement():
     state.add(0)
     with pytest.raises(NumericError):
         state.add(1)
-    chol = GrowingCholesky(ctx.kernel, np.zeros((2, 0)), ctx.jitter)
+    chol = GrowingCholesky(ctx, FunctionSpec(Family.LOG_DET))
     chol.push(0)
     assert chol.d2[1] < 0
     with pytest.raises(NumericError):

@@ -13,7 +13,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from submodsum.data import GroundSet, build_kernel
+from submodsum.data import GroundSet, SimilarityKernel, build_kernel
 from submodsum.errors import NumericError
 
 pytest.importorskip("hypothesis")
@@ -33,6 +33,13 @@ def test_cosine_zero_jitter_with_more_items_than_dims_is_not_definite(rng):
 def test_cosine_negative_jitter_is_not_definite(rng):
     with pytest.raises(NumericError, match="positive definite"):
         build_kernel(_feature_ground(rng.normal(size=(30, 4))), [], jitter=-1e-6)
+
+
+def test_nan_kernel_is_not_definite():
+    # numpy factors a NaN entry into NaNs instead of raising LinAlgError
+    kern = SimilarityKernel(np.array([[1.0, np.nan], [np.nan, 1.0]]), ("a", "b"), "rbf")
+    with pytest.raises(NumericError, match="positive definite"):
+        kern.check_positive_definite()
 
 
 def test_cosine_duplicate_and_zero_rows_pass_at_default_jitter(rng):
