@@ -72,13 +72,13 @@ from .bench import (
     SyntheticConfig,
     behavior_metrics,
     make_collection,
+    plot_csv,
     random_instance,
     rouge_q,
     summary_counts,
     synth_context,
     synth_generate,
     vrouge,
-    write_plot_csv,
 )
 
 __all__ = [
@@ -99,5 +99,5 @@ __all__ = [
     "finite_diff_check", "train", "summarize_with_mixture",
     "rouge_q", "summary_counts", "vrouge", "SyntheticConfig",
     "synth_generate", "synth_context", "BehaviorReport", "behavior_metrics",
-    "random_instance", "make_collection", "write_plot_csv",
+    "random_instance", "make_collection", "plot_csv",
 ]

@@ -10,9 +10,9 @@ match counts, fairness, saturation step, and privacy violations.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -150,8 +150,8 @@ def behavior_metrics(
     its gain falls under 1e-3 times the first pick's, a scale-free test;
     a first pick that gains nothing saturates at once.
     """
-    if delta <= 0:
-        raise ConfigError("match radius delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ConfigError(f"match radius delta must be finite and positive, got {delta}")
     ground_xy = np.asarray(ground_xy, dtype=float)
     picked = ground_xy[np.asarray(sel.indices, dtype=int)] if sel.indices else np.zeros((0, 2))
     report = BehaviorReport()
@@ -270,19 +270,21 @@ def make_collection(seed: int, budget: int = 4):
     return ctx, [tuple(ref1), tuple(ref2)], Q
 
 
-def write_plot_csv(path, ground_xy, sel: Selection, query_xy=None, private_xy=None) -> None:
-    """Scatter/selection CSV: x, y, role in {data, query, private, selected}, pick_order."""
+def plot_csv(ground_xy, sel: Selection, query_xy=None, private_xy=None) -> str:
+    """Scatter/selection CSV text: x, y, role in {data, query, private, selected},
+    pick_order, with csv's CRLF row ends (write it with newline="" to keep them)."""
     ground_xy = np.asarray(ground_xy, dtype=float)
     order = {int(j): t + 1 for t, j in enumerate(sel.indices)}
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["x", "y", "role", "pick_order"])
-        for i, (x, y) in enumerate(ground_xy):
-            if i in order:
-                out.writerow([f"{x:.10g}", f"{y:.10g}", "selected", order[i]])
-            else:
-                out.writerow([f"{x:.10g}", f"{y:.10g}", "data", ""])
-        for x, y in np.asarray(query_xy if query_xy is not None else (), dtype=float).reshape(-1, 2):
-            out.writerow([f"{x:.10g}", f"{y:.10g}", "query", ""])
-        for x, y in np.asarray(private_xy if private_xy is not None else (), dtype=float).reshape(-1, 2):
-            out.writerow([f"{x:.10g}", f"{y:.10g}", "private", ""])
+    buf = io.StringIO()
+    out = csv.writer(buf)
+    out.writerow(["x", "y", "role", "pick_order"])
+    for i, (x, y) in enumerate(ground_xy):
+        if i in order:
+            out.writerow([f"{x:.10g}", f"{y:.10g}", "selected", order[i]])
+        else:
+            out.writerow([f"{x:.10g}", f"{y:.10g}", "data", ""])
+    for x, y in np.asarray(query_xy if query_xy is not None else (), dtype=float).reshape(-1, 2):
+        out.writerow([f"{x:.10g}", f"{y:.10g}", "query", ""])
+    for x, y in np.asarray(private_xy if private_xy is not None else (), dtype=float).reshape(-1, 2):
+        out.writerow([f"{x:.10g}", f"{y:.10g}", "private", ""])
+    return buf.getvalue()

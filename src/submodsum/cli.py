@@ -10,14 +10,16 @@ configuration or format error, 3 numeric failure.
 summarize, learn, eval and synth write a manifest.json next to their
 outputs: every option but --out, with the values the command resolved
 laid over the typed ones, and the library version; check writes none.
-Outputs contain no timestamps, so the same seed and config give
-byte-identical files.
+They write nothing unless they succeed: _write makes --out only once every
+output is computed.  Outputs contain no timestamps, so the same seed and
+config give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +29,14 @@ from .bench import (
     SyntheticConfig,
     behavior_metrics,
     make_collection,
+    plot_csv,
     random_instance,
     synth_context,
     synth_generate,
     vrouge,
     with_ground_members,
-    write_plot_csv,
 )
-from .data import AuxiliarySet, id_list, id_lists, load_collection, read_json, write_json
+from .data import AuxiliarySet, id_list, id_lists, json_text, load_collection, read_json
 from .errors import ConfigError, FormatError, NumericError, SubmodsumError
 from .functions import (
     REGISTRY,
@@ -53,7 +55,7 @@ from .learning import (
     finite_diff_check,
     init_mixture,
     train,
-    write_training_log,
+    training_log_csv,
 )
 from .optimize import FLAVOR_TABLE, Flavor, master_solve, parse_flavor
 
@@ -83,21 +85,24 @@ def parse_fn_spec(text: str) -> FunctionSpec:
     return FunctionSpec.from_json({**obj, "family": head})
 
 
-def _manifest(outdir: Path, args, **resolved) -> None:
-    """manifest.json: every option argparse parsed but --out, the values the
-    command resolved laid over them, and the library version."""
+def _write(args, outputs: dict, **resolved) -> int:
+    """The one writer of --out: outputs (file name to a JSON payload or CSV
+    text) and manifest.json (every parsed option but --out, the values the
+    command resolved laid over them, and the library version), all serialized
+    before --out is made, so a payload that is not strict JSON writes nothing."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "fn_cmd", "out")}
-    write_json(outdir / "manifest.json", {
-        "command": args.command,
-        "config": {**config, **resolved},
-        "version": __version__,
-    })
-
-
-def _outdir(args) -> Path:
+    outputs = {**outputs, "manifest.json": {"command": args.command, "config": {**config, **resolved},
+                                            "version": __version__}}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    texts = {name: doc if isinstance(doc, str) else json_text(doc, out / name)
+             for name, doc in outputs.items()}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / name).write_text(text, newline="")  # keeps csv's \r\n rows
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {args.out}: {exc.strerror or exc}") from None
+    return 0
 
 
 def _context_from_collection(coll, args, aux=None):
@@ -111,25 +116,24 @@ def _context_from_collection(coll, args, aux=None):
     )
 
 
-def _aux_indices(ctx, role: str, restrict_ids=None) -> list[int]:
-    idx = list(ctx.role_indices.get(role, ()))
-    if restrict_ids is None:
-        return idx
-    wanted = []
-    by_id = {ctx.ids[i]: i for i in idx}
-    for token in restrict_ids:
-        if token not in by_id:
-            raise ConfigError(f"no {role} item with id {token!r} in the collection")
-        wanted.append(by_id[token])
-    return wanted
-
-
-def _ground_indices(coll, ids) -> list[int]:
-    try:
-        return [coll.ground.index_of(token) for token in ids]
-    except LookupError:
-        unknown = next(token for token in ids if token not in coll.ground.ids)
-        raise ConfigError(f"item {unknown!r} is not in the ground set") from None
+def _indices(ctx, ids, role=None) -> list[int]:
+    """Context indices of the items ids names, each a ground item or, with a
+    role, an item of ctx.role_indices[role]; ids None names every item of
+    the role."""
+    allowed = ctx.role_indices.get(role, ()) if role else range(ctx.n_ground)
+    if ids is None:
+        return list(allowed)
+    indices = []
+    for token in ids:
+        try:
+            i = ctx.index_of(token)
+        except LookupError:
+            i = None
+        if i not in allowed:
+            raise ConfigError(f"no {role} item with id {token!r} in the collection" if role
+                              else f"item {token!r} is not in the ground set")
+        indices.append(i)
+    return indices
 
 
 def _split_csv(text: str | None) -> list[str] | None:
@@ -161,9 +165,9 @@ def cmd_summarize(args) -> int:
         query_tokens = list(synthesized.ids)
     ctx = _context_from_collection(coll, args, aux)
     flavor = parse_flavor(args.flavor)
-    Q = _aux_indices(ctx, "query", query_tokens)
-    P = _aux_indices(ctx, "private", _split_csv(args.private))
-    prev = _ground_indices(coll, _split_csv(args.prev) or [])
+    Q = _indices(ctx, query_tokens, "query")
+    P = _indices(ctx, _split_csv(args.private), "private")
+    prev = _indices(ctx, _split_csv(args.prev) or [])
 
     _, wants_q, cond_source = FLAVOR_TABLE[flavor]
     if wants_q and not Q:
@@ -174,25 +178,11 @@ def cmd_summarize(args) -> int:
     spec = parse_fn_spec(args.fn)
     sel = master_solve(flavor, spec, ctx, args.budget, Q=Q, P=P, previous=prev,
                        stop_on_nonpositive=args.stop_on_nonpositive)
-    out = _outdir(args)
-    write_json(out / "selection.json", sel.to_json())
-    _manifest(out, args, flavor=flavor.value)
-    return 0
+    return _write(args, {"selection.json": sel.to_json()}, flavor=flavor.value)
 
 
 # ---------------------------------------------------------------------------
 # learn
-
-
-def _example_from_collection(coll, ctx, budget: int) -> TrainingExample:
-    refs = [tuple(_ground_indices(coll, ref)) for ref in coll.references]
-    return TrainingExample(
-        ctx,
-        refs,
-        budget,
-        Q=tuple(ctx.role_indices.get("query", ())),
-        P=tuple(ctx.role_indices.get("private", ())),
-    )
 
 
 def cmd_learn(args) -> int:
@@ -206,17 +196,16 @@ def cmd_learn(args) -> int:
         if not coll.references:
             raise ConfigError(f"collection {path.name} has no reference summaries")
         ctx = _context_from_collection(coll, args)
-        examples.append(_example_from_collection(coll, ctx, args.budget))
+        refs = [_indices(ctx, ref) for ref in coll.references]
+        examples.append(TrainingExample(ctx, refs, args.budget, Q=_indices(ctx, None, "query"),
+                                        P=_indices(ctx, None, "private")))
     families = _split_csv(args.components)
     model0 = init_mixture(families, seed=args.seed, reg_strength=args.reg)
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, momentum=args.momentum,
                       margin=args.margin, task=parse_flavor(args.task))
     model = train(examples, model0, cfg)
-    out = _outdir(args)
-    model.save(out / "model.json")
-    write_training_log(out / "training_log.csv", model)
-    _manifest(out, args, task=cfg.task.value, components=families)
-    return 0
+    return _write(args, {"model.json": model.to_json(), "training_log.csv": training_log_csv(model)},
+                  task=cfg.task.value, components=families)
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +226,21 @@ def cmd_eval(args) -> int:
     coll = load_collection(args.collection)
     ctx = _context_from_collection(coll, args)
     summary_ids = _load_summary_ids(args.summary)
-    Y = _ground_indices(coll, summary_ids)
+    Y = _indices(ctx, summary_ids)
     if args.references is not None:
         refs_ids = id_lists(read_json(args.references), str(args.references))
     else:
         refs_ids = coll.references
     if not refs_ids:
         raise ConfigError("no reference summaries given (collection has none, --references missing)")
-    refs = [_ground_indices(coll, r) for r in refs_ids]
+    refs = [_indices(ctx, r) for r in refs_ids]
     per_ref = [vrouge(Y, [r], ctx) for r in refs]
     report = {
         "summary": summary_ids,
         "vrouge": vrouge(Y, refs, ctx),
         "per_reference": per_ref,
     }
-    out = _outdir(args)
-    write_json(out / "report.json", report)
-    _manifest(out, args)
-    return 0
+    return _write(args, {"report.json": report})
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +264,8 @@ def cmd_synth(args) -> int:
     ground, queries, privates = synth_generate(cfg)
     ctx = synth_context(cfg)
     gxy, qxy, pxy = ground.features, queries.features, privates.features
-    Q = list(ctx.role_indices.get("query", ()))
-    P = list(ctx.role_indices.get("private", ()))
+    Q, P = _indices(ctx, None, "query"), _indices(ctx, None, "private")
 
-    runs = []
     if sweep_text is None:
         sweep = [(None, spec)]
     else:
@@ -295,21 +279,19 @@ def cmd_synth(args) -> int:
         if not sweep:
             raise ConfigError("--sweep needs at least one value")
 
-    out = _outdir(args)
+    outputs, runs = {}, []
     for param, run_spec in sweep:
         value = None if param is None else getattr(run_spec, param)
         sel = master_solve(flavor, run_spec, ctx, args.budget, Q=Q, P=P)
         rep = behavior_metrics(sel, gxy, qxy, pxy, delta=args.delta)
         tag = "" if param is None else f"_{param}_{value:g}"
-        write_plot_csv(out / f"plot{tag}.csv", gxy, sel, qxy, pxy)
+        outputs[f"plot{tag}.csv"] = plot_csv(gxy, sel, qxy, pxy)
         entry = {"selection": sel.to_json(), "behavior": rep.to_json()}
         if param is not None:
             entry[param] = value
         runs.append(entry)
-    write_json(out / "report.json", {"study": args.study, "flavor": flavor.value,
-                                     "fn": fn, "runs": runs})
-    _manifest(out, args, fn=fn, sweep=sweep_text)
-    return 0
+    outputs["report.json"] = {"study": args.study, "flavor": flavor.value, "fn": fn, "runs": runs}
+    return _write(args, outputs, fn=fn, sweep=sweep_text)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +383,6 @@ def _seed(text: str) -> int:
     raise ConfigError(f"--seed must be a nonnegative integer, got {text!r}")
 
 
-def _delta(text: str) -> float:
-    """--delta: a finite positive float, or a ConfigError as for --seed."""
-    try:
-        if 0 < (delta := float(text)) < np.inf:
-            return delta
-    except ValueError:
-        pass
-    raise ConfigError(f"--delta must be finite and positive, got {text!r}")
-
-
 def _add_kernel_flags(p) -> None:
     p.add_argument("--metric", default="cosine", choices=("cosine", "dot", "rbf"),
                    help="similarity metric for the kernel")
@@ -469,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", help="override the study's default function spec")
     p.add_argument("--sweep", help="parameter sweep, e.g. nu=0,1,5,10")
     p.add_argument("--budget", type=int, default=10)
-    p.add_argument("--delta", type=_delta, default=1.0)
+    p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--out", default=".")
     p.set_defaults(fn_cmd=cmd_synth)
 
@@ -485,8 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        # a numpy overflow, NaN or division by zero raises instead of warning
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # a numpy overflow, NaN or division by zero raises instead of warning,
+        # and so does the library's UserWarning: no warning reaches stderr
+        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
             args = parser.parse_args(argv)
             if [] in vars(args).values():  # what argparse leaves for an option value of '--'
                 raise ConfigError("an option got '--' for its value")
@@ -497,7 +471,7 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"numeric error: non-finite arithmetic: {exc}", file=sys.stderr)
         return 3
-    except SubmodsumError as exc:
+    except (SubmodsumError, UserWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

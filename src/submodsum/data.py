@@ -345,14 +345,18 @@ def read_json(path):
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
-def write_json(path, payload) -> None:
-    """Write payload as strict JSON: a NaN or infinity raises NumericError
-    and leaves no file behind, since no JSON reader has to accept them."""
+def json_text(payload, path) -> str:
+    """payload as strict JSON text for the file at path: a NaN or infinity
+    raises NumericError, since no JSON reader has to accept them."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericError(f"refusing to write a non-finite number to {path}") from exc
-    Path(path).write_text(text + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write payload as strict JSON (json_text): a NaN or infinity leaves no file behind."""
+    Path(path).write_text(json_text(payload, path))
 
 
 def _columns(records: list) -> tuple[list, list, list, list]:

@@ -12,8 +12,8 @@ full-batch Nesterov descent projected onto the box each family declares
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -510,13 +510,14 @@ def summarize_with_mixture(model: MixtureModel, ex: TrainingExample,
     return greedy_maximize(mixture_objective(model, ex, task), ex.budget, flavor=task.value)
 
 
-def write_training_log(path, model: MixtureModel) -> None:
-    """CSV trace (epoch, mean hinge, mean V-ROUGE) from a trained model."""
-    trace = model.metadata.get("loss_trace", [])
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["epoch", "mean_hinge", "mean_vrouge"])
-        for row in trace:
-            vr = row.get("mean_vrouge")
-            out.writerow([row["epoch"], f"{row['mean_hinge']:.10g}",
-                          "" if vr is None else f"{vr:.10g}"])
+def training_log_csv(model: MixtureModel) -> str:
+    """CSV text of a trained model's trace (epoch, mean hinge, mean V-ROUGE),
+    with csv's CRLF row ends (write it with newline="" to keep them)."""
+    buf = io.StringIO()
+    out = csv.writer(buf)
+    out.writerow(["epoch", "mean_hinge", "mean_vrouge"])
+    for row in model.metadata.get("loss_trace", []):
+        vr = row.get("mean_vrouge")
+        out.writerow([row["epoch"], f"{row['mean_hinge']:.10g}",
+                      "" if vr is None else f"{vr:.10g}"])
+    return buf.getvalue()

@@ -8,13 +8,13 @@ from submodsum.bench import (
     SyntheticConfig,
     behavior_metrics,
     make_collection,
+    plot_csv,
     random_instance,
     rouge_q,
     summary_counts,
     synth_context,
     synth_generate,
     vrouge,
-    write_plot_csv,
 )
 from submodsum.data import GroundSet
 from submodsum.errors import ConfigError, FormatError
@@ -167,8 +167,9 @@ def test_behavior_metrics_privacy_hits():
 
 def test_behavior_metrics_rejects_bad_delta():
     sel = _sel([0], [1.0])
-    with pytest.raises(ConfigError):
-        behavior_metrics(sel, [[0.0, 0.0]], delta=0.0)
+    for delta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="delta"):
+            behavior_metrics(sel, [[0.0, 0.0]], delta=delta)
     # a first pick that gains nothing saturates at once
     assert behavior_metrics(_sel([0], [0.0]), [[0.0, 0.0]]).saturation_step == 1
 
@@ -208,13 +209,12 @@ def test_make_collection_reference_shape():
 # plot export
 
 
-def test_write_plot_csv(tmp_path):
+def test_write_plot_csv():
     ground_xy = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
     sel = _sel([2, 0], [2.0, 1.0])
-    path = tmp_path / "plot.csv"
-    write_plot_csv(path, ground_xy, sel, query_xy=[[5.0, 5.0]], private_xy=[[6.0, 6.0]])
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
+    text = plot_csv(ground_xy, sel, query_xy=[[5.0, 5.0]], private_xy=[[6.0, 6.0]])
+    assert text.count("\r\n") == text.count("\n") == 1 + 3 + 1 + 1  # csv's own row ends
+    rows = list(csv.reader(text.splitlines()))
     assert rows[0] == ["x", "y", "role", "pick_order"]
     assert len(rows) == 1 + 3 + 1 + 1
     roles = [r[2] for r in rows[1:]]

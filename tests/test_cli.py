@@ -452,7 +452,63 @@ def test_bad_seed_or_delta_exits_2_before_any_output(argv, tmp_path, capsys):
     rest = {"synth": ["--out", str(out)], "learn": ["--train-dir", str(train), "--out", str(out)], "check": []}
     assert main(argv + rest[argv[0]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--seed" if "--seed" in argv else "delta") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--sweep", "lam=0.5,1e308"], 3),
+    (["--budget", "1000"], 2),
+    (["--budget=-1"], 2),
+], ids=["sweep-overflow", "over-budget", "negative-budget"])
+def test_failed_synth_leaves_no_out(argv, rc, tmp_path, capsys):
+    """synth made --out before it solved: a sweep whose later value fails
+    left the earlier plots, and a budget error an empty directory."""
+    out = tmp_path / "o"
+    assert main(["synth", "--study", "generic", *argv, "--out", str(out)]) == rc
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(coll_path, tmp_path, capsys):
+    """An --out that names a file ended in a FileExistsError traceback."""
+    train = tmp_path / "train"
+    train.mkdir()
+    (train / "ex.json").write_text(json.dumps(_collection_doc()))
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(["g0", "g4"]))
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    for argv in (["summarize", "--collection", str(coll_path), "--flavor", "query", "--budget", "2", "--fn", "fl1"],
+                 ["learn", "--train-dir", str(train), "--budget", "3", "--epochs", "1"],
+                 ["eval", "--collection", str(coll_path), "--summary", str(summary)],
+                 ["synth", "--study", "query"]):
+        assert main([*argv, "--out", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to --out {out}") and err.count("\n") == 1, argv[0]
+        assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["eval", "learn"])
+def test_zero_mass_reference_prints_one_line(command, tmp_path, capsys):
+    """vrouge's UserWarning about a reference of zero weighted concept mass
+    reached stderr with its source line: before eval's error, and on a learn
+    run (zero_one margin) that went on to exit 0."""
+    doc = _collection_doc()
+    doc["concept_universe"] = {"concepts": ["c0", "c1", "bg"], "weights": [1.0, 0.0, 0.0]}
+    doc["references"].append(["g4", "g5"])  # only c1 and bg: zero weighted mass
+    path = tmp_path / "train" / "coll.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc))
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(["g0", "g4"]))
+    out = tmp_path / "o"
+    argv = {"eval": ["eval", "--collection", str(path), "--summary", str(summary)],
+            "learn": ["learn", "--train-dir", str(path.parent), "--budget", "3", "--epochs", "1",
+                      "--margin", "zero_one"]}[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: skipping reference with zero weighted concept mass\n"
     assert not out.exists()
 
 

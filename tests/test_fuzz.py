@@ -243,6 +243,132 @@ def test_cli_strings_exit_cleanly(fn, sweep, study, flavor, synth_fn):
         _run(argv + ([] if sweep is None else [f"--sweep={sweep}"]), out)
 
 
+# numeric option values, each passed as --opt=value (argparse reads a bare
+# '-inf' as a flag): subnormal, huge, NaN, +-inf, negative, zero and a valid
+# one; the int options take the integers among them.  A huge --epochs is a
+# long run rather than an error, so --epochs draws none.
+FLOATS = ("5e-324", "1e308", "nan", "inf", "-inf", "-1", "0", "0.5")
+INTS = ("-1", "0", "2", str(2**64))
+NUMERIC_OPTIONS = {
+    "summarize": {"sigma": FLOATS, "jitter": FLOATS, "budget": INTS},
+    "learn": {"sigma": FLOATS, "jitter": FLOATS, "budget": INTS, "lr": FLOATS, "momentum": FLOATS,
+              "reg": FLOATS, "epochs": ("-1", "0", "2"), "seed": INTS},
+    "synth": {"budget": INTS, "delta": FLOATS, "seed": INTS},
+}
+SMALL_DOC = {"items": [{"id": f"g{i}", "features": [float(i), 1.0 - i], "concepts": {"ab"[i % 2]: 1 + i}}
+                       for i in range(6)],
+             "queries": [{"id": "q0", "features": [0.0, 1.0], "concepts": {"a": 1}}],
+             "privates": [{"id": "p0", "features": [3.0, -2.0], "concepts": {"b": 1}}],
+             "references": [["g0", "g1"], ["g2", "g5"]]}
+
+
+@settings(deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(NUMERIC_OPTIONS)),
+       study=st.sampled_from(("generic", "query", "privacy", "joint")))
+def test_numeric_option_values_exit_cleanly(data, command, study):
+    """summarize, learn and synth with one to three numeric options set to
+    edge values exit 0 with nothing on stderr, or 2 or 3 with one line and
+    no --out."""
+    options = NUMERIC_OPTIONS[command]
+    names = data.draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3, unique=True))
+    values = [f"--{name}={data.draw(st.sampled_from(options[name]))}" for name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "train" / "coll.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(SMALL_DOC))
+        argv = {"summarize": ["summarize", "--collection", str(path), "--flavor", "query_privacy",
+                              "--budget", "2", "--fn", "fl1", "--metric", "rbf"],
+                "learn": ["learn", "--train-dir", str(path.parent), "--budget", "2", "--epochs", "1",
+                          "--components", "sc,fl1", "--metric", "rbf"],
+                "synth": ["synth", "--study", study]}[command]
+        out = Path(tmp) / "out"
+        _run(argv + values + ["--out", str(out)], out)
+
+
+# the same problem written in another order under other names: items,
+# queries, privates, references and the concept universe permuted, and every
+# id renamed consistently
+SOLVE_FAMILIES = tuple(f for f in FAMILIES if f != "nope")
+SOLVE_FLAVORS = tuple(f for f in FLAVORS if f != "sideways")
+# repeated items (equal features or concept counts) leave log-det's Schur
+# complements near the 1e-6 jitter, where another summation order moves a
+# gain by about eps * |K| / jitter: up to 5e-9 relative was seen on dot
+# kernels with entries near 10, and |K| reaches 75 here
+REORDER_TOL = 1e-6
+
+
+def _twin(data, doc):
+    """doc permuted and renamed, with the renaming and the reference order."""
+    roles = ("items", "queries", "privates")
+    ids = [rec["id"] for role in roles for rec in doc[role]]
+    rename = dict(zip(ids, data.draw(st.permutations([f"x{k}" for k in range(len(ids))]))))
+    twin = json.loads(json.dumps(doc))
+    for role in roles:
+        twin[role] = data.draw(st.permutations(twin[role]))
+        for rec in twin[role]:
+            rec["id"] = rename[rec["id"]]
+    order = data.draw(st.permutations(range(len(doc["references"]))))
+    twin["references"] = [[rename[i] for i in doc["references"][k]] for k in order]
+    if "concept_universe" in doc:
+        cu = doc["concept_universe"]
+        perm = data.draw(st.permutations(range(len(cu["concepts"]))))
+        twin["concept_universe"] = {key: [cu[key][k] for k in perm] for key in ("concepts", "weights")}
+    return twin, rename, order
+
+
+@settings(deadline=None)
+@given(data=st.data(), coll=collections(defects=(None,)), family=st.sampled_from(SOLVE_FAMILIES),
+       flavor=st.sampled_from(SOLVE_FLAVORS), metric=st.sampled_from(("cosine", "dot", "rbf")))
+def test_item_order_and_ids_do_not_change_the_summary(data, coll, family, flavor, metric):
+    """summarize and eval on a permuted, renamed twin of a collection: the
+    same exit codes; gains equal (within REORDER_TOL) up to and including the
+    first pick that differs (a tie, which input order breaks), and the same
+    picks and value when none does; the same V-ROUGE, reference for
+    reference."""
+    doc, n = coll
+    ground = [f"g{i}" for i in range(n)]
+    doc["references"] = [data.draw(st.lists(st.sampled_from(ground), min_size=1, max_size=3, unique=True))
+                         for _ in range(data.draw(st.integers(1, 2)))]
+    prev = data.draw(st.lists(st.sampled_from(ground), max_size=2, unique=True))
+    budget = data.draw(st.integers(1, n))
+    twin, rename, order = _twin(data, doc)
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        summary = None
+        for name, coll_doc, ids in (("doc", doc, {i: i for i in rename}), ("twin", twin, rename)):
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(coll_doc))
+            out = Path(tmp) / f"{name}_summarize"
+            argv = ["summarize", "--collection", str(path), "--flavor", flavor, "--budget", str(budget),
+                    "--fn", family, "--metric", metric, "--out", str(out)]
+            rc = _run(argv + (["--prev", ",".join(ids[i] for i in prev)] if prev else []), out)
+            sel = _strict(out / "selection.json") if rc == 0 else None
+            if summary is None:
+                summary = sel["items"] if sel else doc["references"][0]
+            spath = Path(tmp) / f"{name}_summary.json"
+            spath.write_text(json.dumps([ids[i] for i in summary]))
+            out = Path(tmp) / f"{name}_eval"
+            erc = _run(["eval", "--collection", str(path), "--summary", str(spath), "--metric", metric,
+                        "--out", str(out)], out)
+            runs.append((rc, sel, erc, _strict(out / "report.json") if erc == 0 else None))
+    (rc, sel, erc, report), (twin_rc, twin_sel, twin_erc, twin_report) = runs
+    assert (rc, erc) == (twin_rc, twin_erc)
+    if sel is not None:
+        back = {new: old for old, new in rename.items()}
+        picks = [back[i] for i in twin_sel["items"]]
+        assert len(picks) == len(sel["items"])
+        differ = [t for t, (a, b) in enumerate(zip(sel["items"], picks)) if a != b]
+        stop = differ[0] + 1 if differ else len(picks)
+        tol = REORDER_TOL * max(1.0, abs(sel["value"]))
+        np.testing.assert_allclose(twin_sel["gains"][:stop], sel["gains"][:stop], rtol=REORDER_TOL, atol=tol)
+        if not differ:
+            assert twin_sel["value"] == pytest.approx(sel["value"], rel=REORDER_TOL, abs=tol)
+    if report is not None:
+        assert twin_report["vrouge"] == pytest.approx(report["vrouge"], rel=1e-12, abs=1e-12)
+        want = [report["per_reference"][k] for k in order]
+        assert twin_report["per_reference"] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 # the library boundary: each entry point of every family and mode, on contexts
 # built by hand with counts, coverage, both or neither, and on index sets that
 # break the contract of submodsum.functions.api now and then
@@ -348,12 +474,16 @@ def test_library_entry_points_answer_or_raise_typed_errors(seed, metric, with_co
 
 
 def _run(argv, out) -> int:
-    """main(argv) with the exit-code and strict-JSON contract checked."""
+    """main(argv) with the exit-code and output contract checked: exit 0
+    prints nothing to stderr, exit 2 or 3 prints one line and leaves no
+    --out, and every JSON file written is strict."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main(argv)
-    assert rc in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    text = err.getvalue()
+    assert rc in (0, 2, 3), text
+    assert text == "" if rc == 0 else (text.count("\n") == 1 and text.endswith("\n")), text
+    assert rc == 0 or not out.exists(), text
     for path in out.glob("*.json") if out.exists() else ():
         _strict(path)
     return rc
