@@ -54,7 +54,7 @@ def vrouge(Y, references, ctx: EvalContext) -> float:
 
     Y and every reference must be sets of ground items.  References whose
     own weighted count mass is zero cannot be normalized; they are skipped
-    with a warning.
+    with a warning that names them by their item ids.
     """
     if not references:
         raise ConfigError("vrouge needs at least one reference summary")
@@ -62,10 +62,11 @@ def vrouge(Y, references, ctx: EvalContext) -> float:
     cy = summary_counts(ctx, index_set(ctx, Y, "Y", ground=True))
     scores = []
     for R in references:
-        cr = summary_counts(ctx, index_set(ctx, R, "reference", ground=True))
+        R = index_set(ctx, R, "reference", ground=True)
+        cr = summary_counts(ctx, R)
         self_score = rouge_q(cr, cr, w)
         if self_score <= 0.0:
-            warnings.warn("skipping reference with zero weighted concept mass")
+            warnings.warn(f"reference {[ctx.ids[i] for i in R]} has zero weighted concept mass")
             continue
         scores.append(rouge_q(cy, cr, w) / self_score)
     if not scores:

@@ -383,6 +383,15 @@ def _seed(text: str) -> int:
     raise ConfigError(f"--seed must be a nonnegative integer, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (a value it cannot convert, an unknown or a
+    missing option) raise ConfigError, so main prints them on one line and
+    returns 2; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_kernel_flags(p) -> None:
     p.add_argument("--metric", default="cosine", choices=("cosine", "dot", "rbf"),
                    help="similarity metric for the kernel")
@@ -391,7 +400,7 @@ def _add_kernel_flags(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="submodsum",
         description="Summarization via submodular information measures.",
     )

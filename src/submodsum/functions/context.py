@@ -7,7 +7,11 @@ one m x n array; families read what they need:
 * kernel                   graph-cut, log-determinant (which reads blocks
                            of it and adds the jitter to their diagonals)
 * similarity(rows, cols)   facility-location, disparity: a kernel block
-                           mapped into [0, 1] (cosine gets the (s+1)/2 shift)
+                           mapped into [0, 1] by s = scale * (k + shift):
+                           shift 1 and scale 1/2 for cosine, 0 and 1 (no
+                           map) otherwise.  scale is a power of two, so a
+                           reader of k + shift (the facility-location state)
+                           holds s / scale exactly
 * cross                    second facility-location variant,
                            concave-over-modular: the mapped V' x V block
 * counts / cover_prob      set-cover, probabilistic set-cover, rouge
@@ -64,6 +68,7 @@ class EvalContext:
         if len(self.ids) != self.size:
             raise ConfigError(f"ids must name the {self.size} items of the kernel, got {len(self.ids)}")
         self.metric = metric
+        self.shift, self.scale = (1.0, 0.5) if metric == "cosine" else (0.0, 1.0)
         self.jitter = float(jitter)
         self.counts = None if counts is None else np.asarray(counts, dtype=float)
         self.cover_prob = None if cover_prob is None else np.asarray(cover_prob, dtype=float)
@@ -81,14 +86,15 @@ class EvalContext:
         self.cross = self.similarity(slice(n_ground, None), slice(n_ground))
 
     def similarity(self, rows, cols) -> np.ndarray:
-        """Kernel block rows x cols mapped into [0, 1]: (s + 1) / 2 for cosine,
-        the kernel's own entries otherwise.  Two index arrays select through
-        np.ix_, an int or a slice as numpy does: never write to the block."""
+        """Kernel block rows x cols mapped into [0, 1]: scale * (k + shift),
+        (k + 1) / 2 for cosine, the kernel's own entries otherwise.  Two index
+        arrays select through np.ix_, an int or a slice as numpy does: never
+        write to the block."""
         block = self.kernel[np.ix_(rows, cols) if np.ndim(rows) and np.ndim(cols) else (rows, cols)]
-        if self.metric != "cosine":
+        if not self.shift:  # shift 0 comes with scale 1: no map
             return block
-        out = block + 1.0
-        out /= 2.0
+        out = block + self.shift
+        out *= self.scale
         return out
 
     # -- construction ------------------------------------------------------

@@ -27,7 +27,10 @@ Both marginal states keep every candidate's gain as a sum of per-row
 contributions.  Variant 1 keeps partial sums over blocks of ground rows,
 on the ground columns only (auxiliary items are never candidates), and on
 a pick recomputes only the blocks holding a row whose clipped best moved:
-a row's contributions depend on that alone.  Before the first pick a row's
+a row's contributions depend on that alone.  It reads those rows from the
+kernel in place, in the context's shifted units u = k + shift (s = scale
+* u), and keeps its bests and caps in the same units, so it holds no
+mapped copy of the n x n ground block.  Before the first pick a row's
 best is the empty max, -inf, so a first pick scores its clipped
 similarities as the closed form does, negative dot similarities included.
 Variant 2 recomputes its few query/auxiliary rows outright.
@@ -126,60 +129,89 @@ class FacilityLocation1Ops(FamilyOps):
 
 
 class _FL1State(MarginalState):
-    """Ground row i adds score(max(amax_i, F_ij)) - score(amax_i) to candidate j's gain.
+    """Ground row i adds score(max(amax_i, s_ij)) - score(amax_i) to candidate j's gain.
 
     Every mode's score is a clip of amax, the best similarity to a pick, to
     a per-row band [lo, hi] (the conditioning floor and the query cap), so
     row i's contributions depend on its clipped best c_i = clip(amax_i, lo_i,
-    hi_i) alone: row i adds min(max(F_ij - c_i, low), hi_i - c_i) with
+    hi_i) alone: row i adds min(max(s_ij - c_i, low), hi_i - c_i) with
     low = 0.  Before the first pick amax is the empty max, -inf, so c is the
     floor, or -inf in a mode without one.  There row i must add
-    min(F_ij, hi_i), as the closed form scores a first pick, negative
+    min(s_ij, hi_i), as the closed form scores a first pick, negative
     similarities included: c holds 0 in place of -inf and low is -inf until
     that pick moves every row.
 
-    F holds the ground columns only, since auxiliary items are never
-    candidates.  part[b] sums, for every candidate, the contributions of
-    the _ROWS rows of block b; a pick recomputes only the blocks holding a
-    row whose clipped best moved, and gains is the fixed-order sum of the
-    parts.  The gains thus depend on the current selection alone, not on
-    the order it grew in: candidates with equal per-row contributions tie
-    exactly, and a candidate that improves no row reads exactly 0.0.
+    The state holds no copy of the n x n ground block: it reads the
+    kernel's ground rows in place, in the context's units u = k + shift,
+    and holds c and hi divided by scale.  scale is a power of two, so every
+    difference, clip and sum is the one in similarity units divided by
+    scale exactly, and gains, multiplied back by scale, carry the same
+    bits.  part[b] sums, for every candidate (a ground column: auxiliary
+    items are never candidates), the contributions of the _ROWS rows of
+    block b; a pick recomputes only the blocks holding a row whose clipped
+    best moved, and gains is the fixed-order sum of the parts.  The gains
+    thus depend on the current selection alone, not on the order it grew
+    in: candidates with equal per-row contributions tie exactly, and a
+    candidate that improves no row reads exactly 0.0.
     """
 
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
         n = ctx.n_ground
-        self.F = ctx.similarity(slice(n), slice(n))
+        self.K = ctx.kernel[:n]  # a view of the ground rows: read, never written
+        self.shift, self.scale = ctx.shift, ctx.scale
         qcap, pcap = _caps(ctx, spec, mode, Q, P)
         self.capped = qcap is not None
         qcap = np.full(n, np.inf) if qcap is None else qcap
-        self.c, self.low = (np.zeros(n), -np.inf) if pcap is None else (pcap, 0.0)
-        self.hi = qcap if pcap is None else np.maximum(qcap, pcap)
+        c, self.low = (np.zeros(n), -np.inf) if pcap is None else (pcap, 0.0)
+        hi = qcap if pcap is None else np.maximum(qcap, pcap)
+        # a cap past every s (huge eta or nu) would overflow in u units; one
+        # at the largest s it can reach clips alike, so it is held there
+        top = np.finfo(float).max * self.scale
+        self.c, self.hi = (np.minimum(x, top) / self.scale for x in (c, hi))
         self.part = np.zeros((-(-n // _ROWS), n))
         self._recompute(np.arange(self.part.shape[0]))
 
     def _recompute(self, blocks):
-        """Rebuild the parts of the given (ascending) blocks, a few blocks per pass."""
-        n = self.F.shape[0]
-        step = max(1, _BLOCK // max(1, _ROWS * n))
+        """Rebuild the parts of the given (ascending) blocks, a few blocks per
+        pass.  A pass reads the kernel rows of each run of consecutive blocks
+        whole, in one pass into one buffer: u = k + shift, or a plain copy
+        where shift is 0.  Whole rows lie contiguous in the kernel, where
+        numpy adds about twice as fast as over the ground columns alone; the
+        auxiliary columns ride along and are dropped from the sums."""
+        n, width = self.K.shape
+        step = max(1, _BLOCK // max(1, _ROWS * width))
+        buf = np.empty((min(step, blocks.size) * _ROWS, width))
         for s in range(0, blocks.size, step):
             b = blocks[s:s + step]
             r = (b[:, None] * _ROWS + np.arange(_ROWS)).ravel()
             short = r >= n  # rows past the end pad the last block with zeros
             r[short] = n - 1
+            d = buf[:r.size]
+            bl = b.tolist()
+            cuts = [i for i in range(1, len(bl)) if bl[i] != bl[i - 1] + 1]
+            for i, e in zip([0, *cuts], [*cuts, len(bl)]):
+                rows = self.K[bl[i] * _ROWS:bl[e - 1] * _ROWS + _ROWS]
+                out = d[i * _ROWS:i * _ROWS + rows.shape[0]]
+                if self.shift:
+                    np.add(rows, self.shift, out=out)
+                else:
+                    out[...] = rows
+            d[short] = 0.0  # stale buffer rows: keep the arithmetic below finite
             c = self.c[r, None]
-            d = self.F[r]
             d -= c
             np.maximum(d, self.low, out=d)
             if self.capped:
                 np.minimum(d, self.hi[r, None] - c, out=d)
             d[short] = 0.0
-            self.part[b] = d.reshape(b.size, _ROWS, n).sum(axis=1)
+            self.part[b] = d.reshape(b.size, _ROWS, width).sum(axis=1)[:, :n]
         self.gains = self.part.sum(axis=0)
+        self.gains *= self.scale
 
     def _push(self, j):
-        best = np.minimum(self.F[j], self.hi)  # row j is column j: the kernel is exactly symmetric
+        # row j is column j: the kernel is exactly symmetric
+        row = self.K[j, :self.c.size]
+        best = np.minimum(row + self.shift if self.shift else row, self.hi)
         # the first pick moves every row off the empty max; a later one, the rows whose clipped best it raises
         rows = np.arange(best.size) if self.low < 0 else np.flatnonzero(best > self.c)
         self.c[rows] = best[rows]

@@ -228,7 +228,7 @@ class _VRougeMarginState(MarginalState):
         w = ctx.concept_weights
         mass = float(w @ c_ref)
         if not mass > 0.0:
-            raise ConfigError("reference has zero weighted concept mass")
+            raise ConfigError(f"reference {[ctx.ids[i] for i in ref]} has zero weighted concept mass")
         cols = np.flatnonzero(w * c_ref)  # other concepts never move the overlap
         self.counts = counts[:, cols]
         self.c_ref = c_ref[cols]

@@ -426,6 +426,29 @@ def test_option_value_of_double_dash_exits_2(option, tmp_path, capsys):
     assert capsys.readouterr().err == "error: an option got '--' for its value\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["synth", "--study", "generic", "--budget=nan"], "error: argument --budget: invalid int value: 'nan'\n"),
+    (["synth", "--study", "generic", "--sigma=x"], "error: unrecognized arguments: --sigma=x\n"),
+    (["synth"], "error: the following arguments are required: --study\n"),
+    ([], "error: the following arguments are required: command\n"),
+], ids=["unconvertible-value", "unknown-option", "missing-option", "missing-command"])
+def test_argparse_errors_exit_2_with_one_line(argv, err, tmp_path, capsys):
+    """argparse printed its usage block over its error line and raised
+    SystemExit(2) out of main."""
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)] if argv else argv) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["synth", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def _assert_synth_sweep_rejected(sweep, out, capsys):
     rc = main(["synth", "--study", "generic", "--sweep", sweep, "--out", str(out)])
     assert rc == 2
@@ -494,7 +517,8 @@ def test_out_naming_a_file_exits_2(coll_path, tmp_path, capsys):
 def test_zero_mass_reference_prints_one_line(command, tmp_path, capsys):
     """vrouge's UserWarning about a reference of zero weighted concept mass
     reached stderr with its source line: before eval's error, and on a learn
-    run (zero_one margin) that went on to exit 0."""
+    run (zero_one margin) that went on to exit 0.  Through the CLI it is an
+    error that names the reference, and nothing is skipped."""
     doc = _collection_doc()
     doc["concept_universe"] = {"concepts": ["c0", "c1", "bg"], "weights": [1.0, 0.0, 0.0]}
     doc["references"].append(["g4", "g5"])  # only c1 and bg: zero weighted mass
@@ -508,7 +532,7 @@ def test_zero_mass_reference_prints_one_line(command, tmp_path, capsys):
             "learn": ["learn", "--train-dir", str(path.parent), "--budget", "3", "--epochs", "1",
                       "--margin", "zero_one"]}[command]
     assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: skipping reference with zero weighted concept mass\n"
+    assert capsys.readouterr().err == "error: reference ['g4', 'g5'] has zero weighted concept mass\n"
     assert not out.exists()
 
 

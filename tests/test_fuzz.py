@@ -245,10 +245,11 @@ def test_cli_strings_exit_cleanly(fn, sweep, study, flavor, synth_fn):
 
 # numeric option values, each passed as --opt=value (argparse reads a bare
 # '-inf' as a flag): subnormal, huge, NaN, +-inf, negative, zero and a valid
-# one; the int options take the integers among them.  A huge --epochs is a
-# long run rather than an error, so --epochs draws none.
-FLOATS = ("5e-324", "1e308", "nan", "inf", "-inf", "-1", "0", "0.5")
-INTS = ("-1", "0", "2", str(2**64))
+# one; the int options take the integers among them, and both take strings
+# argparse cannot convert.  A huge --epochs is a long run rather than an
+# error, so --epochs draws none.
+FLOATS = ("5e-324", "1e308", "nan", "inf", "-inf", "-1", "0", "0.5", "x", "1e", "")
+INTS = ("-1", "0", "2", str(2**64), "nan", "1.5", "x", "")
 NUMERIC_OPTIONS = {
     "summarize": {"sigma": FLOATS, "jitter": FLOATS, "budget": INTS},
     "learn": {"sigma": FLOATS, "jitter": FLOATS, "budget": INTS, "lr": FLOATS, "momentum": FLOATS,
