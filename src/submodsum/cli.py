@@ -36,7 +36,7 @@ from .bench import (
     vrouge,
     with_ground_members,
 )
-from .data import AuxiliarySet, id_list, id_lists, json_text, load_collection, read_json
+from .data import AuxiliarySet, ConceptUniverse, id_list, id_lists, json_text, load_collection, read_json
 from .errors import ConfigError, FormatError, NumericError, SubmodsumError
 from .functions import (
     REGISTRY,
@@ -59,9 +59,10 @@ from .learning import (
 )
 from .optimize import FLAVOR_TABLE, Flavor, master_solve, parse_flavor
 
-# what to pass when a flavor's conditioning set (see FLAVOR_TABLE) is missing
-_COND_HINT = {"private": "--private or collection privates",
-              "previous": "--prev with previous summary items"}
+# what to pass to summarize when a set a flavor reads (see FLAVOR_TABLE) is missing
+_SET_HINT = {"query": "--query or collection queries",
+             "private": "--private or collection privates",
+             "previous": "--prev with previous summary items"}
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,18 @@ def _indices(ctx, ids, role=None) -> list[int]:
     return indices
 
 
+def _missing_set(flavor: Flavor, Q, P, prev) -> str | None:
+    """The first set the flavor reads (FLAVOR_TABLE) that comes empty, as a
+    key of _SET_HINT, or None where every such set has items.  An empty set
+    would collapse the flavor's measure to another one."""
+    _, wants_q, cond_source = FLAVOR_TABLE[flavor]
+    if wants_q and not Q:
+        return "query"
+    if cond_source and not {"private": P, "previous": prev}[cond_source]:
+        return cond_source
+    return None
+
+
 def _split_csv(text: str | None) -> list[str] | None:
     if text is None:
         return None
@@ -151,9 +164,10 @@ def cmd_summarize(args) -> int:
     query_tokens = _split_csv(args.query)
     aux = coll.aux_sets
     if query_tokens and not set(query_tokens) <= set(coll.queries.ids):
-        # not item ids: treat the tokens as concept names and build a query item
-        universe = set(coll.ground.counts.names)
-        unknown = [t for t in query_tokens if t not in universe]
+        # not item ids: treat the tokens as concept names of the universe the
+        # context is built on, and build a query item
+        universe = coll.universe or ConceptUniverse.from_items(coll.ground, *coll.aux_sets)
+        unknown = [t for t in query_tokens if t not in universe.index]
         if unknown:
             raise ConfigError(
                 f"--query tokens {unknown} match neither query item ids nor concepts"
@@ -169,11 +183,8 @@ def cmd_summarize(args) -> int:
     P = _indices(ctx, _split_csv(args.private), "private")
     prev = _indices(ctx, _split_csv(args.prev) or [])
 
-    _, wants_q, cond_source = FLAVOR_TABLE[flavor]
-    if wants_q and not Q:
-        raise ConfigError(f"flavor {flavor.value} needs --query or collection queries")
-    if cond_source and not {"private": P, "previous": prev}[cond_source]:
-        raise ConfigError(f"flavor {flavor.value} needs {_COND_HINT[cond_source]}")
+    if missing := _missing_set(flavor, Q, P, prev):
+        raise ConfigError(f"flavor {flavor.value} needs {_SET_HINT[missing]}")
 
     spec = parse_fn_spec(args.fn)
     sel = master_solve(flavor, spec, ctx, args.budget, Q=Q, P=P, previous=prev,
@@ -190,6 +201,7 @@ def cmd_learn(args) -> int:
     paths = sorted(train_dir.glob("*.json"))
     if not paths:
         raise ConfigError(f"no collection files found in {train_dir}")
+    task = parse_flavor(args.task)
     examples = []
     for path in paths:
         coll = load_collection(path)
@@ -197,12 +209,16 @@ def cmd_learn(args) -> int:
             raise ConfigError(f"collection {path.name} has no reference summaries")
         ctx = _context_from_collection(coll, args)
         refs = [_indices(ctx, ref) for ref in coll.references]
-        examples.append(TrainingExample(ctx, refs, args.budget, Q=_indices(ctx, None, "query"),
-                                        P=_indices(ctx, None, "private")))
+        Q, P = _indices(ctx, None, "query"), _indices(ctx, None, "private")
+        if (missing := _missing_set(task, Q, P, ())) == "previous":  # learn takes no previous summary
+            raise ConfigError(f"task {task.value} needs a previous summary, which learn does not take")
+        if missing:
+            raise ConfigError(f"task {task.value} needs {missing} items, but collection {path.name} has none")
+        examples.append(TrainingExample(ctx, refs, args.budget, Q=Q, P=P))
     families = _split_csv(args.components)
     model0 = init_mixture(families, seed=args.seed, reg_strength=args.reg)
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, momentum=args.momentum,
-                      margin=args.margin, task=parse_flavor(args.task))
+                      margin=args.margin, task=task)
     model = train(examples, model0, cfg)
     return _write(args, {"model.json": model.to_json(), "training_log.csv": training_log_csv(model)},
                   task=cfg.task.value, components=families)

@@ -151,8 +151,9 @@ class FamilyOps:
 class MarginalState:
     """Incremental evaluator of one measure while the summary grows.
 
-    ``gains`` holds every item's marginal gain against the current
-    selection.  A family fills it in ``__init__`` and refreshes all of it
+    ``gains`` holds every ground item's marginal gain against the current
+    selection, one entry per item of V: auxiliary items are never
+    candidates.  A family fills it in ``__init__`` and refreshes all of it
     in numpy inside ``_push``, so ``gain(j)`` is an array read and a pick
     costs one vectorized update instead of a recomputation per candidate
     (the per-candidate bookkeeping of "Fast Greedy MAP Inference for

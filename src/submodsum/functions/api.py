@@ -145,7 +145,7 @@ def make_state(spec: FunctionSpec, mode: MeasureMode, ctx, Q=None, P=None) -> Ma
     Degenerate conditioning collapses exactly like the closed forms do.
     """
     eff, _, Q, P = _reduce(spec, mode, ctx, (), Q, P)
-    return _ZeroState(ctx.size) if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
+    return _ZeroState(ctx.n_ground) if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
 
 
 def partials(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> dict:

@@ -31,8 +31,6 @@ def _gamma(ctx) -> np.ndarray:
 
 
 def _covered(gamma: np.ndarray, S: np.ndarray) -> np.ndarray:
-    if not S.size:
-        return np.zeros(gamma.shape[1], dtype=bool)
     return gamma[S].any(axis=0)
 
 
@@ -53,7 +51,7 @@ class SetCoverOps(FamilyOps):
 
     def state(self, ctx, spec, mode, Q, P):
         g = _gamma(ctx)
-        return _CoverState(g, ctx.concept_weights, _active(g, mode, Q, P))
+        return _CoverState(g[:ctx.n_ground], ctx.concept_weights, _active(g, mode, Q, P))
 
 
 class _CoverState(MarginalState):
@@ -81,8 +79,6 @@ def _probs(ctx) -> np.ndarray:
 
 def _miss(prob: np.ndarray, S: np.ndarray) -> np.ndarray:
     """prod_{j in S} (1 - p_ij) per concept."""
-    if not S.size:
-        return np.ones(prob.shape[1])
     return np.prod(1.0 - prob[S], axis=0)
 
 
@@ -110,7 +106,7 @@ class ProbSetCoverOps(FamilyOps):
         mult = np.ones(p.shape[1])
         for factor in _factors(p, mode, Q, P):
             mult = mult * factor
-        return _ProbCoverState(p, ctx.concept_weights, mult)
+        return _ProbCoverState(p[:ctx.n_ground], ctx.concept_weights, mult)
 
 
 class _ProbCoverState(MarginalState):

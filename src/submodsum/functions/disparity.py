@@ -3,8 +3,8 @@
 Base-mode only; information and conditional modes are not defined for
 these. Disparity-min is not submodular, so greedy on it is heuristic.
 Both marginal states read the picked item's similarity row and recompute
-every item's gain from the running similarity sum (resp. minimum
-dissimilarity) to the selection, O(N) per pick.
+every ground item's gain from the running similarity sum (resp. minimum
+dissimilarity) to the selection, O(n) per pick.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ class _DispSumState(MarginalState):
     def __init__(self, ctx):
         super().__init__()
         self.ctx = ctx
-        self.sim_to_A = np.zeros(ctx.size)
+        self.sim_to_A = np.zeros(ctx.n_ground)
         self.count = 0
-        self.gains = np.zeros(ctx.size)
+        self.gains = np.zeros(ctx.n_ground)
 
     def _push(self, j):
-        self.sim_to_A = self.sim_to_A + self.ctx.similarity(j, slice(None))
+        self.sim_to_A = self.sim_to_A + self.ctx.similarity(j, slice(self.ctx.n_ground))
         self.count += 1
         self.gains = self.count - self.sim_to_A
 
@@ -60,14 +60,14 @@ class _DispMinState(MarginalState):
     def __init__(self, ctx):
         super().__init__()
         self.ctx = ctx
-        self.min_to_A = np.full(ctx.size, np.inf)  # min_{i in A} (1 - s_ij)
+        self.min_to_A = np.full(ctx.n_ground, np.inf)  # min_{i in A} (1 - s_ij)
         self.cur = None  # None until |A| >= 2
-        self.gains = np.zeros(ctx.size)  # a single item has no pair yet
+        self.gains = np.zeros(ctx.n_ground)  # a single item has no pair yet
 
     def _push(self, j):
         if self.selected:  # j pairs with every prior pick
             prev = self.min_to_A[j]
             self.cur = float(min(self.cur, prev)) if self.cur is not None else float(prev)
-        self.min_to_A = np.minimum(self.min_to_A, 1.0 - self.ctx.similarity(j, slice(None)))
+        self.min_to_A = np.minimum(self.min_to_A, 1.0 - self.ctx.similarity(j, slice(self.ctx.n_ground)))
         # min_to_A is rebound, never written in place, so gains may share it
         self.gains = self.min_to_A if self.cur is None else np.minimum(self.cur, self.min_to_A) - self.cur

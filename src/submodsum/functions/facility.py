@@ -27,10 +27,10 @@ Both marginal states keep every candidate's gain as a sum of per-row
 contributions.  Variant 1 keeps partial sums over blocks of ground rows,
 on the ground columns only (auxiliary items are never candidates), and on
 a pick recomputes only the blocks holding a row whose clipped best moved:
-a row's contributions depend on that alone.  It reads those rows from the
-kernel in place, in the context's shifted units u = k + shift (s = scale
-* u), and keeps its bests and caps in the same units, so it holds no
-mapped copy of the n x n ground block.  Before the first pick a row's
+a row's contributions depend on that alone.  It reads one block's rows at
+a time from the kernel in place, in the context's shifted units
+u = k + shift (s = scale * u), and keeps its bests and caps in the same
+units, so it holds no mapped copy of the n x n ground block.  Before the first pick a row's
 best is the empty max, -inf, so a first pick scores its clipped
 similarities as the closed form does, negative dot similarities included.
 Variant 2 recomputes its few query/auxiliary rows outright.
@@ -44,20 +44,12 @@ from ..errors import ConfigError
 from ._common import FamilyOps, MarginalState, cross_block, pair_masks, pair_weighted
 from .spec import MeasureMode
 
-_BLOCK = 1 << 17  # elements per temporary when a state sweeps kernel rows
 _ROWS = 16  # ground rows per partial sum of the fl1 gains
-
-
-def _colmax(block: np.ndarray) -> np.ndarray:
-    """max over a block's columns per row; no columns -> 0."""
-    if not block.shape[1]:
-        return np.zeros(block.shape[0])
-    return block.max(axis=1)
 
 
 def _best(ctx, cols) -> np.ndarray:
     """max_{j in cols} s_ij per ground row i of the mapped kernel."""
-    return _colmax(ctx.similarity(slice(ctx.n_ground), cols))
+    return ctx.similarity(slice(ctx.n_ground), cols).max(axis=1)
 
 
 def _caps(ctx, spec, mode, Q, P):
@@ -66,7 +58,7 @@ def _caps(ctx, spec, mode, Q, P):
     n = ctx.n_ground
 
     def cap(S):
-        return _colmax(pair_weighted(ctx, spec, ctx.similarity(slice(n), S), np.arange(n), S, Q, P))
+        return pair_weighted(ctx, spec, ctx.similarity(slice(n), S), np.arange(n), S, Q, P).max(axis=1)
 
     qcap = cap(Q) if mode in (MeasureMode.SMI, MeasureMode.CSMI) else None
     pcap = cap(P) if mode in (MeasureMode.CG, MeasureMode.CSMI) else None
@@ -147,11 +139,12 @@ class _FL1State(MarginalState):
     difference, clip and sum is the one in similarity units divided by
     scale exactly, and gains, multiplied back by scale, carry the same
     bits.  part[b] sums, for every candidate (a ground column: auxiliary
-    items are never candidates), the contributions of the _ROWS rows of
-    block b; a pick recomputes only the blocks holding a row whose clipped
-    best moved, and gains is the fixed-order sum of the parts.  The gains
-    thus depend on the current selection alone, not on the order it grew
-    in: candidates with equal per-row contributions tie exactly, and a
+    items are never candidates), the contributions of the rows of block b,
+    _ROWS of them (fewer in the last block where _ROWS does not divide n).
+    A pick recomputes, block by block, only the blocks holding a row whose
+    clipped best moved, and gains is the fixed-order sum of the parts.  The
+    gains thus depend on the current selection alone, not on the order it
+    grew in: candidates with equal per-row contributions tie exactly, and a
     candidate that improves no row reads exactly 0.0.
     """
 
@@ -173,38 +166,21 @@ class _FL1State(MarginalState):
         self._recompute(np.arange(self.part.shape[0]))
 
     def _recompute(self, blocks):
-        """Rebuild the parts of the given (ascending) blocks, a few blocks per
-        pass.  A pass reads the kernel rows of each run of consecutive blocks
-        whole, in one pass into one buffer: u = k + shift, or a plain copy
-        where shift is 0.  Whole rows lie contiguous in the kernel, where
+        """Rebuild the parts of the given blocks, one block at a time.  A
+        block's kernel rows are read whole, as u = k + shift, or as a copy
+        where shift is 0: whole rows lie contiguous in the kernel, where
         numpy adds about twice as fast as over the ground columns alone; the
-        auxiliary columns ride along and are dropped from the sums."""
-        n, width = self.K.shape
-        step = max(1, _BLOCK // max(1, _ROWS * width))
-        buf = np.empty((min(step, blocks.size) * _ROWS, width))
-        for s in range(0, blocks.size, step):
-            b = blocks[s:s + step]
-            r = (b[:, None] * _ROWS + np.arange(_ROWS)).ravel()
-            short = r >= n  # rows past the end pad the last block with zeros
-            r[short] = n - 1
-            d = buf[:r.size]
-            bl = b.tolist()
-            cuts = [i for i in range(1, len(bl)) if bl[i] != bl[i - 1] + 1]
-            for i, e in zip([0, *cuts], [*cuts, len(bl)]):
-                rows = self.K[bl[i] * _ROWS:bl[e - 1] * _ROWS + _ROWS]
-                out = d[i * _ROWS:i * _ROWS + rows.shape[0]]
-                if self.shift:
-                    np.add(rows, self.shift, out=out)
-                else:
-                    out[...] = rows
-            d[short] = 0.0  # stale buffer rows: keep the arithmetic below finite
+        auxiliary columns ride along and are dropped from the sum."""
+        n = self.c.size
+        for b in blocks.tolist():
+            r = slice(b * _ROWS, (b + 1) * _ROWS)  # the last block stops at row n
+            d = self.K[r] + self.shift if self.shift else self.K[r].copy()
             c = self.c[r, None]
             d -= c
             np.maximum(d, self.low, out=d)
             if self.capped:
                 np.minimum(d, self.hi[r, None] - c, out=d)
-            d[short] = 0.0
-            self.part[b] = d.reshape(b.size, _ROWS, width).sum(axis=1)[:, :n]
+            self.part[b] = d.sum(axis=0)[:n]
         self.gains = self.part.sum(axis=0)
         self.gains *= self.scale
 
@@ -237,20 +213,21 @@ class FacilityLocation2Ops(FamilyOps):
     def base(self, ctx, spec, S):
         shadow = np.arange(ctx.n_ground, ctx.size)
         ground = np.arange(ctx.n_ground)
-        return float(_colmax(_cross(ctx, shadow, S)).sum() + spec.eta * _colmax(_cross(ctx, ground, S)).sum())
+        return float(_cross(ctx, shadow, S).max(axis=1).sum()
+                     + spec.eta * _cross(ctx, ground, S).max(axis=1).sum())
 
     def value(self, ctx, spec, mode, A, Q, P):
         if mode == MeasureMode.BASE:
             return self.base(ctx, spec, A)
-        return float(_colmax(_cross(ctx, Q, A)).sum() + spec.eta * _colmax(_cross(ctx, A, Q)).sum())
+        return float(_cross(ctx, Q, A).max(axis=1).sum() + spec.eta * _cross(ctx, A, Q).max(axis=1).sum())
 
     def state(self, ctx, spec, mode, Q, P):
         return _FL2State(ctx, spec, mode, Q)
 
     def partials(self, ctx, spec, mode, A, Q, P):
         if mode == MeasureMode.SMI:
-            return {"eta": float(_colmax(_cross(ctx, A, Q)).sum())}
-        return {"eta": float(_colmax(_cross(ctx, np.arange(ctx.n_ground), A)).sum())}
+            return {"eta": float(_cross(ctx, A, Q).max(axis=1).sum())}
+        return {"eta": float(_cross(ctx, np.arange(ctx.n_ground), A).max(axis=1).sum())}
 
 
 class _FL2State(MarginalState):
@@ -259,7 +236,7 @@ class _FL2State(MarginalState):
         n = ctx.n_ground
         if mode == MeasureMode.SMI:
             rows = Q
-            qmax = _colmax(_cross(ctx, np.arange(n), Q))
+            qmax = _cross(ctx, np.arange(n), Q).max(axis=1)
         else:
             rows = np.arange(n, ctx.size)
             qmax = np.full(n, 1.0)  # base mode: each pick adds eta * x_jj = eta

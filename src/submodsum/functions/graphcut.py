@@ -10,7 +10,7 @@ A conditional-mutual-information form does not exist for this family.
 
 The marginal state keeps every candidate's gain: fixed in the query form,
 and recomputed from the running similarity to the selection after each
-pick otherwise (O(N) per pick).
+pick otherwise (O(n) per pick).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class GraphCutOps(FamilyOps):
 
     def partials(self, ctx, spec, mode, A, Q, P):
         K = ctx.kernel
-        red = float(K[np.ix_(A, A)].sum()) if A.size else 0.0
+        red = float(K[np.ix_(A, A)].sum())
         if mode == MeasureMode.BASE:
             return {"lam": -red}
         if mode == MeasureMode.SMI:
@@ -59,20 +59,19 @@ class GraphCutOps(FamilyOps):
 class _GraphCutState(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
         super().__init__()
-        K = ctx.kernel
         n = ctx.n_ground
-        self.K = K
+        K = ctx.kernel[:n]  # the ground rows: every candidate is a ground item
         self.lam = spec.lam
         self.mode = mode
         if mode == MeasureMode.SMI:  # modular: the gains never change
-            qsum = K[:, Q].sum(axis=1) if Q.size else np.zeros(K.shape[0])
-            self.gains = 2.0 * self.lam * qsum
+            self.gains = 2.0 * self.lam * K[:, Q].sum(axis=1)
             return
-        self.col_ground = K[:n, :].sum(axis=0)  # representation mass per candidate
-        self.diag = np.diag(K)
-        self.sim_to_A = np.zeros(K.shape[0])
+        self.K = K[:, :n]
+        self.col_ground = self.K.sum(axis=0)  # representation mass per candidate
+        self.diag = np.diag(self.K)
+        self.sim_to_A = np.zeros(n)
         if mode == MeasureMode.CG:
-            self.psum = pair_weighted(ctx, spec, K[:, P], np.arange(K.shape[0]), P, P=P).sum(axis=1)
+            self.psum = pair_weighted(ctx, spec, K[:, P], np.arange(n), P, P=P).sum(axis=1)
         self._refresh()
 
     def _refresh(self):

@@ -57,7 +57,7 @@ class _RougeState(MarginalState):
     def __init__(self, ctx, mode, Q, P):
         super().__init__()
         ctx.require_counts("count overlap")
-        self.counts = ctx.counts
+        self.counts = ctx.counts[:ctx.n_ground]
         self.w = ctx.concept_weights
         up, vp = _side_counts(ctx, P)
         self.u = np.zeros(ctx.counts.shape[1])
@@ -68,7 +68,7 @@ class _RougeState(MarginalState):
         if mode in (MeasureMode.SMI, MeasureMode.CSMI):
             uq, vq = _side_counts(ctx, Q)
             self.terms.append((-1.0, uq + up, vq + vp))
-        self.entries = SparseRows(ctx.counts)
+        self.entries = SparseRows(self.counts)
         self._refresh()
 
     def _refresh(self):

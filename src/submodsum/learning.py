@@ -447,7 +447,6 @@ def train(dataset: list[TrainingExample], model0: MixtureModel,
     theta = np.clip(pack_theta(model0), 0.0, upper)
     velocity = np.zeros_like(theta)
     trace: list[dict] = []
-    last_finite = theta.copy()
 
     for epoch in range(1, cfg.epochs + 1):
         lookahead = np.clip(theta + cfg.momentum * velocity, 0.0, upper)
@@ -456,11 +455,10 @@ def train(dataset: list[TrainingExample], model0: MixtureModel,
             mean_loss, grad = _mean_hinge_and_gradient(look_model, dataset, cfg)
         except NumericError as exc:
             err = NumericError(f"training diverged at epoch {epoch}: {exc}")
-            err.last_model = unpack_theta(model0, last_finite)
+            err.last_model = unpack_theta(model0, theta)
             raise err from exc
         velocity = cfg.momentum * velocity - cfg.lr * grad
         theta = np.clip(theta + velocity, 0.0, upper)
-        last_finite = theta.copy()
         model_now = unpack_theta(model0, theta)
         trace.append({
             "epoch": epoch,

@@ -122,6 +122,30 @@ def test_summarize_concept_query(coll_path, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["coverage", "universe"])
+def test_summarize_concept_query_reads_the_context_universe(tmp_path, capsys, where):
+    """A concept that no ground item counts, but that an item covers or the
+    declared concept_universe names, is a concept of the context: --query
+    accepts it.  A name outside the universe still exits 2, with the same
+    message."""
+    doc = _collection_doc()
+    if where == "coverage":
+        doc["items"][5]["coverage"] = {"c1": 0.9, "bg": 1.0, "rare": 0.6}
+    else:
+        doc["concept_universe"] = {"concepts": ["c0", "c1", "bg", "rare"]}
+    path = tmp_path / "coll.json"
+    path.write_text(json.dumps(doc))
+    base = ["summarize", "--collection", str(path), "--flavor", "query", "--budget", "2", "--fn", "psc"]
+    out = tmp_path / "run"
+    assert main(base + ["--query", "rare", "--out", str(out)]) == 0
+    assert json.loads((out / "selection.json").read_text())["budget"] == 2
+    bad = tmp_path / "bad"
+    assert main(base + ["--query", "rare,nonsense", "--out", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --query tokens ['nonsense'] match neither query item ids nor concepts\n"
+    assert not bad.exists()
+
+
 _MISSING_ROLE = {
     "query": "--query or collection queries",
     "privacy": "--private or collection privates",
@@ -317,6 +341,37 @@ def test_learn_needs_references(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     capsys.readouterr()
+
+
+_LEARN_MISSING = {
+    "update": ("full", "needs a previous summary, which learn does not take"),
+    "query_update": ("full", "needs a previous summary, which learn does not take"),
+    "query": ("no_queries", "needs query items, but collection ex1.json has none"),
+    "query_privacy": ("no_privates", "needs private items, but collection ex1.json has none"),
+    "privacy": ("no_privates", "needs private items, but collection ex1.json has none"),
+    "irrelevance": ("no_privates", "needs private items, but collection ex1.json has none"),
+}
+
+
+@pytest.mark.parametrize("task", list(_LEARN_MISSING))
+def test_learn_rejects_a_task_it_cannot_condition(tmp_path, capsys, task):
+    """A task whose query or conditioning set learn cannot supply would
+    train another objective: learn exits 2 with one line naming the
+    collection that lacks it, and writes nothing."""
+    case, reason = _LEARN_MISSING[task]
+    train_dir = tmp_path / "train"
+    train_dir.mkdir()
+    (train_dir / "ex0.json").write_text(json.dumps(_collection_doc()))
+    lacking = _collection_doc(with_privates=case != "no_privates")
+    if case == "no_queries":
+        del lacking["queries"]
+    (train_dir / "ex1.json").write_text(json.dumps(lacking))
+    out = tmp_path / "model"
+    rc = main(["learn", "--train-dir", str(train_dir), "--budget", "3", "--components", "sc",
+               "--epochs", "1", "--task", task, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: task {task} {reason}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

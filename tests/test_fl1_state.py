@@ -24,7 +24,7 @@ import pytest
 from submodsum.bench import random_instance
 from submodsum.functions import Family, FunctionSpec, MeasureMode, make_state
 from submodsum.functions.api import _reduce
-from submodsum.functions.facility import _BLOCK, _ROWS, _caps
+from submodsum.functions.facility import _ROWS, _caps
 from submodsum.optimize import Flavor, master_solve
 
 pytest.importorskip("hypothesis")
@@ -34,6 +34,10 @@ from hypothesis import strategies as st  # noqa: E402
 # 0 and 1 exactly, and values past 1: eta > 1 lifts the query cap above the
 # best query similarity, a large nu lifts the floor over most rows' bests
 weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0))
+
+# elements per batch of the reference state below, which sums many blocks
+# in one padded pass where the state sums one block at a time
+_BATCH = 1 << 17
 
 
 def _rebuilt(state):
@@ -71,7 +75,10 @@ def test_fl1_state_matches_full_rebuild(seed, metric, n, eta, nu):
 class _MappedCopyState:
     """fl1's state on a mapped copy F of the ground block, with its bests
     and caps in similarity units: the arithmetic the in-place state must
-    reproduce bit for bit."""
+    reproduce bit for bit.  It rebuilds its blocks in batches of up to
+    _BATCH elements, with the last block padded by zero rows to _ROWS, so
+    it stays an arithmetic independent of the state's block-at-a-time
+    sweep."""
 
     def __init__(self, ctx, spec, mode, Q, P):
         n = ctx.n_ground
@@ -87,7 +94,7 @@ class _MappedCopyState:
 
     def _recompute(self, blocks):
         n = self.F.shape[0]
-        step = max(1, _BLOCK // max(1, _ROWS * n))
+        step = max(1, _BATCH // max(1, _ROWS * n))
         for s in range(0, blocks.size, step):
             b = blocks[s:s + step]
             r = (b[:, None] * _ROWS + np.arange(_ROWS)).ravel()

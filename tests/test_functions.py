@@ -433,6 +433,35 @@ def test_state_gains_match_from_scratch(family, mode):
             assert state.value == pytest.approx(before, abs=1e-9), metric
 
 
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("family,mode", FAMILY_MODES, ids=lambda v: v.value)
+def test_state_gains_hold_one_entry_per_ground_item(family, mode, metric):
+    """Every marginal state keeps one gain per ground item, auxiliary items
+    never being candidates: before and after two picks it reads the gains
+    of the ground items left, and the first auxiliary index lies past its
+    end.  So does the zero state of a mode whose query comes empty.  Log-det
+    keeps no gains array, so the contract is read through gain(), which
+    every state answers.  A dot kernel's cross block is mapped into [0, 1)
+    for the families that reject one outside it."""
+    rng = np.random.default_rng(seed_from(f"{family.value}-{mode.value}-{metric}-shape"))
+    ctx, Q, P = random_instance(rng, n_range=(7, 7), metric=metric)
+    if metric == "dot" and family in REJECTS_DOT:
+        cross = np.abs(ctx.cross)
+        ctx = ctx.copy_with(cross=cross / (1.0 + cross.sum()))
+    n = ctx.n_ground
+    spec = FunctionSpec(family, lam=0.4, eta=0.7, nu=0.6)
+    for q in ([Q, ()] if mode in (MeasureMode.SMI, MeasureMode.CSMI) else [Q]):
+        state = make_state(spec, mode, ctx, Q=q, P=P)
+        rest = np.arange(n)
+        for j in (None, 0, n - 1):
+            if j is not None:
+                state.add(j)
+                rest = rest[rest != j]
+            assert state.gain(rest).shape == rest.shape, (q, state.selected)
+            with pytest.raises(IndexError):
+                state.gain(n)
+
+
 @pytest.mark.parametrize("mode", list(MeasureMode), ids=lambda m: m.value)
 def test_fl1_gains_across_row_blocks(mode):
     """Enough ground rows for several row blocks, a short last block and
