@@ -108,10 +108,11 @@ class FamilyOps:
     base(ctx, spec, S) is f(S) for any S in the universe, the function the
     definitional oracle builds every mode from; it defaults to
     value(BASE, S), and a family overrides it where its f over a set that
-    holds auxiliary items needs code of its own.  state() starts the
-    incremental evaluator of a mode, and partials/near_kink give the
-    gradients for PARAM_KEYS and flag a max/min switch close by.  A family
-    computes the per-mode pieces these share (caps, masks, factors,
+    holds auxiliary items needs code of its own.  api.evaluate reads BASE
+    through base, so such a family's value need not handle BASE.  state()
+    starts the incremental evaluator of a mode, and partials/near_kink give
+    the gradients for PARAM_KEYS and flag a max/min switch close by.  A
+    family computes the per-mode pieces these share (caps, masks, factors,
     blocks) in one helper that all of them read.
 
     PARAM_MAX bounds a parameter from above where the measure stops being
@@ -151,37 +152,26 @@ class FamilyOps:
 class MarginalState:
     """Incremental evaluator of one measure while the summary grows.
 
-    ``gains`` holds every ground item's marginal gain against the current
-    selection, one entry per item of V: auxiliary items are never
-    candidates.  A family fills it in ``__init__`` and refreshes all of it
-    in numpy inside ``_push``, so ``gain(j)`` is an array read and a pick
+    The contract is two methods.  ``gain(indices)`` takes an ascending
+    index array of ground items and returns those candidates' marginal
+    gains against the current selection, in that order.  ``add(j)``
+    commits candidate j and returns nothing; the summary's value is the
+    greedy's, the sum of the gains it read at its picks.
+
+    A family that keeps ``gains``, every ground item's gain (auxiliary
+    items are never candidates), fills it in ``__init__`` and refreshes all
+    of it in numpy inside ``add``, so a read is an array lookup and a pick
     costs one vectorized update instead of a recomputation per candidate
     (the per-candidate bookkeeping of "Fast Greedy MAP Inference for
     Determinantal Point Processes", Chen, Zhang & Zhou, NeurIPS 2018).
-    ``gain(j)`` takes an int and returns a float, or takes an ascending
-    index array and returns those candidates' gains in that order, each
-    bit-equal to the int read of its candidate.  add(j) commits the
-    candidate and returns its gain.
+    It inherits ``gain``; a family without such an array overrides it.
     """
 
-    gains: np.ndarray
+    def gain(self, indices: np.ndarray) -> np.ndarray:
+        return self.gains[indices]
 
-    def __init__(self):
-        self.value = 0.0
-        self.selected: list[int] = []
-
-    def gain(self, j):
-        return self.gains[j] if isinstance(j, np.ndarray) else float(self.gains[j])
-
-    def _push(self, j: int) -> None:
+    def add(self, j: int) -> None:
         raise NotImplementedError
-
-    def add(self, j: int) -> float:
-        g = self.gain(j)
-        self._push(j)
-        self.value += g
-        self.selected.append(int(j))
-        return g
 
 
 class SparseRows:

@@ -132,10 +132,9 @@ def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> f
 
 class _ZeroState(MarginalState):
     def __init__(self, size: int):
-        super().__init__()
         self.gains = np.zeros(size)
 
-    def _push(self, j):
+    def add(self, j):
         pass
 
 

@@ -105,7 +105,6 @@ class ConcaveOverModularOps(FamilyOps):
 
 class _ComState(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
-        super().__init__()
         rows, self.item_term = _terms(ctx, spec, mode, Q, P)
         self.psi = PSI[spec.psi]
         self.da, self.dq = spec.com_deltas()
@@ -118,6 +117,6 @@ class _ComState(MarginalState):
         row_part = (self.psi(m + self.cross) - self.psi(m)).sum(axis=0)
         self.gains = self.dq * row_part + self.da * self.item_term
 
-    def _push(self, j):
+    def add(self, j):
         self.msum = self.msum + self.cross[:, j]
         self._refresh()

@@ -56,7 +56,6 @@ class SetCoverOps(FamilyOps):
 
 class _CoverState(MarginalState):
     def __init__(self, gamma, weights, active):
-        super().__init__()
         self.gamma = gamma
         self.entries = SparseRows(gamma)
         self.w = weights * active  # inactive and covered concepts never contribute
@@ -65,7 +64,7 @@ class _CoverState(MarginalState):
     def _refresh(self):
         self.gains = self.entries.row_sums(self.w[self.entries.cols])
 
-    def _push(self, j):
+    def add(self, j):
         self.w = np.where(self.gamma[j], 0.0, self.w)
         self._refresh()
 
@@ -111,7 +110,6 @@ class ProbSetCoverOps(FamilyOps):
 
 class _ProbCoverState(MarginalState):
     def __init__(self, prob, weights, mult):
-        super().__init__()
         self.prob = prob
         self.entries = SparseRows(prob)
         self.wm = weights * mult
@@ -122,6 +120,6 @@ class _ProbCoverState(MarginalState):
         e = self.entries
         self.gains = e.row_sums((self.wm * self.miss)[e.cols] * e.vals)
 
-    def _push(self, j):
+    def add(self, j):
         self.miss *= 1.0 - self.prob[j]
         self._refresh()

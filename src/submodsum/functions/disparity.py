@@ -44,13 +44,12 @@ class DisparityMinOps(FamilyOps):
 
 class _DispSumState(MarginalState):
     def __init__(self, ctx):
-        super().__init__()
         self.ctx = ctx
         self.sim_to_A = np.zeros(ctx.n_ground)
         self.count = 0
         self.gains = np.zeros(ctx.n_ground)
 
-    def _push(self, j):
+    def add(self, j):
         self.sim_to_A = self.sim_to_A + self.ctx.similarity(j, slice(self.ctx.n_ground))
         self.count += 1
         self.gains = self.count - self.sim_to_A
@@ -58,14 +57,13 @@ class _DispSumState(MarginalState):
 
 class _DispMinState(MarginalState):
     def __init__(self, ctx):
-        super().__init__()
         self.ctx = ctx
         self.min_to_A = np.full(ctx.n_ground, np.inf)  # min_{i in A} (1 - s_ij)
         self.cur = None  # None until |A| >= 2
         self.gains = np.zeros(ctx.n_ground)  # a single item has no pair yet
 
-    def _push(self, j):
-        if self.selected:  # j pairs with every prior pick
+    def add(self, j):
+        if self.min_to_A[j] < np.inf:  # finite once A is nonempty: j pairs with every prior pick
             prev = self.min_to_A[j]
             self.cur = float(min(self.cur, prev)) if self.cur is not None else float(prev)
         self.min_to_A = np.minimum(self.min_to_A, 1.0 - self.ctx.similarity(j, slice(self.ctx.n_ground)))

@@ -149,7 +149,6 @@ class _FL1State(MarginalState):
     """
 
     def __init__(self, ctx, spec, mode, Q, P):
-        super().__init__()
         n = ctx.n_ground
         self.K = ctx.kernel[:n]  # a view of the ground rows: read, never written
         self.shift, self.scale = ctx.shift, ctx.scale
@@ -184,7 +183,7 @@ class _FL1State(MarginalState):
         self.gains = self.part.sum(axis=0)
         self.gains *= self.scale
 
-    def _push(self, j):
+    def add(self, j):
         # row j is column j: the kernel is exactly symmetric
         row = self.K[j, :self.c.size]
         best = np.minimum(row + self.shift if self.shift else row, self.hi)
@@ -217,8 +216,6 @@ class FacilityLocation2Ops(FamilyOps):
                      + spec.eta * _cross(ctx, ground, S).max(axis=1).sum())
 
     def value(self, ctx, spec, mode, A, Q, P):
-        if mode == MeasureMode.BASE:
-            return self.base(ctx, spec, A)
         return float(_cross(ctx, Q, A).max(axis=1).sum() + spec.eta * _cross(ctx, A, Q).max(axis=1).sum())
 
     def state(self, ctx, spec, mode, Q, P):
@@ -232,7 +229,6 @@ class FacilityLocation2Ops(FamilyOps):
 
 class _FL2State(MarginalState):
     def __init__(self, ctx, spec, mode, Q):
-        super().__init__()
         n = ctx.n_ground
         if mode == MeasureMode.SMI:
             rows = Q
@@ -249,6 +245,6 @@ class _FL2State(MarginalState):
         old = self.rowmax[:, None]
         self.gains = (np.maximum(self.cross, old) - old).sum(axis=0) + self.item_term
 
-    def _push(self, j):
+    def add(self, j):
         self.rowmax = np.maximum(self.rowmax, self.cross[:, j])
         self._refresh()

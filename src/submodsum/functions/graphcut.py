@@ -58,7 +58,6 @@ class GraphCutOps(FamilyOps):
 
 class _GraphCutState(MarginalState):
     def __init__(self, ctx, spec, mode, Q, P):
-        super().__init__()
         n = ctx.n_ground
         K = ctx.kernel[:n]  # the ground rows: every candidate is a ground item
         self.lam = spec.lam
@@ -80,7 +79,7 @@ class _GraphCutState(MarginalState):
             g -= 2.0 * self.lam * self.psum
         self.gains = g
 
-    def _push(self, j):
+    def add(self, j):
         if self.mode != MeasureMode.SMI:
             self.sim_to_A += self.K[j]
             self._refresh()

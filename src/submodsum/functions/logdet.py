@@ -174,17 +174,14 @@ class _LogDetState(MarginalState):
     constant in A."""
 
     def __init__(self, ctx, spec, mode, Q, P):
-        super().__init__()
         grows = {sign: GrowingCholesky(ctx, spec, S, Q, P) for sign, S, with_A in _terms(mode, Q, P) if with_A}
         self.pos, self.neg = grows[1], grows.get(-1)
 
-    def gain(self, j):
-        if not isinstance(j, np.ndarray):  # through the array read, so both give the same bits
-            return float(self.gain(np.array([j]))[0])
-        g = _log(self.pos.d2[j])
-        return g if self.neg is None else g - _log(self.neg.d2[j])
+    def gain(self, indices):
+        g = _log(self.pos.d2[indices])
+        return g if self.neg is None else g - _log(self.neg.d2[indices])
 
-    def _push(self, j):
+    def add(self, j):
         self.pos.push(j)
         if self.neg is not None:
             self.neg.push(j)

@@ -55,7 +55,6 @@ class _RougeState(MarginalState):
     """Running ground-side count sum; fixed offsets carry Q and P."""
 
     def __init__(self, ctx, mode, Q, P):
-        super().__init__()
         ctx.require_counts("count overlap")
         self.counts = ctx.counts[:ctx.n_ground]
         self.w = ctx.concept_weights
@@ -80,6 +79,6 @@ class _RougeState(MarginalState):
             moved += sign * (np.maximum(a + x, b) - np.maximum(a, b))
         self.gains = e.row_sums(self.w[c] * moved)
 
-    def _push(self, j):
+    def add(self, j):
         self.u = self.u + self.counts[j]
         self._refresh()

@@ -221,7 +221,6 @@ class VRougeMargin(_Margin):
 
 class _VRougeMarginState(MarginalState):
     def __init__(self, ctx, ref):
-        super().__init__()
         ctx.require_counts("the one_minus_vrouge margin")
         counts = ctx.counts[:ctx.n_ground]
         c_ref = counts[ref].sum(axis=0)
@@ -235,14 +234,13 @@ class _VRougeMarginState(MarginalState):
         self.w = w[cols]
         self.mass = mass
         self.c_sel = np.zeros(cols.size)
-        self.value = 1.0  # l(empty set)
         self._refresh()
 
     def _refresh(self):
         have = np.minimum(self.c_sel, self.c_ref)
         self.gains = -((np.minimum(self.c_sel + self.counts, self.c_ref) - have) @ self.w) / self.mass
 
-    def _push(self, j):
+    def add(self, j):
         self.c_sel += self.counts[j]
         self._refresh()
 
@@ -263,10 +261,8 @@ class _ZeroOneMarginState(MarginalState):
     leaves it for good, and every gain is 0 from then on."""
 
     def __init__(self, n, ref):
-        super().__init__()
         self.missing = set(ref.tolist())  # R minus Y
         self.inside = True  # Y is a subset of R
-        self.value = 1.0 if self.missing else 0.0  # l(empty set)
         self.gains = np.zeros(n)
         self._refresh()
 
@@ -279,7 +275,7 @@ class _ZeroOneMarginState(MarginalState):
         elif len(self.missing) == 1:
             self.gains[next(iter(self.missing))] = -1.0
 
-    def _push(self, j):
+    def add(self, j):
         if j in self.missing:
             self.missing.remove(j)
         else:

@@ -54,7 +54,9 @@ FLAVOR_TABLE = {
 
 @dataclass
 class Selection:
-    """Greedy output: items in pick order with their marginal gains."""
+    """Solver output: items in pick order with their marginal gains.  The
+    greedy's value is the sum of its pick gains; the exhaustive optimum's
+    is the objective at its summary."""
 
     ids: list[str]
     indices: list[int]
@@ -127,26 +129,17 @@ class MeasureObjective:
 
 class _CompositeState(MarginalState):
     def __init__(self, parts):
-        super().__init__()
         self.parts = parts  # list of (weight, state)
 
-    def gain(self, j):
-        # the parts in order from 0.0, so an array read adds each entry's
-        # terms exactly as the int read of that entry does
+    def gain(self, indices):
         total = 0.0
         for w, st in self.parts:
-            total = total + w * st.gain(j)
+            total = total + w * st.gain(indices)
         return total
 
     def add(self, j):
-        # each part's add returns its gain, summed as gain(j) sums them,
-        # so a pick reads every part once
-        total = 0.0
-        for w, st in self.parts:
-            total = total + w * st.add(j)
-        self.value += total
-        self.selected.append(int(j))
-        return total
+        for _, st in self.parts:
+            st.add(j)
 
 
 class CompositeObjective:
@@ -188,7 +181,8 @@ def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
                     flavor: str | None = None) -> Selection:
     """Budget-k greedy over obj.candidates(): each pick reads every
     remaining candidate's gain as one array and takes its argmax. Every
-    gain read must be finite, else NumericError."""
+    gain read must be finite, else NumericError.  The selection's value is
+    the sum of the pick gains, f of the summary less f of the empty set."""
     cand = obj.candidates()
     k = int(k)
     if k < 0:
@@ -216,7 +210,7 @@ def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
         ids=obj.item_ids(picked),
         indices=picked,
         gains=gains,
-        value=float(state.value),
+        value=float(sum(gains)),
         budget=k,
         flavor=flavor,
     )

@@ -95,22 +95,27 @@ class ScratchObjective:
         return [str(i) for i in indices]
 
 
+def one_gain(state, j) -> float:
+    """Candidate j's gain, read alone."""
+    return float(state.gain(np.array([j]))[0])
+
+
 class _ScratchState:
+    """Marginal state that rescores fn from scratch: a candidate's gain is
+    fn(A + j) less the running sum of the pick gains from fn(empty set)."""
+
     def __init__(self, fn):
         self.fn = fn
-        self.selected: list[int] = []
-        self.value = float(fn(np.zeros(0, dtype=int)))
+        self.A: list[int] = []
+        self.f_A = float(fn(np.zeros(0, dtype=int)))
 
-    def gain(self, j):
-        if isinstance(j, np.ndarray):
-            return np.fromiter(map(self.gain, j.tolist()), float, j.size)
-        return float(self.fn(as_indices(self.selected + [int(j)]))) - self.value
+    def gain(self, indices):
+        return np.fromiter((float(self.fn(as_indices(self.A + [j]))) - self.f_A
+                            for j in indices.tolist()), float, indices.size)
 
     def add(self, j):
-        g = self.gain(j)
-        self.selected.append(int(j))
-        self.value += g
-        return g
+        self.f_A += one_gain(self, j)
+        self.A.append(int(j))
 
 
 @pytest.fixture

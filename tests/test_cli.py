@@ -442,6 +442,26 @@ def test_eval_requires_references(tmp_path, capsys):
     capsys.readouterr()
 
 
+_UNKNOWN_ID = "error: item 'nope' is not in the ground set\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["summarize", "--flavor", "update", "--fn", "fl1", "--budget", "2", "--prev", "g0,nope"], _UNKNOWN_ID),
+    (["summarize", "--flavor", "privacy", "--fn", "fl1", "--budget", "2", "--private", "nope"],
+     "error: no private item with id 'nope' in the collection\n"),
+    (["eval", "--summary"], _UNKNOWN_ID),
+], ids=["prev", "private", "eval_summary"])
+def test_unknown_item_id_exits_2_with_one_line(argv, err, coll_path, tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(["g0", "nope"]))
+    if argv[-1] == "--summary":
+        argv = [*argv, str(summary)]
+    out = tmp_path / "o"
+    assert main([*argv, "--collection", str(coll_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 

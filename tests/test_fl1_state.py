@@ -65,8 +65,8 @@ def test_fl1_state_matches_full_rebuild(seed, metric, n, eta, nu):
             state.add(j)
             rest = rest[rest != j]
             full = _rebuilt(state)
-            assert full.part.tobytes() == state.part.tobytes(), (mode, state.selected)
-            assert full.gains.tobytes() == state.gains.tobytes(), (mode, state.selected)
+            assert full.part.tobytes() == state.part.tobytes(), (mode, j)
+            assert full.gains.tobytes() == state.gains.tobytes(), (mode, j)
         capped = bool(np.any(state.c == state.hi))
         floored = mode in (MeasureMode.CG, MeasureMode.CSMI) and bool(np.any(state.c == floor))
         event(f"{mode.value}: cap binds {capped}, floor binds {floored}")
@@ -122,8 +122,8 @@ class _MappedCopyState:
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["rbf", "cosine", "dot"]),
        n=st.integers(1, 70), eta=st.one_of(weights, st.just(1e308)), nu=st.one_of(weights, st.just(1e308)))
 def test_fl1_state_matches_mapped_copy_arithmetic(seed, metric, n, eta, nu):
-    """Along a greedy path the in-place state's gains, value, parts and
-    clipped bests are those of the mapped-copy state, bit for bit, once
+    """Along a greedy path the in-place state's gains, the running sum of
+    its pick gains, its parts and clipped bests are those of the mapped-copy state, bit for bit, once
     scaled back to similarity units; a cap of 1e308 past every similarity
     is held at the largest one the kernel can map to (dot similarities
     reach past 1, where eta * s would overflow before any state is built)."""
@@ -138,16 +138,20 @@ def test_fl1_state_matches_mapped_copy_arithmetic(seed, metric, n, eta, nu):
         eff, _, q, p = _reduce(spec, mode, ctx, (), Q, P)
         ref = _MappedCopyState(ctx, spec, eff, q, p)
         rest = np.arange(n)
+        picked, total = [], 0.0
         for _ in range(min(n, 8) + 1):
-            assert state.gains.tobytes() == ref.gains.tobytes(), (mode, state.selected)
-            assert (state.part * ctx.scale).tobytes() == ref.part.tobytes(), (mode, state.selected)
-            assert (state.c * ctx.scale).tobytes() == np.minimum(ref.c, top).tobytes(), (mode, state.selected)
-            assert state.value == ref.value, (mode, state.selected)
-            if not rest.size or len(state.selected) == 8:
+            assert state.gains.tobytes() == ref.gains.tobytes(), (mode, picked)
+            assert (state.part * ctx.scale).tobytes() == ref.part.tobytes(), (mode, picked)
+            assert (state.c * ctx.scale).tobytes() == np.minimum(ref.c, top).tobytes(), (mode, picked)
+            assert total == ref.value, (mode, picked)
+            if not rest.size or len(picked) == 8:
                 break
-            j = int(rest[np.argmax(state.gain(rest))])
+            g = state.gain(rest)
+            j = int(rest[np.argmax(g)])
+            total += float(g.max())
             state.add(j)
             ref.add(j)
+            picked.append(j)
             rest = rest[rest != j]
 
 

@@ -466,7 +466,10 @@ def test_library_entry_points_answer_or_raise_typed_errors(seed, metric, with_co
                 continue
             assert not empty_raised, ("make_state", family, mode, defect)
             _answers(lambda: state.gain(np.arange(ctx.n_ground)))
-            _answers(lambda: state.add(int(rng.integers(ctx.n_ground))))
+            j = int(rng.integers(ctx.n_ground))
+            _answers(lambda: state.gain(np.array([j])))
+            with contextlib.suppress(SubmodsumError):  # add answers nothing, or a typed error
+                state.add(j)
     if bad is not None and with_counts:
         for call in (lambda: summary_counts(ctx, (0, bad)), lambda: vrouge((0, bad), [(0,)], ctx),
                      lambda: vrouge((0,), [(1,), (bad,)], ctx)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ScratchObjective
-from submodsum.bench import make_collection, vrouge
+from submodsum.bench import make_collection, random_instance, vrouge
 from submodsum.errors import ConfigError, FormatError, NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate
 from submodsum.learning import (
@@ -23,6 +23,7 @@ from submodsum.learning import (
     summarize_with_mixture,
     theta_slots,
     train,
+    training_log_csv,
 )
 from submodsum.optimize import Flavor
 
@@ -206,22 +207,26 @@ def test_zero_margin_matches_plain_greedy(example):
 
 
 def test_vrouge_margin_state_gains_match_margin(example):
-    """At every step, every candidate's state gain is l(Y + j) - l(Y)."""
+    """At every step, every candidate's state gain is l(Y + j) - l(Y), and
+    the gains of the picks telescope from l(empty set) to l(Y)."""
     ref = example.references[0]
     margin = make_margin(example, "one_minus_vrouge", ref)
     state = margin.fresh_state()
     picked: list[int] = []
+    total = margin(picked)
     for step in range(example.budget + 2):
         before = margin(picked)
-        assert state.value == pytest.approx(before, abs=1e-12)
+        assert total == pytest.approx(before, abs=1e-12)
         rest = [j for j in range(example.ctx.n_ground) if j not in picked]
-        for j in rest:
-            assert state.gain(j) == pytest.approx(margin(picked + [j]) - before, abs=1e-12)
+        got = state.gain(np.array(rest))
+        for j, g in zip(rest, got):
+            assert g == pytest.approx(margin(picked + [j]) - before, abs=1e-12)
         # alternate the most-overlapping pick (drives the counts into the
         # min with c_R) with an arbitrary one
-        j = min(rest, key=state.gain) if step % 2 == 0 else rest[7 * step % len(rest)]
-        state.add(j)
-        picked.append(j)
+        i = int(np.argmin(got)) if step % 2 == 0 else 7 * step % len(rest)
+        total += got[i]
+        state.add(rest[i])
+        picked.append(rest[i])
 
 
 def test_vrouge_margin_state_needs_concepts_and_reference_mass():
@@ -312,6 +317,19 @@ def test_train_keeps_logdet_parameters_in_unit_box():
     trained = train([ex], init_mixture(["logdet"], seed=3), TrainConfig(epochs=4, lr=0.5))
     spec = trained.components[0]
     assert 0.0 <= spec.eta <= 1.0 and 0.0 <= spec.nu <= 1.0
+
+
+def test_train_at_budget_one_without_concepts_logs_no_vrouge():
+    """Budget 1 is the least an example takes; a collection with no concepts
+    trains under the zero_one margin and leaves the V-ROUGE column blank."""
+    ctx = random_instance(np.random.default_rng(7), n_range=(6, 6), concepts=False)[0]
+    assert ctx.counts is None
+    ex = TrainingExample(ctx, [(2,)], 1)
+    cfg = TrainConfig(epochs=2, margin="zero_one", task="generic")
+    rows = training_log_csv(train([ex], init_mixture(["gc", "logdet"], seed=5), cfg)).splitlines()
+    assert rows[0] == "epoch,mean_hinge,mean_vrouge"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
+    assert all(r.endswith(",") for r in rows[1:])
 
 
 def test_zero_learning_rate_freezes_theta(example):

@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import with_copies
+from conftest import one_gain, with_copies
 from submodsum.bench import random_instance
 from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
@@ -232,7 +232,7 @@ def test_logdet_pushed_conditioning_rows_bit_equal_to_dense_reference(inst):
         picks = []
         for _ in range(min(8, cand.size)):
             rest = np.array([j for j in cand if j not in picks], dtype=int)
-            gains = [_outcome(state.gain, j) for j in rest.tolist()]
+            gains = [_outcome(one_gain, state, j) for j in rest.tolist()]
             assert gains == [ref.gain(j) for j in rest.tolist()]
             finite = [(g, j) for g, j in zip(gains, rest.tolist()) if g is not NumericError]
             if len(finite) < rest.size:
@@ -335,7 +335,7 @@ def test_logdet_pushed_conditioning_matches_the_earlier_dense_formula(inst):
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["cosine", "dot", "rbf"]))
 def test_logdet_int_read_bit_equal_to_array_read(seed, metric):
-    """In every mode an int read is its entry of the array read, bit for bit,
+    """In every mode a one-entry read is its entry of the array read, bit for bit,
     and item i + n, a copy of item i, ties with it exactly until one is picked."""
     rng = np.random.default_rng(seed)
     ctx, Q, P = random_instance(rng, n_range=(4, 8), metric=metric)
@@ -349,7 +349,7 @@ def test_logdet_int_read_bit_equal_to_array_read(seed, metric):
         for _ in range(n):
             rest = np.array([j for j in range(2 * n) if j not in picks])
             gains = state.gain(rest)
-            assert [state.gain(int(j)) for j in rest] == gains.tolist()
+            assert [one_gain(state, j) for j in rest.tolist()] == gains.tolist()
             read = dict(zip(rest.tolist(), gains.tolist()))
             assert all(read[i] == read[i + n] for i in range(n) if i in read and i + n in read)
             j = int(rest[np.argmax(gains)])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ScratchObjective, pair_ctx, seed_from, with_copies
+from conftest import ScratchObjective, one_gain, pair_ctx, seed_from, with_copies
 from submodsum.bench import random_instance
 from submodsum.errors import ConfigError, NumericError, SizeError, UnsupportedError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, modes_supported
@@ -135,6 +135,7 @@ def test_lazy_matches_naive(family, mode):
         b = greedy_maximize(obj, k)
         assert a[0] == b.indices
         assert a[2] == pytest.approx(b.value, abs=1e-10)
+        assert b.value == pytest.approx(obj.value(b.indices), abs=1e-9)  # the gains telescope
         # the lowest index wins a tie: no copy before its original
         if t == 10:
             half = ctx.n_ground // 2
@@ -261,7 +262,8 @@ def _ref_require_finite(gains, cands):
 
 
 def _ref_greedy(obj, k, lazy, stop_on_nonpositive, cand):
-    """greedy_maximize with one scalar gain read per candidate."""
+    """greedy_maximize with one gain read per candidate; its value is the
+    sum of the pick gains."""
     lazy = lazy and getattr(obj, "lazy_safe", True)
     state = obj.fresh_state()
     picked, gains = [], []
@@ -272,21 +274,21 @@ def _ref_greedy(obj, k, lazy, stop_on_nonpositive, cand):
         while heap and len(picked) < k:
             negb, j = heapq.heappop(heap)
             if j not in fresh:
-                g = state.gain(j)
+                g = one_gain(state, j)
                 _ref_require_finite((g,), (j,))
                 fresh.add(j)
                 heapq.heappush(heap, (-g, j))
                 continue
             if stop_on_nonpositive and -negb <= 0:
                 break
-            g = state.add(j)
+            state.add(j)
             picked.append(j)
-            gains.append(g)
+            gains.append(-negb)  # j's read since the last pick
             fresh.clear()
     else:
         remaining = [int(j) for j in cand]
         while remaining and len(picked) < k:
-            gvals = [state.gain(j) for j in remaining]
+            gvals = [one_gain(state, j) for j in remaining]
             _ref_require_finite(gvals, remaining)
             best = max(range(len(remaining)), key=gvals.__getitem__)
             g = gvals[best]
@@ -296,7 +298,7 @@ def _ref_greedy(obj, k, lazy, stop_on_nonpositive, cand):
             state.add(j)
             picked.append(j)
             gains.append(g)
-    return picked, gains, float(state.value)
+    return picked, gains, float(sum(gains))
 
 
 class _Counted:
@@ -321,7 +323,7 @@ class _CountingState:
         return getattr(self.state, name)
 
     def gain(self, j):
-        self.owner.evals += j.size if isinstance(j, np.ndarray) else 1
+        self.owner.evals += j.size
         self.owner.reads += 1
         return self.state.gain(j)
 
@@ -378,11 +380,11 @@ def test_greedy_vector_reads_bit_equal_to_scalar_reference(inst):
     cand = np.arange(ctx.n_ground)
     k = min(8, cand.size)
     for label, obj in _objectives(ctx, Q, P, spec_kw):
-        # an array read equals the int reads of its entries, pick by pick
+        # an array read equals the one-entry reads of its entries, pick by pick
         state, remaining = obj.fresh_state(), cand
         for _ in range(k):
             vec = _outcome(state.gain, remaining)
-            one = [_outcome(state.gain, int(j)) for j in remaining]
+            one = [_outcome(one_gain, state, j) for j in remaining]
             if vec is NumericError or NumericError in one:
                 assert vec is NumericError and NumericError in one, label
                 break
@@ -428,15 +430,22 @@ def zero_one_paths(draw):
 @example(inst=(5, [1, 3, 4], [1, 0, 3, 4, 2]))  # leaves the reference before completing it
 def test_zero_one_margin_state_matches_from_scratch(inst):
     """At every step, every candidate's state gain is l(Y + j) - l(Y),
-    with l rescored from scratch, in the int and the array read."""
+    with l rescored from scratch, in the one-entry and the array read, and
+    the gains of the path telescope from l(empty set) to l(Y)."""
     n, ref, path = inst
     margin = ZeroOneMargin(EvalContext(np.eye(n), n, metric="dot"), ref)
     state, scratch = margin.fresh_state(), ScratchObjective(margin, n).fresh_state()
+    total = margin(())
     for step in range(n + 1):
-        assert state.value == scratch.value == margin(path[:step])
+        assert total == margin(path[:step])
         rest = np.asarray(sorted(set(range(n)) - set(path[:step])), dtype=int)
         want = scratch.gain(rest)
         assert _bits(state.gain(rest)) == _bits(want)
-        assert _bits([state.gain(int(j)) for j in rest]) == _bits(want)
+        assert _bits([one_gain(state, j) for j in rest]) == _bits(want)
         if step < n:
-            assert state.add(path[step]) == scratch.add(path[step])
+            j = path[step]
+            g = one_gain(state, j)
+            assert g == one_gain(scratch, j)
+            total += g
+            state.add(j)
+            scratch.add(j)
