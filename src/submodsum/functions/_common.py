@@ -30,6 +30,16 @@ def as_indices(S) -> np.ndarray:
     raise ConfigError(f"an index set must be a flat collection of integers, got {S!r}")
 
 
+def complement(lo: int, hi: int, S) -> np.ndarray:
+    """arange(lo, hi) without the members of S, ascending, from a boolean
+    mask.  Entries of S outside [lo, hi) are ignored, as np.setdiff1d
+    ignores them, so an index set can be checked after it is used here."""
+    S = np.asarray(S, dtype=int)
+    keep = np.ones(hi - lo, dtype=bool)
+    keep[S[(S >= lo) & (S < hi)] - lo] = False
+    return np.flatnonzero(keep) + lo
+
+
 def cross_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """rows x cols of the cross-only kernel: ctx.cross between V and V',
     the identity within a side.  Rows on one side and cols on the other, as

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ._common import PSI, FamilyOps, MarginalState, cross_block
+from ._common import PSI, FamilyOps, MarginalState, complement, cross_block
 from .spec import MeasureMode
 
 
@@ -71,7 +71,7 @@ def _terms(ctx, spec, mode, Q, P):
         return Q, psi(_sums(ctx, ground, Q))
     ps = _sums(ctx, ground, P)
     if mode == MeasureMode.CG:
-        return np.setdiff1d(np.arange(n, ctx.size), P), psi(g) - psi(ps)
+        return complement(n, ctx.size, P), psi(g) - psi(ps)
     return Q, psi(_sums(ctx, ground, Q) + ps) - psi(ps)
 
 

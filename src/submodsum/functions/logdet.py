@@ -79,6 +79,23 @@ def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
     return pair_weighted(ctx, spec, block, rows, cols, Q, P)
 
 
+def _dots(rows: np.ndarray, i: int) -> np.ndarray:
+    """rows[:, i] @ rows with the bits of (rows[:, i, None] * rows).sum(axis=0),
+    which adds the rows in order, but without its k x n temporary.  einsum's
+    loop order is a numpy detail: it adds the rows in order at every output
+    width but 1, where it can round apart (a one-item ground set, k >= 3),
+    so width 1 keeps the elementwise sum."""
+    if rows.shape[1] == 1:
+        return (rows[:, i, None] * rows).sum(axis=0)
+    return np.einsum("r,rj->j", rows[:, i], rows)
+
+
+def _columns(n: int, S: np.ndarray) -> np.ndarray:
+    """V u S ascending, as np.union1d(arange(n), S) gives it: V, then the
+    auxiliary members of S, sorted and unique."""
+    return np.concatenate((np.arange(n), np.unique(S[S >= n])))
+
+
 class GrowingCholesky:
     """Cholesky rows of every ground column of D, under the weights of Q and
     P, against S followed by a growing selection.
@@ -87,17 +104,19 @@ class GrowingCholesky:
     (rows in push order) extended to all n ground columns: C[:k, j] solves
     L c = D_j, so d2[j] = D_jj - |C[:k, j]|^2 is the Schur complement of j
     given them.  The conditioning set S is pushed first, over the columns
-    V u S, its rows read through _read; then only the V columns are kept.
-    Selecting a ground item i reads row i of the kernel's V x V block in
-    place, which no weight reaches, with the jitter added at i, appends
-    e = (D_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers d2 by
-    e^2, O(n k) per push.
+    V u S (_columns), its rows read through _read; then only the V columns
+    are kept.  Selecting a ground item i reads row i of the kernel's V x V
+    block in place, which no weight reaches, with the jitter added at i,
+    appends e = (D_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers
+    d2 by e^2, O(n k) per push.  The product is one contraction that adds
+    the rows in order, not a BLAS product, so equal columns (copies of an
+    item) stay bit-equal; at width 1 it keeps the elementwise sum (_dots).
     """
 
     def __init__(self, ctx, spec, S=NO_ITEMS, Q=NO_ITEMS, P=NO_ITEMS):
         n = ctx.n_ground
         self.kv, self.jitter = ctx.kernel[:n, :n], ctx.jitter
-        cols = np.union1d(np.arange(n), S)
+        cols = _columns(n, S)
         self.d2 = np.diagonal(ctx.kernel)[cols] + ctx.jitter
         self.C = np.zeros((0, cols.size))
         self.k = 0
@@ -119,10 +138,7 @@ class GrowingCholesky:
             grown = np.empty((max(2 * k, 8), self.C.shape[1]))
             grown[:k] = self.C
             self.C = grown
-        rows = self.C[:k]
-        # an elementwise product summed down the rows in a fixed order, not a
-        # BLAS product, so equal columns (copies of an item) stay bit-equal
-        e = (row - (rows[:, i, None] * rows).sum(axis=0)) / np.sqrt(d2)
+        e = (row - _dots(self.C[:k], i)) / np.sqrt(d2)
         self.C[k] = e
         self.k = k + 1
         self.d2 -= e * e

@@ -3,7 +3,9 @@
 Greedy (one argmax scan per pick), an exhaustive optimum for small
 instances, and the flavor dispatcher that turns a summarization task
 into (mode, Q, P).  An objective owns its candidate pool: the ground set
-minus the task's query and conditioning items.
+minus the task's query and conditioning items, ascending.  The greedy
+drops each pick from it by slicing, so the remaining candidates stay
+ascending and every gain read takes them in that order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, SizeError, UnsupportedError
 from .functions import Family, FunctionSpec, MeasureMode, evaluate, make_state, modes_supported
-from .functions._common import MarginalState, as_indices
+from .functions._common import MarginalState, as_indices, complement
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -121,7 +123,7 @@ class MeasureObjective:
 
     def candidates(self) -> np.ndarray:
         """The ground set minus Q and P, ascending."""
-        return np.setdiff1d(np.arange(self.ctx.n_ground), np.concatenate([self.Q, self.P]))
+        return complement(0, self.ctx.n_ground, np.concatenate((self.Q, self.P)))
 
     def item_ids(self, indices) -> list[str]:
         return [self.ctx.ids[i] for i in indices]
@@ -180,9 +182,11 @@ def _require_finite(gains, cands) -> None:
 def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
                     flavor: str | None = None) -> Selection:
     """Budget-k greedy over obj.candidates(): each pick reads every
-    remaining candidate's gain as one array and takes its argmax. Every
-    gain read must be finite, else NumericError.  The selection's value is
-    the sum of the pick gains, f of the summary less f of the empty set."""
+    remaining candidate's gain as one array and takes its argmax. The
+    remaining candidates stay ascending: a pick is sliced out of them.
+    Every gain read must be finite, else NumericError.  The selection's
+    value is the sum of the pick gains, f of the summary less f of the
+    empty set."""
     cand = obj.candidates()
     k = int(k)
     if k < 0:
@@ -202,7 +206,7 @@ def greedy_maximize(obj, k: int, stop_on_nonpositive: bool = False,
         if stop_on_nonpositive and g <= 0:
             break
         j = int(remaining[best])
-        remaining = np.delete(remaining, best)
+        remaining = np.concatenate((remaining[:best], remaining[best + 1:]))
         state.add(j)
         picked.append(j)
         gains.append(g)

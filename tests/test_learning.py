@@ -19,13 +19,14 @@ from submodsum.learning import (
     loss_augmented_inference,
     make_margin,
     mixture_eval,
+    mixture_objective,
     pack_theta,
     summarize_with_mixture,
     theta_slots,
     train,
     training_log_csv,
 )
-from submodsum.optimize import Flavor
+from submodsum.optimize import Flavor, brute_force_opt, greedy_maximize
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,26 @@ def test_vrouge_margin_state_gains_match_margin(example):
         total += got[i]
         state.add(rest[i])
         picked.append(rest[i])
+
+
+@pytest.mark.parametrize("name", ["one_minus_vrouge", "zero_one"])
+def test_loss_augmented_objective_value_is_mixture_plus_margin(name):
+    """F + l read as one objective is mixture_eval plus the margin, and the
+    exhaustive optimum of F + l is at least the value of the greedy's summary."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        ctx, Q, P = random_instance(rng, n_range=(5, 8))
+        n = ctx.n_ground
+        ex = TrainingExample(ctx, [tuple(rng.choice(n, size=2, replace=False).tolist())], 3, Q=Q)
+        model = init_mixture(["sc", "gc", "fl1", "logdet"], seed=int(rng.integers(100)))
+        margin = make_margin(ex, name, ex.references[0])
+        obj = mixture_objective(model, ex, Flavor.QUERY, margin=margin)
+        for Y in ((), ex.references[0], tuple(rng.choice(n, size=3, replace=False).tolist())):
+            assert obj.value(Y) == pytest.approx(mixture_eval(model, Y, ex) + margin(Y), rel=0, abs=1e-12)
+        best = brute_force_opt(obj, ex.budget)
+        assert best.value == pytest.approx(obj.value(best.indices), rel=0, abs=1e-12)
+        greedy = greedy_maximize(obj, ex.budget)
+        assert best.value >= obj.value(greedy.indices) - 1e-12
 
 
 def test_vrouge_margin_state_needs_concepts_and_reference_mass():

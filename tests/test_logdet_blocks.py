@@ -28,7 +28,7 @@ from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate, make_state
 from submodsum.functions._common import cross_block, pair_weighted
-from submodsum.functions.logdet import LogDetOps, _logdet_psd, _solve_psd
+from submodsum.functions.logdet import LogDetOps, _columns, _dots, _logdet_psd, _solve_psd
 
 pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
@@ -355,6 +355,33 @@ def test_logdet_int_read_bit_equal_to_array_read(seed, metric):
             j = int(rest[np.argmax(gains)])
             state.add(j)
             picks.append(j)
+
+
+# -- the set-free pieces of a push ---------------------------------------------
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40),
+       width=st.one_of(st.just(1), st.integers(1, 3000)), scale=st.floats(-5, 4))
+def test_push_contraction_bit_equal_to_the_row_sum(seed, k, width, scale):
+    """_dots gives the bits of the elementwise product summed down the rows,
+    which the dense reference pushes with, at every width, 1 included."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, width)) * 10.0 ** scale
+    i = int(rng.integers(width))
+    want = (rows[:, i, None] * rows).sum(axis=0)
+    assert _dots(rows, i).tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_cholesky_columns_are_the_union_with_the_ground_set(n, m, seed):
+    """Any conditioning set in the universe, unsorted and with repeats, ground
+    members included, gives the columns np.union1d gives."""
+    S = np.random.default_rng(seed).integers(0, n + m, size=m + 3)
+    got, want = _columns(n, S), np.union1d(np.arange(n), S)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert _columns(n, NONE).tolist() == list(range(n))
 
 
 # -- memory --------------------------------------------------------------------

@@ -8,6 +8,7 @@ from conftest import ScratchObjective, one_gain, pair_ctx, seed_from, with_copie
 from submodsum.bench import random_instance
 from submodsum.errors import ConfigError, NumericError, SizeError, UnsupportedError
 from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, modes_supported
+from submodsum.functions._common import complement
 from submodsum.optimize import (
     CompositeObjective,
     Flavor,
@@ -218,6 +219,35 @@ def test_candidates_leave_out_ground_items_in_q_and_p(rng):
         assert not set(top) & set(sel.indices), mode
     # auxiliary items are never candidates anyway
     assert MeasureObjective(gc, MeasureMode.SMI, ctx, Q=Q).candidates().tolist() == list(range(8))
+
+
+@settings(deadline=None)
+@given(lo=st.integers(0, 20), width=st.integers(0, 20),
+       S=st.lists(st.integers(-5, 45), max_size=30))
+def test_complement_is_setdiff1d(lo, width, S):
+    """Repeats, members on either side of lo and entries outside [lo, hi)
+    all give np.setdiff1d's answer."""
+    hi = lo + width
+    got, want = complement(lo, hi, S), np.setdiff1d(np.arange(lo, hi), S)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_candidates_are_the_setdiff1d_definition(rng):
+    """The pool is the ground set minus Q and P, whatever they hold; an entry
+    outside the universe leaves the pool whole and is refused by the state."""
+    for _ in range(20):
+        ctx, Q, P = random_instance(rng)
+        n, size = ctx.n_ground, ctx.size
+        Q = rng.choice(size, size=3).tolist() + list(Q)  # ground members and repeats
+        P = rng.choice(size, size=2).tolist() + list(P)
+        obj = MeasureObjective(FunctionSpec(Family.GRAPH_CUT), MeasureMode.CSMI, ctx, Q=Q, P=P)
+        want = np.setdiff1d(np.arange(n), np.concatenate([obj.Q, obj.P]))
+        assert obj.candidates().dtype == want.dtype and obj.candidates().tolist() == want.tolist()
+    for bad in ([-1], [size], [-3, size + 2]):
+        obj = MeasureObjective(FunctionSpec(Family.GRAPH_CUT), MeasureMode.CG, ctx, P=bad)
+        assert obj.candidates().tolist() == list(range(n))
+        with pytest.raises(ConfigError, match="outside the universe"):
+            greedy_maximize(obj, n)
 
 
 def test_composite_objective_matches_weighted_sum(rng):
