@@ -294,6 +294,9 @@ def cmd_synth(args) -> int:
                  for v in values.split(",") if v.strip()]
         if not sweep:
             raise ConfigError("--sweep needs at least one value")
+        shown = [f"{getattr(s, param):g}" for _, s in sweep]  # the plot files' names
+        if len(set(shown)) < len(shown):
+            raise ConfigError(f"--sweep values name their plot files, so must print apart: {param}={','.join(shown)}")
 
     outputs, runs = {}, []
     for param, run_spec in sweep:

@@ -112,25 +112,28 @@ PSI = {
 class FamilyOps:
     """One measure family: its closed form, incremental state and gradients.
 
-    value(ctx, spec, mode, A, Q, P) is the closed form of the measure in
-    any mode of MODES for a nonempty A in the ground set: f(A), I_f(A; Q),
-    f(A | P) or I_f(A; Q | P), with the sets the mode does not read empty.
-    base(ctx, spec, S) is f(S) for any S in the universe, the function the
-    definitional oracle builds every mode from; it defaults to
-    value(BASE, S), and a family overrides it where its f over a set that
-    holds auxiliary items needs code of its own.  api.evaluate reads BASE
-    through base, so such a family's value need not handle BASE.  state()
-    starts the incremental evaluator of a mode, and partials/near_kink give
-    the gradients for PARAM_KEYS and flag a max/min switch close by.  A
-    family computes the per-mode pieces these share (caps, masks, factors,
-    blocks) in one helper that all of them read.
+    A family reads no mode: api empties every set a mode does not read, so
+    which of Q and P is nonempty names the form: f(A) with neither,
+    I_f(A; Q) with Q, f(A | P) with P and I_f(A; Q | P) with both.
 
-    PARAM_MAX bounds a parameter from above where the measure stops being
-    well defined; every parameter is bounded below by zero.  AUX_ONLY marks
-    a family whose measures are defined only for Q and P in the auxiliary
-    universe; api checks it before any method runs.  The defaults below fit
-    a family whose value carries no kernel weighting, has no continuous
-    parameters and no max/min switches.
+    value(ctx, spec, A, Q, P) is the closed form for a nonempty A in the
+    ground set.  base(ctx, spec, S) is f(S) for any S in the universe, the
+    function the definitional oracle builds every form from; api.evaluate
+    reads it where Q and P are both empty.  It defaults to value(S, {}, {}),
+    and a family overrides it where its f over a set that holds auxiliary
+    items needs code of its own; that family's value then never sees two
+    empty sets.  state(ctx, spec, Q, P) starts the incremental evaluator,
+    and partials/near_kink give the gradients for PARAM_KEYS and flag a
+    max/min switch close by.  A family computes the pieces these share
+    (caps, masks, factors, blocks) in one helper that all of them read.
+
+    MODES lists the modes api lets through.  PARAM_MAX bounds a parameter
+    from above where the measure stops being well defined; every parameter
+    is bounded below by zero.  AUX_ONLY marks a family whose measures are
+    defined only for Q and P in the auxiliary universe; api checks it
+    before any method runs.  The defaults below fit a family whose value
+    carries no kernel weighting, has no continuous parameters and no
+    max/min switches.
     """
 
     MODES: frozenset = frozenset(MeasureMode)
@@ -138,21 +141,21 @@ class FamilyOps:
     PARAM_KEYS: tuple[str, ...] = ()
     PARAM_MAX: dict[str, float] = {}
 
-    def value(self, ctx, spec, mode, A, Q, P) -> float:
+    def value(self, ctx, spec, A, Q, P) -> float:
         raise NotImplementedError
 
     def base(self, ctx, spec, S) -> float:
-        return self.value(ctx, spec, MeasureMode.BASE, S, NO_ITEMS, NO_ITEMS)
+        return self.value(ctx, spec, S, NO_ITEMS, NO_ITEMS)
 
     def oracle_view(self, ctx, spec, Q, P):
         """Context on which the bare definitions reproduce the closed forms
-        of a mode that reads Q and P (a set it does not read comes empty)."""
+        for Q and P as api passes them."""
         return ctx
 
-    def partials(self, ctx, spec, mode, A, Q, P) -> dict:
+    def partials(self, ctx, spec, A, Q, P) -> dict:
         return {}
 
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol) -> bool:
+    def near_kink(self, ctx, spec, A, Q, P, tol) -> bool:
         return False
 
 
@@ -182,6 +185,16 @@ class MarginalState:
 
     def add(self, j: int) -> None:
         raise NotImplementedError
+
+
+class FixedGains(MarginalState):
+    """The state of a modular measure: no pick moves a gain."""
+
+    def __init__(self, gains: np.ndarray):
+        self.gains = gains
+
+    def add(self, j):
+        pass
 
 
 class SparseRows:

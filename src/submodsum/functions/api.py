@@ -14,14 +14,11 @@ written once in _sets:
   is ignored and comes back empty.
 
 A broken contract raises ConfigError.  eval_base is f itself, over any S
-in V u V'.  The wrappers then collapse the degenerate cases every family
-shares:
-
-    I(A; {})   = 0          f(A | {}) = f(A)        I(A; Q | {}) = I(A; Q)
-    I(A; {} | P) = 0
-
-so family code never sees an empty conditioning set where it would have
-to invert an empty block, nor an empty A.
+in V u V'.  No other module reads a mode: a family names its form by
+which of Q and P is nonempty (_common.FamilyOps), so f(A | {}) = f(A) and
+I(A; Q | {}) = I(A; Q) need no case of their own.  The wrappers collapse
+the measures that are identically zero, I(A; {}) = I(A; {} | P) = 0, and
+an empty A, so family code never sees them.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, UnsupportedError
-from ._common import NO_ITEMS, MarginalState, as_indices
+from ._common import NO_ITEMS, FixedGains, MarginalState, as_indices
 from .concave import ConcaveOverModularOps
 from .coverage import ProbSetCoverOps, SetCoverOps
 from .disparity import DisparityMinOps, DisparitySumOps
@@ -98,16 +95,12 @@ def _sets(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q, P):
 
 
 def _reduce(spec: FunctionSpec, mode, ctx, A, Q, P):
-    """(effective mode, A, Q, P): the sets under _sets, the degenerate
-    conditioning collapsed; the mode is None where the measure is
-    identically zero."""
+    """(mode, A, Q, P): the checked mode and the sets under _sets; the mode
+    is None where the measure is identically zero, a mode that reads Q
+    given none."""
     mode = _check_mode(spec, mode)
     A, Q, P = _sets(spec, mode, ctx, A, Q, P)
-    if mode in _USES_Q and not Q.size:
-        return None, A, Q, P
-    if mode in _USES_P and not P.size:
-        mode = MeasureMode.SMI if mode == MeasureMode.CSMI else MeasureMode.BASE
-    return mode, A, Q, P
+    return (None if mode in _USES_Q and not Q.size else mode), A, Q, P
 
 
 def eval_base(spec: FunctionSpec, S, ctx) -> float:
@@ -125,37 +118,27 @@ def evaluate(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> f
     if mode is None or not A.size:
         return 0.0
     ops = REGISTRY[spec.family]
-    if mode == MeasureMode.BASE:
-        return float(ops.base(ctx, spec, A))
-    return float(ops.value(ctx, spec, mode, A, Q, P))
-
-
-class _ZeroState(MarginalState):
-    def __init__(self, size: int):
-        self.gains = np.zeros(size)
-
-    def add(self, j):
-        pass
+    return float(ops.value(ctx, spec, A, Q, P) if Q.size or P.size else ops.base(ctx, spec, A))
 
 
 def make_state(spec: FunctionSpec, mode: MeasureMode, ctx, Q=None, P=None) -> MarginalState:
     """Incremental evaluator for the chosen measure, started at A = {}.
 
-    Degenerate conditioning collapses exactly like the closed forms do.
+    A measure that is identically zero gains nothing, as its closed form.
     """
-    eff, _, Q, P = _reduce(spec, mode, ctx, (), Q, P)
-    return _ZeroState(ctx.n_ground) if eff is None else REGISTRY[spec.family].state(ctx, spec, eff, Q, P)
+    mode, _, Q, P = _reduce(spec, mode, ctx, (), Q, P)
+    return FixedGains(np.zeros(ctx.n_ground)) if mode is None else REGISTRY[spec.family].state(ctx, spec, Q, P)
 
 
 def partials(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None) -> dict:
     """d measure / d parameter for the family's continuous parameters.
 
-    Missing keys mean zero gradient; degenerate conditioning gives {}.
+    Missing keys mean zero gradient; a measure that is identically zero gives {}.
     """
     mode, A, Q, P = _reduce(spec, mode, ctx, A, Q, P)
     if mode is None or not A.size:
         return {}
-    out = REGISTRY[spec.family].partials(ctx, spec, mode, A, Q, P)
+    out = REGISTRY[spec.family].partials(ctx, spec, A, Q, P)
     return {k: float(v) for k, v in out.items()}
 
 
@@ -165,4 +148,4 @@ def near_kink(spec: FunctionSpec, mode: MeasureMode, ctx, A, Q=None, P=None, tol
     mode, A, Q, P = _reduce(spec, mode, ctx, A, Q, P)
     if mode is None or not A.size:
         return False
-    return bool(REGISTRY[spec.family].near_kink(ctx, spec, mode, A, Q, P, tol))
+    return bool(REGISTRY[spec.family].near_kink(ctx, spec, A, Q, P, tol))

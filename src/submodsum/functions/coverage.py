@@ -4,10 +4,11 @@ Set cover: f(S) = w(concepts covered by S).  Its information forms reduce to
 weighted intersections/differences of covered-concept sets.  Probabilistic
 set cover: f(S) = sum_i w_i (1 - prod_{j in S}(1 - p_ij)), the product being
 the probability that concept i stays uncovered by S.  Neither family has
-continuous parameters.  The modes differ only per concept: set cover counts
+continuous parameters.  The forms differ only per concept: set cover counts
 the concepts covered by Q and not by P (_active), probabilistic set cover
-multiplies by 1 - miss(Q) and then by miss(P) (_factors), and the closed
-form and the marginal state both read that one helper.
+multiplies by 1 - miss(Q) and then by miss(P) (_factors), each for a
+nonempty set only, so with Q and P empty either is f(A).  The closed form
+and the marginal state both read that one helper.
 
 Both marginal states keep every item's gain as a sum over its nonzero
 concepts of a per-concept weight (the weight of a concept still uncovered;
@@ -20,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._common import FamilyOps, MarginalState, SparseRows
-from .spec import MeasureMode
 
 
 def _gamma(ctx) -> np.ndarray:
@@ -34,24 +34,24 @@ def _covered(gamma: np.ndarray, S: np.ndarray) -> np.ndarray:
     return gamma[S].any(axis=0)
 
 
-def _active(gamma: np.ndarray, mode, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Concepts the mode counts: covered by Q where it reads Q, not covered by P where it reads P."""
+def _active(gamma: np.ndarray, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Concepts the form counts: covered by Q if Q is nonempty, not covered by P if P is."""
     active = np.ones(gamma.shape[1], dtype=bool)
-    if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+    if Q.size:
         active &= _covered(gamma, Q)
-    if mode in (MeasureMode.CG, MeasureMode.CSMI):
+    if P.size:
         active &= ~_covered(gamma, P)
     return active
 
 
 class SetCoverOps(FamilyOps):
-    def value(self, ctx, spec, mode, A, Q, P):
+    def value(self, ctx, spec, A, Q, P):
         g = _gamma(ctx)
-        return float(ctx.concept_weights @ (_covered(g, A) & _active(g, mode, Q, P)))
+        return float(ctx.concept_weights @ (_covered(g, A) & _active(g, Q, P)))
 
-    def state(self, ctx, spec, mode, Q, P):
+    def state(self, ctx, spec, Q, P):
         g = _gamma(ctx)
-        return _CoverState(g[:ctx.n_ground], ctx.concept_weights, _active(g, mode, Q, P))
+        return _CoverState(g[:ctx.n_ground], ctx.concept_weights, _active(g, Q, P))
 
 
 class _CoverState(MarginalState):
@@ -81,29 +81,29 @@ def _miss(prob: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.prod(1.0 - prob[S], axis=0)
 
 
-def _factors(prob: np.ndarray, mode, Q: np.ndarray, P: np.ndarray) -> list[np.ndarray]:
-    """Per-concept factors the mode multiplies the coverage of A by, in order:
-    1 - miss(Q) where it reads Q, then miss(P) where it reads P."""
+def _factors(prob: np.ndarray, Q: np.ndarray, P: np.ndarray) -> list[np.ndarray]:
+    """Per-concept factors the form multiplies the coverage of A by, in order:
+    1 - miss(Q) if Q is nonempty, then miss(P) if P is."""
     out = []
-    if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+    if Q.size:
         out.append(1.0 - _miss(prob, Q))
-    if mode in (MeasureMode.CG, MeasureMode.CSMI):
+    if P.size:
         out.append(_miss(prob, P))
     return out
 
 
 class ProbSetCoverOps(FamilyOps):
-    def value(self, ctx, spec, mode, A, Q, P):
+    def value(self, ctx, spec, A, Q, P):
         p = _probs(ctx)
         x = 1.0 - _miss(p, A)
-        for factor in _factors(p, mode, Q, P):
+        for factor in _factors(p, Q, P):
             x = x * factor
         return float(ctx.concept_weights @ x)
 
-    def state(self, ctx, spec, mode, Q, P):
+    def state(self, ctx, spec, Q, P):
         p = _probs(ctx)
         mult = np.ones(p.shape[1])
-        for factor in _factors(p, mode, Q, P):
+        for factor in _factors(p, Q, P):
             mult = mult * factor
         return _ProbCoverState(p[:ctx.n_ground], ctx.concept_weights, mult)
 

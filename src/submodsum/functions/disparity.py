@@ -18,27 +18,27 @@ from .spec import MeasureMode
 class DisparitySumOps(FamilyOps):
     MODES = frozenset({MeasureMode.BASE})
 
-    def value(self, ctx, spec, mode, S, Q, P):
+    def value(self, ctx, spec, S, Q, P):
         if S.size < 2:
             return 0.0
         D = 1.0 - ctx.similarity(S, S)
         return float(np.triu(D, k=1).sum())
 
-    def state(self, ctx, spec, mode, Q, P):
+    def state(self, ctx, spec, Q, P):
         return _DispSumState(ctx)
 
 
 class DisparityMinOps(FamilyOps):
     MODES = frozenset({MeasureMode.BASE})
 
-    def value(self, ctx, spec, mode, S, Q, P):
+    def value(self, ctx, spec, S, Q, P):
         if S.size < 2:
             return 0.0
         D = 1.0 - ctx.similarity(S, S)
         iu = np.triu_indices(S.size, k=1)
         return float(D[iu].min())
 
-    def state(self, ctx, spec, mode, Q, P):
+    def state(self, ctx, spec, Q, P):
         return _DispMinState(ctx)
 
 

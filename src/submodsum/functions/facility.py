@@ -1,22 +1,22 @@
 """Facility-location measures on the kernel mapped into [0, 1].
 
 Variant 1 scores coverage of the ground set (rows U = V):
-    f(S) = sum_{i in V} max_{j in S} s_ij
-    query form      sum_i min(max_{j in A} s_ij, eta * max_{j in Q} s_ij)
-    conditional     sum_i max(max_{j in A} s_ij - nu * max_{j in P} s_ij, 0)
-    joint           sum_i max(min(max_A, eta max_Q) - nu max_P, 0)
+    Q, P empty      f(S) = sum_{i in V} max_{j in S} s_ij
+    Q only          sum_i min(max_{j in A} s_ij, eta * max_{j in Q} s_ij)
+    P only          sum_i max(max_{j in A} s_ij - nu * max_{j in P} s_ij, 0)
+    Q and P         sum_i max(min(max_A, eta max_Q) - nu max_P, 0)
 eta * max_Q and nu * max_P stand for the weights of the one eta/nu pair
 rule, _common.pair_weighted: eta weights s_ij where j is an auxiliary
 member of Q, nu where it is one of P, so a ground item in Q or P counts at
-its own similarity.  Every mode clips max_{j in A} s_ij under a query cap
-and then above a conditioning floor; _caps gives both per ground row, and
-the closed form, the marginal state, partials and near_kink all read them
-from there.
+its own similarity.  Every form clips max_{j in A} s_ij under a query cap
+where Q is nonempty and then above a conditioning floor where P is; _caps
+gives both per ground row, and the closed form, the marginal state,
+partials and near_kink all read them from there.
 
 Variant 2 scores rows of the whole universe on the cross-only kernel
 (the mapped V <-> V' similarities, the identity within a side):
     f_eta(S) = sum_{i in V'} max_{j in S} x_ij + eta * sum_{i in V} max_{j in S} x_ij
-whose pairwise information form is
+whose pairwise information form (Q nonempty) is
     sum_{i in Q} max_{j in A} x_ij + eta * sum_{i in A} max_{j in Q} x_ij
 when every cross similarity lies in [0, 1], as it does for cosine and rbf.
 The dot metric can leave that range, where the form is not the measure,
@@ -52,17 +52,15 @@ def _best(ctx, cols) -> np.ndarray:
     return ctx.similarity(slice(ctx.n_ground), cols).max(axis=1)
 
 
-def _caps(ctx, spec, mode, Q, P):
-    """(query cap, conditioning floor) per ground row, None where the mode
-    reads no such set: the weighted max_{j in Q} and max_{j in P} of s_ij."""
+def _caps(ctx, spec, Q, P):
+    """(query cap, conditioning floor) per ground row, None for an empty Q
+    or P: the weighted max_{j in Q} and max_{j in P} of s_ij."""
     n = ctx.n_ground
 
     def cap(S):
         return pair_weighted(ctx, spec, ctx.similarity(slice(n), S), np.arange(n), S, Q, P).max(axis=1)
 
-    qcap = cap(Q) if mode in (MeasureMode.SMI, MeasureMode.CSMI) else None
-    pcap = cap(P) if mode in (MeasureMode.CG, MeasureMode.CSMI) else None
-    return qcap, pcap
+    return (cap(Q) if Q.size else None), (cap(P) if P.size else None)
 
 
 def _dcap(ctx, S, t, cap, Q, P):
@@ -80,8 +78,8 @@ def _dcap(ctx, S, t, cap, Q, P):
 class FacilityLocation1Ops(FamilyOps):
     PARAM_KEYS = ("eta", "nu")
 
-    def value(self, ctx, spec, mode, A, Q, P):
-        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+    def value(self, ctx, spec, A, Q, P):
+        qcap, pcap = _caps(ctx, spec, Q, P)
         x = _best(ctx, A)
         if qcap is not None:
             x = np.minimum(x, qcap)
@@ -89,15 +87,15 @@ class FacilityLocation1Ops(FamilyOps):
             x = np.maximum(x - pcap, 0.0)
         return float(x.sum())
 
-    def state(self, ctx, spec, mode, Q, P):
-        return _FL1State(ctx, spec, mode, Q, P)
+    def state(self, ctx, spec, Q, P):
+        return _FL1State(ctx, spec, Q, P)
 
     def oracle_view(self, ctx, spec, Q, P):
         idx = np.arange(ctx.size)  # mapped already: a metric that maps nothing
         return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.similarity(idx, idx), idx, idx, Q, P), metric="dot")
 
-    def partials(self, ctx, spec, mode, A, Q, P):
-        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+    def partials(self, ctx, spec, A, Q, P):
+        qcap, pcap = _caps(ctx, spec, Q, P)
         amax = _best(ctx, A)
         inner = amax if qcap is None else np.minimum(amax, qcap)
         alive = True if pcap is None else inner - pcap >= 0
@@ -108,8 +106,8 @@ class FacilityLocation1Ops(FamilyOps):
             out["nu"] = float((-_dcap(ctx, P, spec.nu, pcap, Q, P) * alive).sum())
         return out
 
-    def near_kink(self, ctx, spec, mode, A, Q, P, tol):
-        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+    def near_kink(self, ctx, spec, A, Q, P, tol):
+        qcap, pcap = _caps(ctx, spec, Q, P)
         lhs = _best(ctx, A)
         flags = np.zeros(lhs.size, dtype=bool)
         if qcap is not None:
@@ -123,12 +121,12 @@ class FacilityLocation1Ops(FamilyOps):
 class _FL1State(MarginalState):
     """Ground row i adds score(max(amax_i, s_ij)) - score(amax_i) to candidate j's gain.
 
-    Every mode's score is a clip of amax, the best similarity to a pick, to
+    Every form's score is a clip of amax, the best similarity to a pick, to
     a per-row band [lo, hi] (the conditioning floor and the query cap), so
     row i's contributions depend on its clipped best c_i = clip(amax_i, lo_i,
     hi_i) alone: row i adds min(max(s_ij - c_i, low), hi_i - c_i) with
     low = 0.  Before the first pick amax is the empty max, -inf, so c is the
-    floor, or -inf in a mode without one.  There row i must add
+    floor, or -inf for an empty P.  There row i must add
     min(s_ij, hi_i), as the closed form scores a first pick, negative
     similarities included: c holds 0 in place of -inf and low is -inf until
     that pick moves every row.
@@ -148,11 +146,11 @@ class _FL1State(MarginalState):
     candidate that improves no row reads exactly 0.0.
     """
 
-    def __init__(self, ctx, spec, mode, Q, P):
+    def __init__(self, ctx, spec, Q, P):
         n = ctx.n_ground
         self.K = ctx.kernel[:n]  # a view of the ground rows: read, never written
         self.shift, self.scale = ctx.shift, ctx.scale
-        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+        qcap, pcap = _caps(ctx, spec, Q, P)
         self.capped = qcap is not None
         qcap = np.full(n, np.inf) if qcap is None else qcap
         c, self.low = (np.zeros(n), -np.inf) if pcap is None else (pcap, 0.0)
@@ -215,27 +213,27 @@ class FacilityLocation2Ops(FamilyOps):
         return float(_cross(ctx, shadow, S).max(axis=1).sum()
                      + spec.eta * _cross(ctx, ground, S).max(axis=1).sum())
 
-    def value(self, ctx, spec, mode, A, Q, P):
+    def value(self, ctx, spec, A, Q, P):
         return float(_cross(ctx, Q, A).max(axis=1).sum() + spec.eta * _cross(ctx, A, Q).max(axis=1).sum())
 
-    def state(self, ctx, spec, mode, Q, P):
-        return _FL2State(ctx, spec, mode, Q)
+    def state(self, ctx, spec, Q, P):
+        return _FL2State(ctx, spec, Q)
 
-    def partials(self, ctx, spec, mode, A, Q, P):
-        if mode == MeasureMode.SMI:
+    def partials(self, ctx, spec, A, Q, P):
+        if Q.size:
             return {"eta": float(_cross(ctx, A, Q).max(axis=1).sum())}
         return {"eta": float(_cross(ctx, np.arange(ctx.n_ground), A).max(axis=1).sum())}
 
 
 class _FL2State(MarginalState):
-    def __init__(self, ctx, spec, mode, Q):
+    def __init__(self, ctx, spec, Q):
         n = ctx.n_ground
-        if mode == MeasureMode.SMI:
+        if Q.size:
             rows = Q
             qmax = _cross(ctx, np.arange(n), Q).max(axis=1)
         else:
             rows = np.arange(n, ctx.size)
-            qmax = np.full(n, 1.0)  # base mode: each pick adds eta * x_jj = eta
+            qmax = np.full(n, 1.0)  # f itself: each pick adds eta * x_jj = eta
         self.cross = _cross(ctx, rows, np.arange(n))
         self.item_term = spec.eta * qmax
         self.rowmax = np.zeros(rows.size)

@@ -1,13 +1,17 @@
 """Log-determinant measure on the jittered kernel D = K + jitter * I.
 
-f(S) = log det D_S, and every mode is a Schur complement: to condition on
-a set S is to take log det D_{A u S} - log det D_S.  So each mode is a
-signed sum of log-dets of principal blocks of D (_terms):
+f(S) = log det D_S, and every form is a Schur complement: to condition on
+a set S is to take log det D_{A u S} - log det D_S.  So each form is a
+signed sum of log-dets of principal blocks of D (_terms), by which of Q
+and P is nonempty:
 
-    f(A)          +A
-    I(A; Q)       +A  +Q  -A u Q
-    f(A | P)      +A u P  -P
-    I(A; Q | P)   +A u P  +Q u P  -A u Q u P  -P
+    Q, P empty    f(A)          +A
+    Q only        I(A; Q)       +A  +Q  -A u Q
+    P only        f(A | P)      +A u P  -P
+    Q and P       I(A; Q | P)   +A u P  +Q u P  -A u Q u P  -P
+
+_terms lists the blocks in the last row's order: the pair +Q u P,
+-A u Q u P only for a nonempty Q, and -P only for a nonempty P.
 
 Every block, D_Q and D_P included, is read from D under the one eta/nu
 pair rule of _common.pair_weighted: eta weights each pair with exactly one
@@ -33,7 +37,6 @@ import numpy as np
 
 from ..errors import NumericError
 from ._common import NO_ITEMS, FamilyOps, MarginalState, pair_masks, pair_weighted
-from .spec import MeasureMode
 
 _ADVICE = "matrix not positive definite; increase the kernel jitter or reduce eta/nu toward [0, 1]"
 
@@ -56,16 +59,16 @@ def _solve_psd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise NumericError(_ADVICE) from exc
 
 
-def _terms(mode, Q, P):
+def _terms(Q, P):
     """(sign, S, with_A) per principal block of the module docstring's
-    table: the block is D_{A u S} with with_A, else D_S."""
-    QP = np.concatenate((P, Q))  # P first, as the states push it
-    return {
-        MeasureMode.BASE: ((1, NO_ITEMS, True),),
-        MeasureMode.SMI: ((1, NO_ITEMS, True), (1, Q, False), (-1, Q, True)),
-        MeasureMode.CG: ((1, P, True), (-1, P, False)),
-        MeasureMode.CSMI: ((1, P, True), (1, QP, False), (-1, QP, True), (-1, P, False)),
-    }[mode]
+    table, in its order: the block is D_{A u S} with with_A, else D_S."""
+    terms = [(1, P, True)]
+    if Q.size:
+        QP = np.concatenate((P, Q))  # P first, as the states push it
+        terms += [(1, QP, False), (-1, QP, True)]
+    if P.size:
+        terms.append((-1, P, False))
+    return terms
 
 
 def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
@@ -148,24 +151,24 @@ class LogDetOps(FamilyOps):
     PARAM_KEYS = ("eta", "nu")
     PARAM_MAX = {"eta": 1.0, "nu": 1.0}  # past 1 the scaled kernel can lose definiteness
 
-    def value(self, ctx, spec, mode, A, Q, P):
+    def value(self, ctx, spec, A, Q, P):
         return sum(sign * _logdet_psd(_read(ctx, spec, np.concatenate((A, S)) if with_A else S, Q=Q, P=P))
-                   for sign, S, with_A in _terms(mode, Q, P))
+                   for sign, S, with_A in _terms(Q, P))
 
-    def state(self, ctx, spec, mode, Q, P):
-        return _LogDetState(ctx, spec, mode, Q, P)
+    def state(self, ctx, spec, Q, P):
+        return _LogDetState(ctx, spec, Q, P)
 
     def oracle_view(self, ctx, spec, Q, P):
         idx = np.arange(ctx.size)
         return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.kernel, idx, idx, Q, P))
 
-    def partials(self, ctx, spec, mode, A, Q, P):
-        """d value / d eta (nu) where the mode reads Q (P): each weight's
+    def partials(self, ctx, spec, A, Q, P):
+        """d value / d eta (nu) for a nonempty Q (P): each weight's
         derivative of a block is the block on its pairs, under the other weight."""
         out = {key: 0.0 for key, S in (("eta", Q), ("nu", P)) if S.size}
         if not out:
             return out
-        for sign, S, with_A in _terms(mode, Q, P):
+        for sign, S, with_A in _terms(Q, P):
             T = np.concatenate((A, S)) if with_A else S
             raw = _read(ctx, spec, T)
             xq, xp = pair_masks(ctx, T, T, Q, P)
@@ -189,8 +192,8 @@ class _LogDetState(MarginalState):
     _terms that grows with A, conditioned on its S; the other blocks are
     constant in A."""
 
-    def __init__(self, ctx, spec, mode, Q, P):
-        grows = {sign: GrowingCholesky(ctx, spec, S, Q, P) for sign, S, with_A in _terms(mode, Q, P) if with_A}
+    def __init__(self, ctx, spec, Q, P):
+        grows = {sign: GrowingCholesky(ctx, spec, S, Q, P) for sign, S, with_A in _terms(Q, P) if with_A}
         self.pos, self.neg = grows[1], grows.get(-1)
 
     def gain(self, indices):

@@ -6,9 +6,9 @@ vector summed over T, split per side,
     f(S) = sum_c w_c * max(c(S intersect V), c(S intersect V'))
 
 Counts are additive within a side, so every derived measure reduces to
-vector algebra on side-split count sums: every mode is
-f(A u P) - f(P), plus f(Q u P) - f(A u Q u P) where it reads Q, with P
-empty where the mode reads none.  For A in V and Q in V' the pairwise
+vector algebra on side-split count sums: every form is
+f(A u P) - f(P), plus f(Q u P) - f(A u Q u P) if Q is nonempty, so with Q
+and P both empty it is f(A).  For A in V, Q in V' and P empty the pairwise
 information is sum_c w_c * min(c(A), c(Q)), the count-overlap score of A
 against Q.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._common import FamilyOps, MarginalState, SparseRows
-from .spec import MeasureMode
 
 
 def _side_counts(ctx, S):
@@ -36,35 +35,35 @@ def _f(w, u, v):
 
 
 class RougeOps(FamilyOps):
-    def value(self, ctx, spec, mode, A, Q, P):
+    def value(self, ctx, spec, A, Q, P):
         ctx.require_counts("count overlap")
         w = ctx.concept_weights
         ua, va = _side_counts(ctx, A)
         up, vp = _side_counts(ctx, P)
         out = _f(w, ua + up, va + vp)
-        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+        if Q.size:
             uq, vq = _side_counts(ctx, Q)
             out = out + _f(w, uq + up, vq + vp) - _f(w, ua + uq + up, va + vq + vp)
         return out - _f(w, up, vp)
 
-    def state(self, ctx, spec, mode, Q, P):
-        return _RougeState(ctx, mode, Q, P)
+    def state(self, ctx, spec, Q, P):
+        return _RougeState(ctx, Q, P)
 
 
 class _RougeState(MarginalState):
     """Running ground-side count sum; fixed offsets carry Q and P."""
 
-    def __init__(self, ctx, mode, Q, P):
+    def __init__(self, ctx, Q, P):
         ctx.require_counts("count overlap")
         self.counts = ctx.counts[:ctx.n_ground]
         self.w = ctx.concept_weights
         up, vp = _side_counts(ctx, P)
         self.u = np.zeros(ctx.counts.shape[1])
         # candidate j lives on the ground side; as a function of uA the
-        # value is f(uA + up, vp), less f(uA + uq + up, vq + vp) where the
-        # mode reads Q (+ const), with P's counts zero where it reads no P
+        # value is f(uA + up, vp), less f(uA + uq + up, vq + vp) if Q is
+        # nonempty (+ const), with P's counts zero for an empty P
         self.terms = [(1.0, up, vp)]
-        if mode in (MeasureMode.SMI, MeasureMode.CSMI):
+        if Q.size:
             uq, vq = _side_counts(ctx, Q)
             self.terms.append((-1.0, uq + up, vq + vp))
         self.entries = SparseRows(self.counts)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from submodsum import cli
 from submodsum.cli import build_parser, main, parse_fn_spec
 from submodsum.errors import ConfigError
 from submodsum.functions import Family, FunctionSpec
@@ -198,13 +199,15 @@ def test_summarize_bad_fn_spec_exits_2_with_one_line(fn, coll_path, tmp_path, ca
 
 
 BAD_WEIGHTS = {"text_weight": ["w", 1, 1], "weights_object": {"x": 1},
-               "nan_weight": [float("nan"), 1, 1], "infinite_weight": [float("inf"), 1, 1]}
+               "nan_weight": [float("nan"), 1, 1], "infinite_weight": [float("inf"), 1, 1],
+               "weights_length": [1.0, 1.0]}
 
 
 @pytest.mark.parametrize("case", ["missing_file", "malformed_json", "universe_without_concepts",
                                   "concept_outside_universe", "fractional_count", "nan_feature",
                                   "infinite_lam", "nan_jitter", "zero_sigma", "infinite_sigma",
-                                  "subnormal_sigma", *BAD_WEIGHTS])
+                                  "subnormal_sigma", "duplicate_universe_concepts", "query_id_of_a_ground_item",
+                                  "query_feature_length", *BAD_WEIGHTS])
 def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     path = tmp_path / "coll.json"
     doc = _collection_doc()
@@ -226,6 +229,12 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
         doc["concept_universe"] = {"weights": [1.0]}
     elif case == "concept_outside_universe":
         doc["concept_universe"] = {"concepts": ["c0", "c1"]}  # items also carry "bg"
+    elif case == "duplicate_universe_concepts":
+        doc["concept_universe"] = {"concepts": ["c0", "c1", "bg", "c0"]}
+    elif case == "query_id_of_a_ground_item":
+        doc["queries"][0]["id"] = "g0"
+    elif case == "query_feature_length":
+        doc["queries"][0]["features"] = [1.0, 2.0, 3.0]
     elif case == "fractional_count":
         doc["items"][0]["concepts"]["c0"] = 1.7
     elif case == "nan_feature":
@@ -238,8 +247,27 @@ def test_summarize_rejects_bad_input(case, tmp_path, capsys):
     rc = main(["summarize", "--collection", str(path), "--flavor", "generic",
                "--budget", "2", "--fn", fn, "--out", str(out)] + kernel)
     assert rc == 2
-    assert "error" in capsys.readouterr().err
-    assert not (out / "selection.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "eval"])
+def test_no_components_and_a_summary_without_items_exit_2_with_one_line(command, tmp_path, capsys):
+    """learn with an empty component list, and eval given a summary object
+    without 'items': exit 2, one line on stderr, no --out."""
+    path = tmp_path / "train" / "coll.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(_collection_doc()))
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"ids": ["g0"]}))
+    argv = {"learn": ["learn", "--train-dir", str(path.parent), "--budget", "3", "--components", ","],
+            "eval": ["eval", "--collection", str(path), "--summary", str(summary)]}[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_summarize_empty_ground_set_with_feature_queries(tmp_path, capsys):
@@ -615,9 +643,11 @@ def test_synth_rejects_bad_sweep(tmp_path, capsys):
     _assert_synth_sweep_rejected("zap=1,2", tmp_path / "o", capsys)
 
 
-@pytest.mark.parametrize("sweep", ["nu=a", "lam=1,x", "eta=-1", "nu=nan", "nu=,"])
+@pytest.mark.parametrize("sweep", ["nu=a", "lam=1,x", "eta=-1", "nu=nan", "nu=,", "nu=1,1.0000001"])
 def test_synth_rejects_bad_sweep_value(sweep, tmp_path, capsys):
-    """A sweep value is read by the spec's rule: each bad one exits 2 before any output."""
+    """A sweep value is read by the spec's rule: each bad one exits 2 before
+    any output.  Two values that print alike under :g would write one plot
+    file and two runs."""
     _assert_synth_sweep_rejected(sweep, tmp_path / "o", capsys)
 
 
@@ -673,3 +703,25 @@ def test_check_oracle_passes(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert all(line.startswith("ok") for line in lines)
+
+
+def test_check_oracle_reports_each_failing_form_once(monkeypatch, capsys):
+    """An oracle that disagrees on one family fails each of its checked forms
+    at the first trial, and a finite-difference gap of 1 fails every
+    collection: both suites print FAIL, and the command exits 1."""
+    oracle = cli.definitional_oracle
+    com = Family.CONCAVE_OVER_MODULAR
+
+    def skewed(spec, mode, ctx, *sets):
+        return oracle(spec, mode, ctx, *sets) + (1.0 if spec.family is com else 0.0)
+
+    monkeypatch.setattr(cli, "definitional_oracle", skewed)
+    monkeypatch.setattr(cli, "finite_diff_check", lambda model, ex: 1.0)
+    assert main(["check", "--oracle"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    forms = [f"{com.value} {mode}" for mode in ("smi", "cg", "csmi")]
+    assert [line.split(":")[0] for line in lines] == [
+        "FAIL closed-forms-vs-definitional", *(f"  {form}" for form in forms),
+        "FAIL gradients-vs-finite-difference", *(f"  collection {t}" for t in range(3))]
+    assert all(line.endswith("at trial 0") for line in lines[1:4])
+    assert all(line.endswith("finite-difference gap 1.00e+00") for line in lines[5:])

@@ -80,10 +80,10 @@ class _MappedCopyState:
     it stays an arithmetic independent of the state's block-at-a-time
     sweep."""
 
-    def __init__(self, ctx, spec, mode, Q, P):
+    def __init__(self, ctx, spec, Q, P):
         n = ctx.n_ground
         self.F = ctx.similarity(slice(n), slice(n))
-        qcap, pcap = _caps(ctx, spec, mode, Q, P)
+        qcap, pcap = _caps(ctx, spec, Q, P)
         self.capped = qcap is not None
         qcap = np.full(n, np.inf) if qcap is None else qcap
         self.c, self.low = (np.zeros(n), -np.inf) if pcap is None else (pcap, 0.0)
@@ -135,8 +135,8 @@ def test_fl1_state_matches_mapped_copy_arithmetic(seed, metric, n, eta, nu):
     spec = FunctionSpec(Family.FACILITY_LOCATION_1, eta=eta, nu=nu)
     for mode in MeasureMode:
         state = make_state(spec, mode, ctx, Q=Q, P=P)
-        eff, _, q, p = _reduce(spec, mode, ctx, (), Q, P)
-        ref = _MappedCopyState(ctx, spec, eff, q, p)
+        _, _, q, p = _reduce(spec, mode, ctx, (), Q, P)
+        ref = _MappedCopyState(ctx, spec, q, p)
         rest = np.arange(n)
         picked, total = [], 0.0
         for _ in range(min(n, 8) + 1):

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import concept_ctx, pair_ctx, psd_ctx, relerr, seed_from, with_copies
 from submodsum.bench import random_instance, vrouge, with_ground_members
+from submodsum import functions
 from submodsum.errors import ConfigError, NumericError, UnsupportedError
 from submodsum.functions import (
     REGISTRY,
@@ -241,6 +244,16 @@ def test_spec_validation():
     for weights in ((1, 2, 3), (1,), ()):
         with pytest.raises(ConfigError, match="com_weights must be a pair"):
             FunctionSpec(Family.CONCAVE_OVER_MODULAR, com_weights=weights)
+    assert FunctionSpec("fl1").family is Family.FACILITY_LOCATION_1
+
+
+def test_com_weights_leave_eta_no_partial(rng):
+    """eta moves concave-over-modular only through its default deltas."""
+    ctx, Q, P = random_instance(rng)
+    spec = FunctionSpec(Family.CONCAVE_OVER_MODULAR, com_weights=(0.2, 0.8))
+    assert partials(spec, MeasureMode.SMI, ctx, (0,), Q) == {}
+    moved = dataclasses.replace(spec, eta=0.3)
+    assert evaluate(moved, MeasureMode.SMI, ctx, (0,), Q) == evaluate(spec, MeasureMode.SMI, ctx, (0,), Q)
 
 
 @pytest.mark.parametrize("S", [[0.9], [1.0], [True], [0, True], [1, True], ["1"], "1", 5,
@@ -619,6 +632,27 @@ def test_fl1_partials_match_finite_differences_on_dot_kernels():
     assert checked > 1000
 
 
+@pytest.mark.parametrize("mode", [MeasureMode.SMI, MeasureMode.CSMI])
+def test_fl1_weights_that_reach_no_pair_have_zero_partials(mode, rng):
+    """With Q and P holding ground items only, eta and nu weight no pair, so
+    each reads a partial of exactly 0.0, as a central difference of evaluate
+    does."""
+    h = 1e-4
+    for _ in range(10):
+        ctx, _, _ = random_instance(rng, n_range=(4, 8), concepts=False)
+        gq, gp, *rest = rng.permutation(ctx.n_ground).tolist()
+        A, Q, P = tuple(sorted(rest[:2])), (gq,), (gp,)
+        spec = FunctionSpec(Family.FACILITY_LOCATION_1, eta=float(rng.uniform(0.2, 0.9)),
+                            nu=float(rng.uniform(0.2, 0.9)))
+        grads = partials(spec, mode, ctx, A, Q, P)
+        assert set(grads) == ({"eta", "nu"} if mode is MeasureMode.CSMI else {"eta"})
+        for key in grads:
+            up = dataclasses.replace(spec, **{key: getattr(spec, key) + h})
+            dn = dataclasses.replace(spec, **{key: getattr(spec, key) - h})
+            num = (evaluate(up, mode, ctx, A, Q, P) - evaluate(dn, mode, ctx, A, Q, P)) / (2 * h)
+            assert grads[key] == num == 0.0, (key, grads, num)
+
+
 def test_near_kink_detects_tie():
     # one ground, one query item with amax exactly at eta * qmax
     ctx = pair_ctx(0.5)
@@ -626,3 +660,33 @@ def test_near_kink_detects_tie():
     assert near_kink(spec, MeasureMode.SMI, ctx, (0,), (1,))
     assert not near_kink(FunctionSpec(Family.FACILITY_LOCATION_1, eta=0.5),
                          MeasureMode.SMI, ctx, (0,), (1,))
+
+
+# ---------------------------------------------------------------------------
+# the family protocol
+
+
+def _assigns_modes(stmt) -> bool:
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [getattr(t, "id", None) for t in targets] == ["MODES"]
+
+
+def test_only_api_maps_a_mode_to_its_sets():
+    """A family names its form by which of Q and P is nonempty.  So in the
+    family modules, no function takes a mode and no name or attribute is
+    called mode, and MeasureMode appears only in a class-level MODES = ...,
+    imported under its own name."""
+    root = Path(functions.__file__).parent
+    modules = [p for p in sorted(root.glob("*.py")) if p.stem not in ("api", "oracle", "spec", "__init__")]
+    assert len(modules) == 9  # _common, context and the seven family modules
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for stmt in cls.body if _assigns_modes(stmt) for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            # a parameter, a name or an attribute
+            name = getattr(node, "arg", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            assert name != "mode", where
+            assert name != "MeasureMode" or id(node) in allowed, where
+            assert not (isinstance(node, ast.alias) and node.name == "MeasureMode" and node.asname), where

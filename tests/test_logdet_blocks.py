@@ -214,9 +214,9 @@ def test_logdet_pushed_conditioning_rows_bit_equal_to_dense_reference(inst):
                                          None if S_neg is None else _RefCholesky(D, n, S_neg)))
         if ref is NumericError:  # a conditioning block that is not positive definite
             with pytest.raises(NumericError):
-                OPS.state(ctx, spec, mode, q, p)
+                OPS.state(ctx, spec, q, p)
             continue
-        state = OPS.state(ctx, spec, mode, q, p)
+        state = OPS.state(ctx, spec, q, p)
         pairs = [(state.pos, ref.pos)] + ([] if ref.neg is None else [(state.neg, ref.neg)])
         assert (state.neg is None) == (ref.neg is None)
 
@@ -259,7 +259,7 @@ def test_logdet_pushed_conditioning_rows_bit_equal_to_dense_reference(inst):
         # a context whose kernel is D and whose jitter is zero they give the
         # same bits
         for fn in (OPS.value, OPS.partials):
-            assert _outcome(fn, ctx, spec, mode, A, q, p) == _outcome(fn, dense, spec, mode, A, q, p)
+            assert _outcome(fn, ctx, spec, A, q, p) == _outcome(fn, dense, spec, A, q, p)
 
 
 # Pushing the conditioning set and the earlier formula round apart by a few
@@ -288,7 +288,7 @@ def test_logdet_pushed_conditioning_matches_the_earlier_dense_formula(inst):
             old_M, old_N, solved = _old_blocks(ctx, spec, mode, q, p)
         except NumericError:
             with pytest.raises(NumericError):
-                OPS.state(ctx, spec, mode, q, p)
+                OPS.state(ctx, spec, q, p)
             continue
         eig = [np.linalg.eigvalsh(B) for B in solved]
         DV = _dense(ctx)[:ctx.n_ground, :ctx.n_ground]
@@ -307,7 +307,7 @@ def test_logdet_pushed_conditioning_matches_the_earlier_dense_formula(inst):
 
         n = ctx.n_ground
         old = _RefState(n, _RefCholesky(old_M, n), None if old_N is None else _RefCholesky(old_N, n))
-        state = OPS.state(ctx, spec, mode, q, p)
+        state = OPS.state(ctx, spec, q, p)
         rest, pivot, picks = cand, 1.0, []
         for _ in range(min(8, cand.size)):
             assert close(state.pos.d2[rest], old.pos.d2[rest], pivot)
@@ -329,7 +329,7 @@ def test_logdet_pushed_conditioning_matches_the_earlier_dense_formula(inst):
         lam = min(np.linalg.eigvalsh(F[np.ix_(A, A)]).min() for F in (old_M, old_N) if F is not None)
         if want is NumericError or lam <= 0:
             continue
-        assert abs(OPS.value(ctx, spec, mode, A, q, p) - want) <= A.size * atol() / min(1.0, lam)
+        assert abs(OPS.value(ctx, spec, A, q, p) - want) <= A.size * atol() / min(1.0, lam)
 
 
 @settings(deadline=None)

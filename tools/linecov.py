@@ -8,6 +8,8 @@ Run it from anywhere, with no options:
 
     python tools/linecov.py
 
+It exits with the suite's own exit code, so a failing test fails the run.
+
 It takes a few times as long as the untraced suite.  Tests that run the
 program in a child process cover nothing here.
 """
@@ -73,7 +75,7 @@ def main() -> int:
         if never:
             print(f"{path.relative_to(ROOT)}: {len(never)} never run: {', '.join(map(str, never))}")
     print(f"total: {missed} of {total} statements never run (tests exit {int(code)})")
-    return 0
+    return int(code)
 
 
 if __name__ == "__main__":
