@@ -97,15 +97,6 @@ def pair_masks(ctx, rows, cols, Q=NO_ITEMS, P=NO_ITEMS):
                  for m in (_reach(ctx, rows, cols, S) for S in (Q, P)))
 
 
-# -- concave transforms --------------------------------------------------------
-
-PSI = {
-    "sqrt": np.sqrt,
-    "log1p": np.log1p,
-    "identity": lambda x: x,
-}
-
-
 # -- family protocol -----------------------------------------------------------
 
 

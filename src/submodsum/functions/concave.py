@@ -33,7 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ._common import PSI, FamilyOps, MarginalState, complement, cross_block
+from ._common import FamilyOps, MarginalState, complement, cross_block
+from .spec import PSI
 
 
 def _check_cross(ctx) -> None:

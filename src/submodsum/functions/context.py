@@ -19,9 +19,11 @@ one m x n array; families read what they need:
 The kernel is finite and exactly symmetric (checked here unless it comes
 as a SimilarityKernel: from build_kernel, which builds it so, or from
 copy_with, which hands on a checked one), so cross serves both directions:
-the V x V' block is its transpose.  The copy_with hook swaps the kernel
-or the cross block; the definitional oracle uses it to evaluate base
-functions on transformed kernels.
+the V x V' block is its transpose.  Counts and concept weights are finite
+and nonnegative and coverage probabilities lie in [0, 1], checked here as
+the loader checks them.  The copy_with hook swaps the kernel or the cross
+block; the definitional oracle uses it to evaluate base functions on
+transformed kernels.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ class EvalContext:
         self.concept_weights = None if w is None else np.asarray(w, dtype=float)
         if widths and self.concept_weights.shape != (*widths,):
             raise ConfigError(f"concept_weights must have shape {(*widths,)}, got {self.concept_weights.shape}")
+        big = np.finfo(float).max
+        for name, m, hi, rule in (("counts", self.counts, big, "be finite and nonnegative"),
+                                  ("cover_prob", self.cover_prob, 1.0, "lie in [0, 1]"),
+                                  ("concept_weights", self.concept_weights, big, "be finite and nonnegative")):
+            # min and max propagate NaN, and NaN fails both comparisons
+            if m is not None and not (m.min(initial=0.0) >= 0 and m.max(initial=0.0) <= hi):
+                raise ConfigError(f"{name} must {rule}")
         self.role_indices = dict(role_indices or {})
         self._index = {i: k for k, i in enumerate(self.ids)}
         self.cross = self.similarity(slice(n_ground, None), slice(n_ground))

@@ -1,19 +1,23 @@
-"""Set-cover and probabilistic set-cover measures.
+"""Probabilistic set-cover measures, and set cover as their 0/1 case.
 
-Set cover: f(S) = w(concepts covered by S).  Its information forms reduce to
-weighted intersections/differences of covered-concept sets.  Probabilistic
-set cover: f(S) = sum_i w_i (1 - prod_{j in S}(1 - p_ij)), the product being
-the probability that concept i stays uncovered by S.  Neither family has
-continuous parameters.  The forms differ only per concept: set cover counts
-the concepts covered by Q and not by P (_active), probabilistic set cover
-multiplies by 1 - miss(Q) and then by miss(P) (_factors), each for a
-nonempty set only, so with Q and P empty either is f(A).  The closed form
-and the marginal state both read that one helper.
+Probabilistic set cover: f(S) = sum_i w_i (1 - prod_{j in S}(1 - p_ij)), the
+product being the probability that concept i stays uncovered by S.  Set
+cover, f(S) = w(concepts covered by S), is the same function with every
+p_ij 0 or 1: 1 - prod(1 - p) is then exactly 1 where S covers concept i and
+0 where it does not, and the information forms agree the same way
+(w(Gamma(A) & Gamma(Q)) against sum_i w_i P_i(A) P_i(Q)).  So one closed
+form and one marginal state serve both families; set cover only reads its
+0/1 coverage incidence where probabilistic set cover reads probabilities.
+Neither family has continuous parameters.
 
-Both marginal states keep every item's gain as a sum over its nonzero
-concepts of a per-concept weight (the weight of a concept still uncovered;
-weight * probability still missing).  A pick updates those per-concept
-weights and re-adds the entries once, O(nonzeros).
+The forms differ only per concept: the coverage of A is multiplied by
+1 - miss(Q) if Q is nonempty and then by miss(P) if P is (_factors), so
+with Q and P empty it is f(A).  The closed form and the marginal state both
+read that one helper.  The marginal state keeps every item's gain as a sum
+over its nonzero concepts of weight * factors * probability still missing;
+a pick updates the per-concept miss and re-adds the entries once,
+O(nonzeros).  On 0/1 probabilities every product is exactly 0 or 1, so the
+sums round as set cover's sums of weights of uncovered concepts do.
 """
 
 from __future__ import annotations
@@ -21,59 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._common import FamilyOps, MarginalState, SparseRows
-
-
-def _gamma(ctx) -> np.ndarray:
-    """(N, L) boolean coverage incidence."""
-    ctx.require_concepts("set cover")
-    base = ctx.counts if ctx.counts is not None else ctx.cover_prob
-    return base > 0
-
-
-def _covered(gamma: np.ndarray, S: np.ndarray) -> np.ndarray:
-    return gamma[S].any(axis=0)
-
-
-def _active(gamma: np.ndarray, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Concepts the form counts: covered by Q if Q is nonempty, not covered by P if P is."""
-    active = np.ones(gamma.shape[1], dtype=bool)
-    if Q.size:
-        active &= _covered(gamma, Q)
-    if P.size:
-        active &= ~_covered(gamma, P)
-    return active
-
-
-class SetCoverOps(FamilyOps):
-    def value(self, ctx, spec, A, Q, P):
-        g = _gamma(ctx)
-        return float(ctx.concept_weights @ (_covered(g, A) & _active(g, Q, P)))
-
-    def state(self, ctx, spec, Q, P):
-        g = _gamma(ctx)
-        return _CoverState(g[:ctx.n_ground], ctx.concept_weights, _active(g, Q, P))
-
-
-class _CoverState(MarginalState):
-    def __init__(self, gamma, weights, active):
-        self.gamma = gamma
-        self.entries = SparseRows(gamma)
-        self.w = weights * active  # inactive and covered concepts never contribute
-        self._refresh()
-
-    def _refresh(self):
-        self.gains = self.entries.row_sums(self.w[self.entries.cols])
-
-    def add(self, j):
-        self.w = np.where(self.gamma[j], 0.0, self.w)
-        self._refresh()
-
-
-def _probs(ctx) -> np.ndarray:
-    ctx.require_concepts("probabilistic set cover")
-    if ctx.cover_prob is not None:
-        return ctx.cover_prob
-    return (ctx.counts > 0).astype(float)
 
 
 def _miss(prob: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -93,19 +44,35 @@ def _factors(prob: np.ndarray, Q: np.ndarray, P: np.ndarray) -> list[np.ndarray]
 
 
 class ProbSetCoverOps(FamilyOps):
+    def probs(self, ctx) -> np.ndarray:
+        """(N, L) probability that each item covers each concept: the
+        coverage probabilities if present, else the counts above 0.  A
+        boolean incidence serves as 0/1 probabilities without a float copy,
+        since 1.0 - True is exactly 0.0."""
+        ctx.require_concepts("probabilistic set cover")
+        return ctx.cover_prob if ctx.cover_prob is not None else ctx.counts > 0
+
     def value(self, ctx, spec, A, Q, P):
-        p = _probs(ctx)
+        p = self.probs(ctx)
         x = 1.0 - _miss(p, A)
         for factor in _factors(p, Q, P):
             x = x * factor
         return float(ctx.concept_weights @ x)
 
     def state(self, ctx, spec, Q, P):
-        p = _probs(ctx)
+        p = self.probs(ctx)
         mult = np.ones(p.shape[1])
         for factor in _factors(p, Q, P):
             mult = mult * factor
         return _ProbCoverState(p[:ctx.n_ground], ctx.concept_weights, mult)
+
+
+class SetCoverOps(ProbSetCoverOps):
+    def probs(self, ctx) -> np.ndarray:
+        """(N, L) 0/1 coverage incidence: the counts if present, else the
+        coverage probabilities, above 0."""
+        ctx.require_concepts("set cover")
+        return (ctx.counts if ctx.counts is not None else ctx.cover_prob) > 0
 
 
 class _ProbCoverState(MarginalState):

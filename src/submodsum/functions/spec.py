@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..errors import ConfigError
 
 
@@ -59,7 +61,12 @@ class MeasureMode(str, Enum):
     CSMI = "csmi"  # I_f(A; Q | P)
 
 
-PSI_FUNCTIONS = ("sqrt", "log1p", "identity")
+# the concave transforms of concave-over-modular, by the name a spec gives
+PSI = {
+    "sqrt": np.sqrt,
+    "log1p": np.log1p,
+    "identity": lambda x: x,
+}
 
 
 @dataclass
@@ -88,8 +95,8 @@ class FunctionSpec:
             v = getattr(self, name)
             if not (v >= 0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be finite and nonnegative, got {v!r}")
-        if self.psi not in PSI_FUNCTIONS:
-            raise ConfigError(f"psi must be one of {PSI_FUNCTIONS}, got {self.psi!r}")
+        if self.psi not in tuple(PSI):  # a tuple: an unhashable psi is unknown, not a TypeError
+            raise ConfigError(f"psi must be one of {tuple(PSI)}, got {self.psi!r}")
         if self.com_weights is not None:
             w = tuple(self.com_weights)
             if not (len(w) == 2 and all(v >= 0 and math.isfinite(v) for v in w)):

@@ -219,7 +219,18 @@ def test_count_overlap_needs_counts_not_only_coverage():
     dict(counts=np.ones((3, 2)), cover_prob=np.full((3, 3), 0.5)),
     dict(counts=np.ones(3)),
     dict(ids=("a",)),
-], ids=["count_rows", "weight_length", "cover_rows", "concept_columns", "flat_counts", "id_count"])
+    dict(cover_prob=np.full((3, 2), 1.5)),
+    dict(cover_prob=np.full((3, 2), -0.5)),
+    dict(cover_prob=np.array([[0.5, np.nan], [0.5, 0.5], [0.5, 0.5]])),
+    dict(counts=np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])),
+    dict(counts=np.array([[1.0, np.nan], [1.0, 0.0], [0.0, 1.0]])),
+    dict(counts=np.array([[1.0, np.inf], [1.0, 0.0], [0.0, 1.0]])),
+    dict(counts=np.ones((3, 2)), concept_weights=np.array([1.0, np.nan])),
+    dict(counts=np.ones((3, 2)), concept_weights=np.array([1.0, -1.0])),
+    dict(cover_prob=np.full((3, 2), 0.5), concept_weights=np.array([np.inf, 1.0])),
+], ids=["count_rows", "weight_length", "cover_rows", "concept_columns", "flat_counts", "id_count",
+        "cover_above_one", "cover_below_zero", "cover_nan", "negative_count", "nan_count", "infinite_count",
+        "nan_weight", "negative_weight", "infinite_weight"])
 def test_context_rejects_inputs_that_do_not_fit_its_kernel(inputs):
     with pytest.raises(ConfigError):
         EvalContext(np.eye(3), 2, metric="dot", **inputs)
