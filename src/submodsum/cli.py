@@ -362,7 +362,7 @@ def _check_gradients(seed: int, tol: float = 1e-3) -> list[str]:
         model = MixtureModel(base.components, base.weights + 0.1,
                              reg_strength=base.reg_strength)
         err = finite_diff_check(model, ex)
-        if err > tol:
+        if not err <= tol:  # a NaN gap fails
             failures.append(f"collection {t}: finite-difference gap {err:.2e}")
     return failures
 

@@ -21,14 +21,20 @@ for weights in [0, 1].  No n x n matrix is formed, nor D itself: blocks are
 read from the kernel with the jitter added where a row and a column are the
 same item (_read).
 
-The table is read three ways.  The closed form sums sign * log det D_T
-over its blocks.  The parameter gradients sum sign * tr(D_T^{-1} dD_T),
-dD_T the block on one weight's pairs under the other weight.  The marginal
-state keeps, for each block that grows with A, an incremental Cholesky
-factor ("Fast Greedy MAP Inference for Determinantal Point Processes",
-Chen, Zhang & Zhou, NeurIPS 2018) that first pushes the block's
-conditioning set, so a gain is a difference of logs of Schur complements
-and each pick updates all candidates in O(n (k + |Q| + |P|)).
+The closed form and the parameter gradients read D once per call, over
+(A, P, Q) in that order, and take each block of the table from that read
+as a principal slice (_slices): every S of the table is P or (P, Q), so
+D_{A u S} is a leading block and D_S the block after A.  Pair weighting
+and the jitter act entry by entry, so a slice has the bits of a separate
+read of its block.  The closed form sums sign * log det D_T over the
+blocks; the gradients sum sign * tr(D_T^{-1} dD_T), dD the read on one
+weight's pairs under the other weight.
+
+The marginal state keeps, for each block that grows with A, an
+incremental Cholesky factor ("Fast Greedy MAP Inference for Determinantal
+Point Processes", Chen, Zhang & Zhou, NeurIPS 2018) that first pushes the
+block's conditioning set, so a gain is a difference of logs of Schur
+complements and each pick updates all candidates in O(n (k + |Q| + |P|)).
 """
 
 from __future__ import annotations
@@ -69,6 +75,12 @@ def _terms(Q, P):
     if P.size:
         terms.append((-1, P, False))
     return terms
+
+
+def _slices(A, Q, P):
+    """(sign, s) per block of _terms, in its order: the block is D[s, s] of
+    D read over (A, P, Q), since its S is P or (P, Q)."""
+    return [(sign, slice(0 if with_A else A.size, A.size + S.size)) for sign, S, with_A in _terms(Q, P)]
 
 
 def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
@@ -152,8 +164,8 @@ class LogDetOps(FamilyOps):
     PARAM_MAX = {"eta": 1.0, "nu": 1.0}  # past 1 the scaled kernel can lose definiteness
 
     def value(self, ctx, spec, A, Q, P):
-        return sum(sign * _logdet_psd(_read(ctx, spec, np.concatenate((A, S)) if with_A else S, Q=Q, P=P))
-                   for sign, S, with_A in _terms(Q, P))
+        D = _read(ctx, spec, np.concatenate((A, P, Q)), Q=Q, P=P)
+        return sum(sign * _logdet_psd(D[s, s]) for sign, s in _slices(A, Q, P))
 
     def state(self, ctx, spec, Q, P):
         return _LogDetState(ctx, spec, Q, P)
@@ -168,15 +180,15 @@ class LogDetOps(FamilyOps):
         out = {key: 0.0 for key, S in (("eta", Q), ("nu", P)) if S.size}
         if not out:
             return out
-        for sign, S, with_A in _terms(Q, P):
-            T = np.concatenate((A, S)) if with_A else S
-            raw = _read(ctx, spec, T)
-            xq, xp = pair_masks(ctx, T, T, Q, P)
-            fq, fp = np.where(xq, spec.eta, 1.0), np.where(xp, spec.nu, 1.0)
-            D = raw * fq * fp  # pair_weighted's block, bit for bit
-            for key, dD in (("eta", raw * xq * fp), ("nu", raw * xp * fq)):
-                if key in out:
-                    out[key] += sign * float(np.trace(_solve_psd(D, dD)))
+        T = np.concatenate((A, P, Q))
+        raw = _read(ctx, spec, T)
+        xq, xp = pair_masks(ctx, T, T, Q, P)
+        fq, fp = np.where(xq, spec.eta, 1.0), np.where(xp, spec.nu, 1.0)
+        D = raw * fq * fp  # pair_weighted's read, bit for bit
+        dD = {key: raw * x * f for key, x, f in (("eta", xq, fp), ("nu", xp, fq)) if key in out}
+        for sign, s in _slices(A, Q, P):
+            for key in out:
+                out[key] += sign * float(np.trace(_solve_psd(D[s, s], dD[key][s, s])))
         return out
 
 

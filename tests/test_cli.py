@@ -2,9 +2,10 @@ import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from submodsum import cli
+from submodsum import cli, learning
 from submodsum.cli import build_parser, main, parse_fn_spec
 from submodsum.errors import ConfigError
 from submodsum.functions import Family, FunctionSpec
@@ -725,3 +726,15 @@ def test_check_oracle_reports_each_failing_form_once(monkeypatch, capsys):
         "FAIL gradients-vs-finite-difference", *(f"  collection {t}" for t in range(3))]
     assert all(line.endswith("at trial 0") for line in lines[1:4])
     assert all(line.endswith("finite-difference gap 1.00e+00") for line in lines[5:])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gradient_check_passes_at_every_seed(seed):
+    """init_mixture starts log-det's eta and nu at their bound 1, where D
+    loses definiteness just past it: the differences stay inside the box."""
+    assert cli._check_gradients(seed) == []
+
+
+def test_nan_gradient_fails_the_gradient_check(monkeypatch):
+    monkeypatch.setattr(learning, "gradients", lambda model, *args: np.full(len(learning.theta_slots(model)), np.nan))
+    assert cli._check_gradients(11) == [f"collection {t}: finite-difference gap nan" for t in range(3)]

@@ -23,12 +23,12 @@ import numpy as np
 import pytest
 
 from conftest import one_gain, with_copies
-from submodsum.bench import random_instance
+from submodsum.bench import random_instance, with_ground_members
 from submodsum.data import AuxiliarySet, GroundSet
 from submodsum.errors import NumericError
-from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate, make_state
-from submodsum.functions._common import cross_block, pair_weighted
-from submodsum.functions.logdet import LogDetOps, _columns, _dots, _logdet_psd, _solve_psd
+from submodsum.functions import EvalContext, Family, FunctionSpec, MeasureMode, evaluate, make_state, partials
+from submodsum.functions._common import cross_block, pair_masks, pair_weighted
+from submodsum.functions.logdet import LogDetOps, _columns, _dots, _logdet_psd, _read, _solve_psd, _terms
 
 pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
@@ -382,6 +382,81 @@ def test_cholesky_columns_are_the_union_with_the_ground_set(n, m, seed):
     got, want = _columns(n, S), np.union1d(np.arange(n), S)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert _columns(n, NONE).tolist() == list(range(n))
+
+
+# -- one read of D per call: the table's blocks are slices of it ------------
+
+
+def _value_per_block(ctx, spec, A, Q, P):
+    """The closed form with one _read per block of _terms."""
+    return sum(sign * _logdet_psd(_read(ctx, spec, np.concatenate((A, S)) if with_A else S, Q=Q, P=P))
+               for sign, S, with_A in _terms(Q, P))
+
+
+def _partials_per_block(ctx, spec, A, Q, P):
+    """The parameter partials with one _read and one pair_masks per block of _terms."""
+    out = {key: 0.0 for key, S in (("eta", Q), ("nu", P)) if S.size}
+    if not out:
+        return out
+    for sign, S, with_A in _terms(Q, P):
+        T = np.concatenate((A, S)) if with_A else S
+        raw = _read(ctx, spec, T)
+        xq, xp = pair_masks(ctx, T, T, Q, P)
+        fq, fp = np.where(xq, spec.eta, 1.0), np.where(xp, spec.nu, 1.0)
+        D = raw * fq * fp
+        for key, dD in (("eta", raw * xq * fp), ("nu", raw * xp * fq)):
+            if key in out:
+                out[key] += sign * float(np.trace(_solve_psd(D, dD)))
+    return out
+
+
+def _bits(fn, *args):
+    """fn's result as bytes per key, or the NumericError message it raised."""
+    try:
+        with np.errstate(all="ignore"):  # a near-singular solve may overflow on both sides alike
+            out = fn(*args)
+    except NumericError as exc:
+        return ("NumericError", str(exc))
+    return {k: np.float64(v).tobytes() for k, v in out.items()} if isinstance(out, dict) else np.float64(out).tobytes()
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(["cosine", "rbf", "dot"]),
+       keep_q=st.booleans(), keep_p=st.booleans(), ground=st.booleans(), jitter=st.sampled_from([1e-6, 0.0]),
+       eta=st.floats(0.0, 1.0), nu=st.floats(0.0, 1.0))
+def test_one_read_per_call_bit_equal_to_a_read_per_block(seed, metric, keep_q, keep_p, ground, jitter, eta, nu):
+    """value and partials read D once over (A, P, Q) and slice the table's
+    blocks from it; each gives the bits of one read per block, or the same
+    NumericError.  Q and P may hold ground items, and at jitter 0 a block
+    of a low-rank kernel can be singular."""
+    rng = np.random.default_rng(seed)
+    ctx, Q, P = random_instance(rng, metric=metric)
+    ctx = ctx.copy_with(jitter=jitter)
+    A = tuple(sorted(rng.choice(ctx.n_ground, size=int(rng.integers(1, ctx.n_ground + 1)), replace=False).tolist()))
+    if ground:
+        A, Q, P = with_ground_members(rng, ctx, Q, P)
+    A, Q, P = (np.array(S if keep else (), dtype=int) for S, keep in ((A, True), (Q, keep_q), (P, keep_p)))
+    spec = FunctionSpec(Family.LOG_DET, eta=eta, nu=nu)
+    for got, want in ((OPS.value, _value_per_block), (OPS.partials, _partials_per_block)):
+        result = _bits(got, ctx, spec, A, Q, P)
+        event("NumericError" if isinstance(result, tuple) else "value")
+        assert result == _bits(want, ctx, spec, A, Q, P)
+
+
+# -- the NumericError branches of a factorization and a solve -----------------
+
+
+def test_indefinite_kernel_is_a_numeric_error_in_the_closed_form():
+    ctx = EvalContext(np.array([[1.0, 2.0], [2.0, 1.0]]), 2, metric="dot", jitter=0.0)
+    with pytest.raises(NumericError, match="not positive definite"):
+        evaluate(FunctionSpec(Family.LOG_DET), MeasureMode.BASE, ctx, (0, 1))
+
+
+def test_singular_block_is_a_numeric_error_in_the_partials():
+    """At eta = 1 the block over A and Q of an all-ones kernel is exactly singular."""
+    ctx = EvalContext(np.ones((3, 3)), 2, metric="dot", jitter=0.0)
+    with pytest.raises(NumericError, match="not positive definite"):
+        partials(FunctionSpec(Family.LOG_DET, eta=1.0), MeasureMode.SMI, ctx, (0,), Q=(2,))
 
 
 # -- memory --------------------------------------------------------------------
