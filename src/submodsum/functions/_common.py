@@ -90,6 +90,12 @@ def pair_weighted(ctx, spec, block, rows, cols, Q=NO_ITEMS, P=NO_ITEMS):
     return block
 
 
+def weighted_view(ctx, spec, Q=NO_ITEMS, P=NO_ITEMS):
+    """Graph cut's and log-det's oracle_view: ctx on its kernel under the pair weights of Q and P."""
+    idx = np.arange(ctx.size)
+    return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.block(slice(None), slice(None)), idx, idx, Q, P))
+
+
 def pair_masks(ctx, rows, cols, Q=NO_ITEMS, P=NO_ITEMS):
     """(in_q, in_p): the rows x cols pairs that eta and nu reach in
     pair_weighted, which the parameter gradients read."""

@@ -1,17 +1,19 @@
 """Evaluation context: one kernel plus concept matrices over V union V'.
 
 Items are indexed 0..n-1 for the ground set V and n..N-1 for auxiliary
-items (V').  The context holds the N x N kernel, the concept matrices and
-one m x n array; families read what they need:
+items (V').  The context holds the kernel, the concept matrices and one
+m x n array.  How the kernel is stored is this module's decision: families
+read it only through the methods below, whose rows and cols index as in
+numpy, two index arrays through np.ix_:
 
-* kernel                   graph-cut, log-determinant (which reads blocks
-                           of it and adds the jitter to their diagonals)
-* similarity(rows, cols)   facility-location, disparity: a kernel block
-                           mapped into [0, 1] by s = scale * (k + shift):
-                           shift 1 and scale 1/2 for cosine, 0 and 1 (no
-                           map) otherwise.  scale is a power of two, so a
-                           reader of k + shift (the facility-location state)
-                           holds s / scale exactly
+* block(rows, cols)        graph-cut, log-determinant (adding the jitter to
+                           its blocks' diagonals), facility-location 1's state
+* diagonal()               graph-cut's and log-determinant's states
+* similarity(rows, cols)   facility-location, disparity: a block mapped
+                           into [0, 1] by s = scale * (k + shift): shift 1
+                           and scale 1/2 for cosine, 0 and 1 (no map)
+                           otherwise.  scale is a power of two, so a reader
+                           of block + shift (fl1's state) holds s / scale exactly
 * cross                    second facility-location variant,
                            concave-over-modular: the mapped V' x V block
 * counts / cover_prob      set-cover, probabilistic set-cover, rouge
@@ -42,6 +44,8 @@ from ..data import (
 )
 from ..errors import ConfigError
 
+_BASIC = (int, np.integer, slice)  # an index numpy takes as it is; anything else is an index array
+
 
 class EvalContext:
     def __init__(
@@ -58,13 +62,13 @@ class EvalContext:
     ):
         built = isinstance(kernel, SimilarityKernel)
         self.kernel = kernel.matrix if built else np.asarray(kernel, dtype=float)
-        self.size = self.kernel.shape[0]
-        if self.kernel.shape != (self.size, self.size):
+        if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
             raise ConfigError("kernel must be square")
+        self.size = self.kernel.shape[0]
         if not (built or (np.isfinite(self.kernel).all() and np.array_equal(self.kernel, self.kernel.T))):
             raise ConfigError("kernel must be finite and symmetric")
-        if not (0 <= n_ground <= self.size):
-            raise ConfigError("n_ground out of range")
+        if not (np.issubdtype(type(n_ground), np.integer) and 0 <= n_ground <= self.size):
+            raise ConfigError(f"n_ground out of range: an int in [0, {self.size}] is needed, got {n_ground!r}")
         self.n_ground = n_ground
         self.ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(self.size))
         if len(self.ids) != self.size:
@@ -94,12 +98,21 @@ class EvalContext:
         self._index = {i: k for k, i in enumerate(self.ids)}
         self.cross = self.similarity(slice(n_ground, None), slice(n_ground))
 
+    def block(self, rows, cols) -> np.ndarray:
+        """Kernel block rows x cols: an int or a slice indexes as numpy does (a
+        view, never to be written), two index arrays through np.ix_ (a copy)."""
+        basic = isinstance(rows, _BASIC) or isinstance(cols, _BASIC)
+        return self.kernel[(rows, cols) if basic else np.ix_(rows, cols)]
+
+    def diagonal(self) -> np.ndarray:
+        """The kernel's diagonal, read-only."""
+        return np.diagonal(self.kernel)
+
     def similarity(self, rows, cols) -> np.ndarray:
-        """Kernel block rows x cols mapped into [0, 1]: scale * (k + shift),
-        (k + 1) / 2 for cosine, the kernel's own entries otherwise.  Two index
-        arrays select through np.ix_, an int or a slice as numpy does: never
-        write to the block."""
-        block = self.kernel[np.ix_(rows, cols) if np.ndim(rows) and np.ndim(cols) else (rows, cols)]
+        """block(rows, cols) mapped into [0, 1]: scale * (k + shift),
+        (k + 1) / 2 for cosine, the block itself otherwise, so never write
+        to it."""
+        block = self.block(rows, cols)
         if not self.shift:  # shift 0 comes with scale 1: no map
             return block
         out = block + self.shift

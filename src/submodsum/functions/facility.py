@@ -148,7 +148,7 @@ class _FL1State(MarginalState):
 
     def __init__(self, ctx, spec, Q, P):
         n = ctx.n_ground
-        self.K = ctx.kernel[:n]  # a view of the ground rows: read, never written
+        self.ctx = ctx  # its ground rows are read in place, never written
         self.shift, self.scale = ctx.shift, ctx.scale
         qcap, pcap = _caps(ctx, spec, Q, P)
         self.capped = qcap is not None
@@ -170,8 +170,9 @@ class _FL1State(MarginalState):
         auxiliary columns ride along and are dropped from the sum."""
         n = self.c.size
         for b in blocks.tolist():
-            r = slice(b * _ROWS, (b + 1) * _ROWS)  # the last block stops at row n
-            d = self.K[r] + self.shift if self.shift else self.K[r].copy()
+            r = slice(b * _ROWS, min((b + 1) * _ROWS, n))
+            rows = self.ctx.block(r, slice(None))
+            d = rows + self.shift if self.shift else rows.copy()
             c = self.c[r, None]
             d -= c
             np.maximum(d, self.low, out=d)
@@ -183,7 +184,7 @@ class _FL1State(MarginalState):
 
     def add(self, j):
         # row j is column j: the kernel is exactly symmetric
-        row = self.K[j, :self.c.size]
+        row = self.ctx.block(j, slice(self.c.size))
         best = np.minimum(row + self.shift if self.shift else row, self.hi)
         # the first pick moves every row off the empty max; a later one, the rows whose clipped best it raises
         rows = np.arange(best.size) if self.low < 0 else np.flatnonzero(best > self.c)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError
-from ._common import NO_ITEMS, FamilyOps, MarginalState, pair_masks, pair_weighted
+from ._common import NO_ITEMS, FamilyOps, MarginalState, pair_masks, pair_weighted, weighted_view
 
 _ADVICE = "matrix not positive definite; increase the kernel jitter or reduce eta/nu toward [0, 1]"
 
@@ -89,7 +89,7 @@ def _read(ctx, spec, rows, cols=None, Q=NO_ITEMS, P=NO_ITEMS) -> np.ndarray:
     item, a pair no weight reaches, so adding it first gives the bits of
     adding it last: k_ii + jitter there, the weighted k_ij elsewhere."""
     cols = rows if cols is None else cols
-    block = ctx.kernel[np.ix_(rows, cols)]
+    block = ctx.block(rows, cols)
     block[rows[:, None] == cols] += ctx.jitter
     return pair_weighted(ctx, spec, block, rows, cols, Q, P)
 
@@ -121,7 +121,7 @@ class GrowingCholesky:
     given them.  The conditioning set S is pushed first, over the columns
     V u S (_columns), its rows read through _read; then only the V columns
     are kept.  Selecting a ground item i reads row i of the kernel's V x V
-    block in place, which no weight reaches, with the jitter added at i,
+    block from the context, a row no weight reaches, adds the jitter at i,
     appends e = (D_i - C[:k, i] @ C[:k]) / sqrt(d2[i]) as row k and lowers
     d2 by e^2, O(n k) per push.  The product is one contraction that adds
     the rows in order, not a BLAS product, so equal columns (copies of an
@@ -130,9 +130,9 @@ class GrowingCholesky:
 
     def __init__(self, ctx, spec, S=NO_ITEMS, Q=NO_ITEMS, P=NO_ITEMS):
         n = ctx.n_ground
-        self.kv, self.jitter = ctx.kernel[:n, :n], ctx.jitter
+        self.ctx, self.ground = ctx, slice(n)
         cols = _columns(n, S)
-        self.d2 = np.diagonal(ctx.kernel)[cols] + ctx.jitter
+        self.d2 = ctx.diagonal()[cols] + ctx.jitter
         self.C = np.zeros((0, cols.size))
         self.k = 0
         for i, row in zip(np.searchsorted(cols, S), _read(ctx, spec, S, cols, Q, P)):
@@ -140,8 +140,8 @@ class GrowingCholesky:
         self.C, self.d2 = self.C[:self.k, :n].copy(), self.d2[:n]
 
     def push(self, i: int) -> None:
-        row = self.kv[i].copy()
-        row[i] += self.jitter
+        row = self.ctx.block(i, self.ground).copy()
+        row[i] += self.ctx.jitter
         self._append(i, row)
 
     def _append(self, i, row) -> None:
@@ -171,8 +171,7 @@ class LogDetOps(FamilyOps):
         return _LogDetState(ctx, spec, Q, P)
 
     def oracle_view(self, ctx, spec, Q, P):
-        idx = np.arange(ctx.size)
-        return ctx.copy_with(kernel=pair_weighted(ctx, spec, ctx.kernel, idx, idx, Q, P))
+        return weighted_view(ctx, spec, Q, P)
 
     def partials(self, ctx, spec, A, Q, P):
         """d value / d eta (nu) for a nonempty Q (P): each weight's

@@ -112,7 +112,7 @@ class MeasureObjective:
         if fam is Family.GRAPH_CUT and mode is not MeasureMode.SMI:
             # cut gains are nonincreasing only for nonnegative similarities
             n = self.ctx.n_ground
-            return bool(np.all(self.ctx.kernel[:n, :n] >= 0.0))
+            return bool(np.all(self.ctx.block(slice(n), slice(n)) >= 0.0))
         return True
 
     def fresh_state(self):

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +554,20 @@ def test_help_and_version_exit_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["summarize"], 2)])
+def test_module_run_exits_with_main_s_code(argv, code, monkeypatch, capsys):
+    """python -m submodsum.cli runs main and exits with its code: 0 for
+    --version, 2 for a config error (required options missing)."""
+    monkeypatch.setattr(sys, "argv", ["submodsum", *argv])
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        # runpy warns that the tests have imported the module already
+        warnings.filterwarnings("ignore", "'submodsum.cli' found in sys.modules", RuntimeWarning)
+        runpy.run_module("submodsum.cli", run_name="__main__")
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert out.startswith("submodsum ") if code == 0 else err.startswith("error: ")
 
 
 def _assert_synth_sweep_rejected(sweep, out, capsys):

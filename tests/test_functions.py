@@ -23,7 +23,7 @@ from submodsum.functions import (
     parse_family,
     partials,
 )
-from submodsum.functions._common import as_indices
+from submodsum.functions._common import MarginalState, as_indices
 from submodsum.functions.api import eval_base, near_kink
 from submodsum.functions.logdet import GrowingCholesky
 from submodsum.functions.oracle import conditioned_smi, smi_conditional_gain
@@ -701,3 +701,42 @@ def test_only_api_maps_a_mode_to_its_sets():
             assert name != "mode", where
             assert name != "MeasureMode" or id(node) in allowed, where
             assert not (isinstance(node, ast.alias) and node.name == "MeasureMode" and node.asname), where
+
+
+def test_only_the_context_reads_the_kernel():
+    """The kernel's layout is the context's decision: no module of the
+    package but functions/context.py reads an attribute named kernel.  A
+    copy_with(kernel=...) keyword is not an attribute read."""
+    root = Path(functions.__file__).parent.parent
+    reads = {path.relative_to(root).as_posix(): sum(isinstance(node, ast.Attribute) and node.attr == "kernel"
+                                                    for node in ast.walk(ast.parse(path.read_text())))
+             for path in root.rglob("*.py")}
+    assert len(reads) == 20 and reads.pop("functions/context.py") > 0
+    assert {path: n for path, n in reads.items() if n} == {}
+
+
+def _held_arrays(obj):
+    """The numpy arrays a state holds, through the states and factors it holds."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (MarginalState, GrowingCholesky)):
+            yield from _held_arrays(value)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "rbf", "dot"])
+def test_no_state_holds_a_kernel_array(metric):
+    """A state reads kernel rows from the context when it needs them: none
+    of the arrays it holds shares memory with the kernel, before or after
+    its picks."""
+    ctx, Q, P = random_instance(np.random.default_rng(seed_from(metric)), metric=metric)
+    kernel = ctx.block(slice(None), slice(None))
+    for fam in Family:
+        for mode in modes_supported(fam):
+            try:
+                state = make_state(FunctionSpec(fam, eta=0.5, nu=0.5), mode, ctx, Q, P)
+            except ConfigError:  # fl2 and com on negative dot similarities
+                continue
+            for j in (0, 1):
+                assert not any(np.shares_memory(a, kernel) for a in _held_arrays(state)), (fam, mode)
+                state.add(j)

@@ -400,6 +400,17 @@ def test_divergence_raises_numeric_error(example):
     assert getattr(err.value, "last_model", None) is not None
 
 
+def test_overflowing_hinge_raises_numeric_error():
+    """Every pick's gain is finite at this weight, but the summary's value,
+    their sum, overflows, so the hinge is inf - inf."""
+    ctx, refs, Q = make_collection(0)
+    model0 = MixtureModel([FunctionSpec(Family.GRAPH_CUT)], np.array([2.61e307]), reg_strength=0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+        train([TrainingExample(ctx, refs, 4, Q=Q)], model0, TrainConfig(epochs=1, lr=0.0, momentum=0.0))
+    assert str(err.value) == "training diverged at epoch 1: non-finite hinge or gradient"
+    assert getattr(err.value, "last_model", None) is not None
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)

@@ -24,6 +24,11 @@ CASES = {
     "non_square_kernel": (ConfigError, "must be square", lambda: EvalContext(np.zeros((2, 3)), 1)),
     "n_ground_past_size": (ConfigError, "n_ground out of range", lambda: EvalContext(np.eye(2), 3)),
     "negative_n_ground": (ConfigError, "n_ground out of range", lambda: EvalContext(np.eye(2), -1)),
+    "scalar_kernel": (ConfigError, "must be square", lambda: EvalContext(1.0, 1)),
+    "zero_d_kernel": (ConfigError, "must be square", lambda: EvalContext(np.array(1.0), 1)),
+    "float_n_ground": (ConfigError, "n_ground out of range", lambda: EvalContext(np.eye(2), 2.5)),
+    "str_n_ground": (ConfigError, "n_ground out of range", lambda: EvalContext(np.eye(2), "2")),
+    "bool_n_ground": (ConfigError, "n_ground out of range", lambda: EvalContext(np.eye(2), True)),
     "mode": (ConfigError, "unknown mode",
              lambda: evaluate(FunctionSpec(Family.SET_COVER), "sideways", EvalContext(np.eye(2), 2), (0,))),
     "update_without_previous": (ConfigError, "requires the previous summary", lambda: flavor_sets(Flavor.UPDATE)),
@@ -41,3 +46,7 @@ def test_input_check_raises_its_documented_type(case):
     error, message, call = CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_int_n_ground_is_accepted():
+    assert EvalContext(np.eye(2), np.int64(1)).n_ground == 1
